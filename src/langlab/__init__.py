@@ -11,8 +11,6 @@ from .words import (
     parse_word,
     reverse,
     scale,
-    unzip_tracks,
-    zip_tracks,
 )
 from .grammars import (
     Cfg,
@@ -40,8 +38,6 @@ __all__ = [
     "parse_word",
     "reverse",
     "scale",
-    "unzip_tracks",
-    "zip_tracks",
     "Cfg",
     "CnfGrammar",
     "Dfa",

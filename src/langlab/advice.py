@@ -10,7 +10,7 @@ from functools import lru_cache
 from typing import Callable, Mapping, Sequence, Union
 
 from .grammars import Cfg, CnfGrammar, Dfa, cyk_member, dfa_accepts, dfa_run, to_cnf
-from .words import EMPTY_WORD, Word, fuse_letter, split_letter, zip_tracks
+from .words import EMPTY_WORD, TrackedWord, Word, fuse_letter, split_letter
 
 
 class AdviceError(ValueError):
@@ -127,7 +127,7 @@ def parallel_member(lang: AdvisedLanguage, x: Word) -> bool:
     inner language."""
     if lang.mode != "parallel":
         raise AdviceError("parallel_member needs a parallel advised language")
-    fused = zip_tracks(x, lang.advice(len(x))).fused()
+    fused = TrackedWord(x, lang.advice(len(x))).fused()
     return lang._oracle(fused)  # type: ignore[attr-defined]
 
 

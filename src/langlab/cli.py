@@ -36,7 +36,7 @@ from .grammars import (
 from .guards import CostGuardError
 from .refuter import Inconclusive, refute_subset
 from .swaplab import build_slice, choose_params, l2_bound_check, slice_stats, swap_scan
-from .words import SYMBOL_TABLE, Word, WordError, parse_word
+from .words import SYMBOL_TABLE, TrackedWord, Word, WordError, parse_word
 
 
 class UsageError(ValueError):
@@ -159,8 +159,6 @@ def cmd_swap_scan(args) -> tuple[str, dict]:
     member = lang.predicate
     if advice is not None:
         # fused slices keep one advice word; the oracle projects it away
-        from .words import TrackedWord
-
         def member(w, _pred=lang.predicate, _advice=advice, _n=args.n):
             tracked = TrackedWord.from_fused(w)
             return tracked.bottom == _advice(_n) and _pred(tracked.top)

@@ -14,9 +14,8 @@ decimal letter or a symbol-table name; the first head is the start symbol;
 from __future__ import annotations
 
 import itertools
-import re
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence, Union
 
 from .guards import CostGuardError
@@ -90,9 +89,6 @@ class Cfg:
                 terminals.update(s for s in body if isinstance(s, int))
                 productions.append((head, body))
         return cls(frozenset(nonterminals), frozenset(terminals), tuple(productions), start)
-
-
-_TOKEN_RE = re.compile(r"'[^']*'|\(\)|\||->|[^\s|]+")
 
 
 def _strip_comment(line: str) -> str:
@@ -245,6 +241,13 @@ class CnfGrammar:
     lexical: tuple[tuple[str, int], ...]
     start: str
     empty: bool = False
+    # The CYK encoding, read only by this module: the k-th nonterminal of
+    # ``_names`` (name order) is the bit ``1 << k``; ``_lexicon`` maps a letter
+    # to the mask of its heads; ``_rules`` holds one ``(B, C, heads)`` mask
+    # triple per binary body ``B C``, sorted by body.
+    _names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _lexicon: Mapping[int, int] = field(init=False, repr=False, compare=False)
+    _rules: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "binary", tuple(sorted(set(self.binary))))
@@ -264,19 +267,17 @@ class CnfGrammar:
                 raise GrammarError(f"undeclared nonterminal {a!r}")
             if not isinstance(t, int) or t not in self.terminals:
                 raise GrammarError(f"undeclared terminal {t!r}")
-        by_letter: dict[int, set[str]] = defaultdict(set)
+        names = tuple(sorted(self.nonterminals))
+        bit = {a: 1 << k for k, a in enumerate(names)}
+        lexicon: dict[int, int] = defaultdict(int)
         for a, t in self.lexical:
-            by_letter[t].add(a)
-        left_index: dict[str, tuple[tuple[str, tuple[str, ...]], ...]] = {}
-        pair_heads: dict[tuple[str, str], set[str]] = defaultdict(set)
+            lexicon[t] |= bit[a]
+        heads: dict[tuple[int, int], int] = defaultdict(int)
         for a, b, c in self.binary:
-            pair_heads[(b, c)].add(a)
-        grouped: dict[str, list[tuple[str, tuple[str, ...]]]] = defaultdict(list)
-        for (b, c), heads in sorted(pair_heads.items()):
-            grouped[b].append((c, tuple(sorted(heads))))
-        left_index = {b: tuple(entries) for b, entries in grouped.items()}
-        object.__setattr__(self, "_by_letter", {t: frozenset(hs) for t, hs in by_letter.items()})
-        object.__setattr__(self, "_left_index", left_index)
+            heads[(bit[b], bit[c])] |= bit[a]
+        object.__setattr__(self, "_names", names)
+        object.__setattr__(self, "_lexicon", dict(lexicon))
+        object.__setattr__(self, "_rules", tuple((b, c, h) for (b, c), h in sorted(heads.items())))
 
     def as_cfg(self) -> Cfg:
         prods: list[Production] = [(a, (b, c)) for a, b, c in self.binary]
@@ -396,31 +397,33 @@ def to_cnf(g: Cfg) -> CnfGrammar:
     return CnfGrammar(frozenset(nonterminals), g.terminals, binary, lexical, start, empty)
 
 
-def cyk_chart(g: CnfGrammar, w: Word) -> dict[tuple[int, int], frozenset[str]]:
-    """The CYK table: ``chart[i, l]`` is the set of nonterminals deriving
-    the length-``l`` factor of ``w`` starting at 0-based offset ``i``."""
-    letters = w.letters
-    n = len(letters)
-    by_letter = g._by_letter  # type: ignore[attr-defined]
-    left_index = g._left_index  # type: ignore[attr-defined]
-    chart: dict[tuple[int, int], frozenset[str]] = {}
-    for i, a in enumerate(letters):
-        chart[(i, 1)] = by_letter.get(a, frozenset())
+def cyk_chart(g: CnfGrammar, w: Word) -> list[list[int]]:
+    """The CYK table as rows of nonterminal masks.
+
+    ``chart[l][i]`` is the mask of the nonterminals deriving the length-``l``
+    factor of ``w`` at 0-based offset ``i``, where the k-th nonterminal in
+    name order is the bit ``1 << k``.  Row ``l >= 1`` has ``len(w) - l + 1``
+    cells; row 0 is empty.
+    """
+    rules = g._rules
+    n = len(w)
+    chart: list[list[int]] = [[], [g._lexicon.get(a, 0) for a in w.letters]]
     for l in range(2, n + 1):
+        row = []
         for i in range(n - l + 1):
-            acc: set[str] = set()
+            acc = 0
             for s in range(1, l):
-                left = chart[(i, s)]
+                left = chart[s][i]
                 if not left:
                     continue
-                right = chart[(i + s, l - s)]
+                right = chart[l - s][i + s]
                 if not right:
                     continue
-                for b in left:
-                    for c, heads in left_index.get(b, ()):
-                        if c in right:
-                            acc.update(heads)
-            chart[(i, l)] = frozenset(acc)
+                for b, c, heads in rules:
+                    if left & b and right & c:
+                        acc |= heads
+            row.append(acc)
+        chart.append(row)
     return chart
 
 
@@ -430,8 +433,45 @@ def cyk_member(g: CnfGrammar, w: Word) -> bool:
         return g.empty
     if any(a not in g.terminals for a in w.letters):
         return False
+    start = 1 << g._names.index(g.start)
+    return bool(cyk_chart(g, w)[len(w)][0] & start)
+
+
+def cyk_derivation(g: CnfGrammar, w: Word) -> list[tuple[str, int, int]] | None:
+    """One descent path through a derivation of ``w``, or None if ``w`` is
+    not in L(g).
+
+    A node ``(label, i, l)`` says that ``label`` derives the length-``l``
+    factor at offset ``i``.  From the root ``(start, 0, len(w))``, each node
+    takes the first split, then the first rule ``label -> B C`` in
+    ``g.binary`` order that the chart admits, and descends into the wider
+    child (ties to the left), so each step keeps at least half the factor.
+    The path ends at a length-1 node; the empty word's path is its root.
+    """
+    n = len(w)
+    if n == 0:
+        return [(g.start, 0, 0)] if g.empty else None
     chart = cyk_chart(g, w)
-    return g.start in chart[(0, len(w))]
+    names = g._names
+    label = 1 << names.index(g.start)
+    if not chart[n][0] & label:
+        return None
+    path = []
+    i, l = 0, n
+    while True:
+        path.append((names[label.bit_length() - 1], i, l))
+        if l == 1:
+            return path
+        s, b, c = next(
+            (s, b, c)
+            for s in range(1, l)
+            for b, c, heads in g._rules
+            if heads & label and chart[s][i] & b and chart[l - s][i + s] & c
+        )
+        if l - s > s:
+            label, i, l = c, i + s, l - s
+        else:
+            label, l = b, s
 
 
 def _body_words(

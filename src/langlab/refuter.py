@@ -14,7 +14,7 @@ from typing import Callable, Union
 from .grammars import (
     Cfg,
     CnfGrammar,
-    cyk_chart,
+    cyk_derivation,
     cyk_member,
     enumerate_language,
     pumping_constant,
@@ -70,42 +70,8 @@ class Inconclusive:
 
 RefuteOutcome = Union[PumpWitness, Inconclusive]
 
-
-def _derivation_path(g: CnfGrammar, chart, z: Word) -> list[tuple[str, int, int]]:
-    # Walk the leftmost derivation tree, always descending into the wider
-    # child (ties to the left), so the subtree yield at most doubles per
-    # upward step along the recorded path.
-    left_index = g._left_index  # type: ignore[attr-defined]
-    letters = z.letters
-    path = []
-    node = (g.start, 0, len(letters))
-    while True:
-        label, i, l = node
-        path.append(node)
-        if l == 1:
-            return path
-        found = None
-        for s in range(1, l):
-            left = chart[(i, s)]
-            right = chart[(i + s, l - s)]
-            if not left or not right:
-                continue
-            for b in sorted(left):
-                for c, heads in left_index.get(b, ()):
-                    if label in heads and c in right:
-                        found = (s, b, c)
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if found is None:
-            raise AssertionError(f"chart admits no production for {node}")
-        s, b, c = found
-        if l - s > s:
-            node = (c, i + s, l - s)
-        else:
-            node = (b, i, s)
+# the exponents a refutation pumps each decomposition with, in order
+PUMP_EXPONENTS = (0, 2, 3, 4)
 
 
 def find_decomposition(g: CnfGrammar, z: Word) -> tuple[Word, Word, Word, Word, Word]:
@@ -120,10 +86,9 @@ def find_decomposition(g: CnfGrammar, z: Word) -> tuple[Word, Word, Word, Word, 
     p = pumping_constant(g)
     if len(z) < p:
         raise ValueError(f"word of length {len(z)} is below the pumping constant {p}")
-    if not cyk_member(g, z):
+    path = cyk_derivation(g, z)
+    if path is None:
         raise ValueError("the word is not in the grammar's language")
-    chart = cyk_chart(g, z)
-    path = _derivation_path(g, chart, z)
     seen: dict[str, tuple[str, int, int]] = {}
     upper = lower = None
     for node in reversed(path):
@@ -155,7 +120,6 @@ def refute_subset(
     predicate: Callable[[Word], bool],
     search_len: int,
     *,
-    exponents: tuple[int, ...] = (0, 2, 3, 4),
     budget: int = 2_000_000,
 ) -> RefuteOutcome:
     """Search for a pumping refutation of "L(g) is contained in the
@@ -179,7 +143,7 @@ def refute_subset(
         u, v, w, x, y = find_decomposition(cnf, z)
         pumped = []
         violating = None
-        for times in exponents:
+        for times in PUMP_EXPONENTS:
             candidate = u + v * times + w + x * times + y
             if not cyk_member(cnf, candidate):
                 raise AssertionError(f"pumped variant at exponent {times} left the language")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .guards import check_budget
-from .words import Word, zip_tracks
+from .words import TrackedWord, Word
 from . import corpus
 
 
@@ -102,7 +102,7 @@ def build_slice(
     origin = f"{getattr(language, 'name', 'language')}[n={n}]"
     if advice is not None:
         a = advice(n)
-        members = [zip_tracks(x, a).fused() for x in members]
+        members = [TrackedWord(x, a).fused() for x in members]
         origin += f"+{getattr(advice, 'name', 'advice')}"
     return Slice(n, tuple(members), origin)
 

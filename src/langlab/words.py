@@ -201,10 +201,3 @@ class TrackedWord:
         pairs = [split_letter(a) for a in w.letters]
         return cls(Word(p[0] for p in pairs), Word(p[1] for p in pairs))
 
-
-def zip_tracks(x: Word, a: Word) -> TrackedWord:
-    return TrackedWord(x, a)
-
-
-def unzip_tracks(t: TrackedWord) -> tuple[Word, Word]:
-    return t.top, t.bottom

@@ -3,12 +3,17 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from langlab.grammars import (
     AutomatonError,
     Cfg,
+    CnfGrammar,
     Dfa,
     GrammarError,
+    cyk_chart,
+    cyk_derivation,
     cyk_member,
     dfa_accepts,
     dfa_from_json,
@@ -160,6 +165,91 @@ def test_cyk_is_deterministic():
     cnf = to_cnf(parse_grammar(PALINDROME_TEXT))
     w = Word.of(1, 0, 0, 1)
     assert cyk_member(cnf, w) == cyk_member(cnf, w)
+
+
+def reference_chart(g, letters):
+    # set-based CYK: chart[i, l] holds the nonterminals deriving the
+    # length-l factor at offset i
+    n = len(letters)
+    chart = {(i, 1): {a for a, t in g.lexical if t == x} for i, x in enumerate(letters)}
+    for l in range(2, n + 1):
+        for i in range(n - l + 1):
+            chart[i, l] = {
+                a
+                for s in range(1, l)
+                for a, b, c in g.binary
+                if b in chart[i, s] and c in chart[i + s, l - s]
+            }
+    return chart
+
+
+def reference_walk(g, w):
+    # first split, then the first rule in g.binary order, then the wider
+    # child (ties to the left)
+    if len(w) == 0:
+        return [(g.start, 0, 0)] if g.empty else None
+    chart = reference_chart(g, w.letters)
+    if g.start not in chart[0, len(w)]:
+        return None
+    path = [(g.start, 0, len(w))]
+    while path[-1][2] > 1:
+        label, i, l = path[-1]
+        s, b, c = next(
+            (s, b, c)
+            for s in range(1, l)
+            for a, b, c in g.binary
+            if a == label and b in chart[i, s] and c in chart[i + s, l - s]
+        )
+        path.append((c, i + s, l - s) if l - s > s else (b, i, s))
+    return path
+
+
+NAMES = ("A", "B", "S", "S0", "T1")
+
+
+@st.composite
+def cnf_grammars(draw):
+    names = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=4, unique=True))
+    terminals = frozenset(range(1, draw(st.integers(1, 3)) + 1))
+    symbol = st.sampled_from(names)
+    binary = draw(st.lists(st.tuples(symbol, symbol, symbol), max_size=8))
+    lexical = draw(st.lists(st.tuples(symbol, st.sampled_from(sorted(terminals))), max_size=5))
+    start = draw(symbol)
+    empty = all(start not in (b, c) for _, b, c in binary) and draw(st.booleans())
+    return CnfGrammar(frozenset(names), terminals, tuple(binary), tuple(lexical), start, empty)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(cnf_grammars())
+def test_mask_chart_agrees_with_the_set_chart(g):
+    names = sorted(g.nonterminals)
+    for w in brute_words(g.terminals, 6):
+        chart = cyk_chart(g, w)
+        ref = reference_chart(g, w.letters)
+        assert all(len(chart[l]) == len(w) - l + 1 for l in range(1, len(w) + 1))
+        for (i, l), heads in ref.items():
+            assert {a for k, a in enumerate(names) if chart[l][i] >> k & 1} == heads
+        path = cyk_derivation(g, w)
+        assert path == reference_walk(g, w)
+        assert cyk_member(g, w) == (path is not None)
+        if path is None or not w:
+            continue
+        for (a, i, l), (d, j, m) in zip(path, path[1:]):
+            # each step is a rule a -> b c whose other child derives the rest
+            assert 2 * m >= l
+            if j == i:
+                assert any((a, d, c) in g.binary and c in ref[i + m, l - m] for c in names)
+            else:
+                assert j + m == i + l
+                assert any((a, b, d) in g.binary and b in ref[i, l - m] for b in names)
+        label, i, _ = path[-1]
+        assert (label, w.letters[i]) in g.lexical
+
+
+def test_foreign_letters_have_no_derivation():
+    cnf = to_cnf(parse_grammar(PALINDROME_TEXT))
+    assert cyk_derivation(cnf, Word.of(0, 7, 7, 0)) is None
+    assert cyk_derivation(cnf, EMPTY_WORD) is None
 
 
 # -- enumeration ---------------------------------------------------------------

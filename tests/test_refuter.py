@@ -2,6 +2,7 @@
 
 import pytest
 
+from langlab import grammars, refuter
 from langlab.corpus import is_l2_dprime, is_l2_prime
 from langlab.grammars import cyk_member, parse_grammar, pumping_constant, to_cnf
 from langlab.refuter import Inconclusive, PumpWitness, find_decomposition, refute_subset
@@ -50,6 +51,20 @@ def test_decomposition_preconditions():
     p = pumping_constant(cnf)
     with pytest.raises(ValueError):
         find_decomposition(cnf, Word((1,) * p))  # not in the language
+
+
+def test_one_chart_per_decomposition(monkeypatch):
+    cnf = to_cnf(AB_BALANCED)
+    p = pumping_constant(cnf)
+    z = Word((1,) * (p // 2) + (2,) * (p // 2))
+    charted = []
+    chart = grammars.cyk_chart
+    for module in (grammars, refuter):  # every binding of the chart builder
+        if getattr(module, "cyk_chart", None) is chart:
+            monkeypatch.setattr(module, "cyk_chart", lambda g, w: charted.append(w) or chart(g, w))
+    u, v, w, x, y = find_decomposition(cnf, z)
+    # z once for its derivation, then the replays at exponents 0, 2 and 3
+    assert charted == [z] + [u + v * k + w + x * k + y for k in (0, 2, 3)]
 
 
 def test_decomposition_is_deterministic():

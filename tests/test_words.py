@@ -18,8 +18,6 @@ from langlab.words import (
     reverse,
     scale,
     split_letter,
-    unzip_tracks,
-    zip_tracks,
 )
 
 words = st.builds(Word, st.lists(st.integers(0, 40), max_size=12))
@@ -109,21 +107,21 @@ def test_nest_is_injective_up_to_length_8():
 
 def test_zip_roundtrip_and_empty():
     x = Word.of(0, 0, 1, 1)
-    assert unzip_tracks(zip_tracks(x, x)) == (x, x)
-    assert len(zip_tracks(EMPTY_WORD, EMPTY_WORD)) == 0
+    t = TrackedWord(x, x)
+    assert TrackedWord.from_fused(t.fused()) == t
+    assert len(TrackedWord(EMPTY_WORD, EMPTY_WORD)) == 0
 
 
 def test_zip_rejects_unequal_lengths():
     with pytest.raises(WordError):
-        zip_tracks(Word.of(1, 2), Word.of(3, 6, 3))
+        TrackedWord(Word.of(1, 2), Word.of(3, 6, 3))
 
 
 @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), max_size=12))
 def test_zip_unzip_identity(pairs):
     x = Word(p[0] for p in pairs)
     a = Word(p[1] for p in pairs)
-    t = zip_tracks(x, a)
-    assert unzip_tracks(t) == (x, a)
+    t = TrackedWord(x, a)
     assert TrackedWord.from_fused(t.fused()) == t
 
 
@@ -136,7 +134,7 @@ def test_fused_words_are_injective_on_pairs():
     seen = {}
     for x in itertools.product((0, 1, 2), repeat=3):
         for a in itertools.product((0, 1, 2), repeat=3):
-            code = zip_tracks(Word(x), Word(a)).fused().letters
+            code = TrackedWord(Word(x), Word(a)).fused().letters
             assert code not in seen
             seen[code] = (x, a)
 
