@@ -152,17 +152,23 @@ def cmd_bound_check(args) -> tuple[str, dict]:
     return ("pass" if report.ok else "fail"), report.to_json()
 
 
+def advised_oracle(predicate, advice, n: int):
+    """Membership in a fused slice at length ``n``: the advice track must
+    be the advice word at ``n``, and the input track must satisfy
+    ``predicate``."""
+
+    def member(w: Word) -> bool:
+        tracked = TrackedWord.from_fused(w)
+        return tracked.bottom == advice(n) and predicate(tracked.top)
+
+    return member
+
+
 def cmd_swap_scan(args) -> tuple[str, dict]:
     lang = _language(args.lang)
     advice = _advice_spec(args.advice) if args.advice else None
     s = build_slice(lang, args.n, advice, force=args.force)
-    member = lang.predicate
-    if advice is not None:
-        # fused slices keep one advice word; the oracle projects it away
-        def member(w, _pred=lang.predicate, _advice=advice, _n=args.n):
-            tracked = TrackedWord.from_fused(w)
-            return tracked.bottom == _advice(_n) and _pred(tracked.top)
-
+    member = lang.predicate if advice is None else advised_oracle(lang.predicate, advice, args.n)
     i_range = None
     if args.i_min is not None or args.i_max is not None:
         i_range = (args.i_min or 0, args.i_max if args.i_max is not None else s.n)
@@ -279,7 +285,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--i-max", type=int)
     p.add_argument("--advice", help="builtin advice name or JSON table file")
     p.add_argument("--force", action="store_true")
-    p.add_argument("--limit", type=int, default=100_000_000, help="membership call budget")
+    p.add_argument(
+        "--limit",
+        type=int,
+        default=100_000_000,
+        help="cost budget: the scanned slice holds every member at --n, so the scan is "
+        "charged |S|*spots context-index steps plus one step per member pair it tries "
+        "(the pair loop of an incomplete slice would be charged 2*|S|*(|S|-1)*spots "
+        "membership calls)",
+    )
 
     p = add("params", cmd_params, "exact swap parameter chain for a constant m")
     p.add_argument("--m", type=int, required=True)

@@ -72,6 +72,8 @@ RefuteOutcome = Union[PumpWitness, Inconclusive]
 
 # the exponents a refutation pumps each decomposition with, in order
 PUMP_EXPONENTS = (0, 2, 3, 4)
+# the exponents find_decomposition replays through CYK before returning
+REPLAYED_EXPONENTS = (0, 2, 3)
 
 
 def find_decomposition(g: CnfGrammar, z: Word) -> tuple[Word, Word, Word, Word, Word]:
@@ -109,7 +111,7 @@ def find_decomposition(g: CnfGrammar, z: Word) -> tuple[Word, Word, Word, Word, 
     y = z[ui + ul :]
     if len(v) + len(x) < 1 or len(v) + len(w) + len(x) > p:
         raise AssertionError("extracted decomposition violates the pumping bounds")
-    for times in (0, 2, 3):
+    for times in REPLAYED_EXPONENTS:
         if not cyk_member(g, u + v * times + w + x * times + y):
             raise AssertionError(f"pumping with exponent {times} left the language")
     return u, v, w, x, y
@@ -127,7 +129,8 @@ def refute_subset(
 
     Members of L(g) satisfying the predicate, at least as long as the
     pumping constant, are tried in canonical order; each is decomposed and
-    pumped until some variant (confirmed in L(g) by CYK) falsifies the
+    pumped until some variant (confirmed in L(g) by CYK, by
+    :func:`find_decomposition` for the exponents it replays) falsifies the
     predicate.  A witness certifies the non-inclusion; running out of
     candidates is inconclusive, never an error.
     """
@@ -145,7 +148,7 @@ def refute_subset(
         violating = None
         for times in PUMP_EXPONENTS:
             candidate = u + v * times + w + x * times + y
-            if not cyk_member(cnf, candidate):
+            if times not in REPLAYED_EXPONENTS and not cyk_member(cnf, candidate):
                 raise AssertionError(f"pumped variant at exponent {times} left the language")
             pumped.append((times, candidate))
             if violating is None and not predicate(candidate):

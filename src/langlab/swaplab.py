@@ -28,11 +28,17 @@ def ceil_log2(v: int) -> int:
 
 @dataclass(frozen=True)
 class Slice:
-    """All recorded members of some language at one fixed length."""
+    """All recorded members of some language at one fixed length.
+
+    ``complete`` asserts that the members are every length-``n`` word the
+    membership oracle of a later swap scan accepts.  Only
+    :func:`build_slice` sets it; a hand-built slice makes no such claim.
+    """
 
     n: int
     members: tuple[Word, ...]
     origin: str = ""
+    complete: bool = False
 
     def __post_init__(self) -> None:
         canon = tuple(sorted(set(self.members)))
@@ -86,6 +92,8 @@ def build_slice(
     Languages with a generator are queried directly; otherwise all words
     over the language's alphabet are filtered through its predicate, which
     trips the cost guard once the alphabet power exceeds ``scan_limit``.
+    Either way the slice holds every member at ``n`` and is marked
+    complete.
     """
     if n < 1:
         raise ValueError("slices need n >= 1")
@@ -104,7 +112,7 @@ def build_slice(
         a = advice(n)
         members = [TrackedWord(x, a).fused() for x in members]
         origin += f"+{getattr(advice, 'name', 'advice')}"
-    return Slice(n, tuple(members), origin)
+    return Slice(n, tuple(members), origin, complete=True)
 
 
 def slice_stats(s: Slice, j: int) -> SliceStats:
@@ -112,12 +120,20 @@ def slice_stats(s: Slice, j: int) -> SliceStats:
     members carry u at that offset."""
     if not 1 <= j <= s.n:
         raise ValueError(f"midsection length must be in 1..{s.n}, got {j}")
-    counts: dict[tuple[int, Word], int] = {}
+    raw: dict[tuple[int, tuple[int, ...]], int] = {}
     for w in s.members:
         letters = w.letters
         for i in range(s.n - j + 1):
-            key = (i, Word(letters[i : i + j]))
-            counts[key] = counts.get(key, 0) + 1
+            key = (i, letters[i : i + j])
+            raw[key] = raw.get(key, 0) + 1
+    # each distinct factor becomes one Word, shared by all its offsets
+    factors: dict[tuple[int, ...], Word] = {}
+    counts: dict[tuple[int, Word], int] = {}
+    for (i, u), c in raw.items():
+        word = factors.get(u)
+        if word is None:
+            word = factors[u] = Word(u)
+        counts[i, word] = c
     return SliceStats(s.n, j, len(s.members), counts)
 
 
@@ -172,11 +188,11 @@ def l2_bound_check(n: int, j: int, *, force: bool = False) -> BoundReport:
     bound = 2 ** (n // 4 - (j + 1) // 2)
     entry = stats.max_entry()
     max_i, max_u, max_count = entry if entry else (None, None, 0)
-    violation = None
-    for (i, u), c in sorted(stats.counts.items(), key=lambda kv: (kv[0][0], kv[0][1])):
-        if c > bound:
-            violation = (i, u, c)
-            break
+    violation = min(
+        ((i, u, c) for (i, u), c in stats.counts.items() if c > bound),
+        key=lambda v: (v[0], v[1]),
+        default=None,
+    )
     return BoundReport(
         n=n,
         j=j,
@@ -308,6 +324,9 @@ class SwapWitness:
         }
 
 
+INDEX_ROUTE = "swap scan by context index"
+
+
 def swap_scan(
     member: Callable[[Word], bool],
     s: Slice,
@@ -322,8 +341,20 @@ def swap_scan(
     Emits a witness for every (x, y, i, j) with differing midsections whose
     two splices both satisfy the membership oracle, in deterministic order:
     pair order first (members are canonically sorted), then offset, then
-    midsection length.  Membership calls are memoized; the projected call
-    count is checked against ``call_limit`` before scanning.
+    midsection length.
+
+    A splice keeps the length n.  So on a complete slice (``s.complete``:
+    the members are every length-n word that ``member`` accepts) a splice
+    is in the language exactly when it is a member, and the scan finds the
+    witnesses in a context index at each (i, j) spot.  It is charged
+    |S|·spots steps for the index, checked before scanning, plus one step
+    for every pair it tries at a spot, checked as each spot is indexed and
+    before any witness is built.  Each distinct splice of a witness is then
+    replayed through ``member`` once; a rejected one raises ``ValueError``,
+    since the slice and the oracle disagree.  Any other slice takes the
+    pair loop, which asks ``member`` about both splices of every ordered
+    pair at every spot (memoized), estimated at 2·|S|(|S|-1)·spots calls
+    and checked before scanning.  Both routes share ``call_limit``.
     """
     n = s.n
     j_lo, j_hi = j_range
@@ -332,12 +363,110 @@ def swap_scan(
         return []
     i_lo, i_hi = i_range if i_range is not None else (0, n - j_lo)
     i_lo, i_hi = max(0, i_lo), min(n - j_lo, i_hi)
+    spots = [(i, j) for i in range(i_lo, i_hi + 1) for j in range(j_lo, min(j_hi, n - i) + 1)]
     size = len(s.members)
-    spots = sum(
-        max(0, min(j_hi, n - i) - j_lo + 1) for i in range(i_lo, i_hi + 1)
-    )
-    check_budget(2 * size * (size - 1) * spots, call_limit, "swap scan", force=force)
+    if s.complete:
+        check_budget(size * len(spots), call_limit, INDEX_ROUTE, force=force)
+        return _index_scan(member, s, spots, call_limit, force)
+    check_budget(2 * size * (size - 1) * len(spots), call_limit, "swap scan pair loop", force=force)
+    return _pair_loop(member, s, spots)
 
+
+def _index_scan(
+    member: Callable[[Word], bool],
+    s: Slice,
+    spots: list[tuple[int, int]],
+    call_limit: int,
+    force: bool,
+) -> list[SwapWitness]:
+    """The swap scan of a complete slice, by context index."""
+    raws = [w.letters for w in s.members]
+    index = {x: k for k, x in enumerate(raws)}
+    steps = len(raws) * len(spots)
+    live: list[tuple[int, int]] = []
+    settled = None
+    # longest middle first at each offset: once no context there holds two
+    # middles, neither does the longer context of any shorter middle
+    for i, j in reversed(spots):
+        if i == settled:
+            continue
+        shared, holders = _shared_middles(raws, i, i + j)
+        if not shared:
+            settled = i
+            continue
+        # x (context c, middle a) is tried against one y for every middle
+        # b != a of c and every context that holds b; each try is charged
+        # before any witness is built
+        steps += sum((len(held) - 1) * len(holders[b]) for held in shared.values() for b in held)
+        check_budget(steps, call_limit, INDEX_ROUTE, force=force)
+        live.append((i, j))
+
+    found: list[tuple[int, int, int, int]] = []
+    for i, j in live:
+        shared, holders = _shared_middles(raws, i, i + j)
+        # x with middle a swaps with y with middle b != a when b fits x's
+        # context and a fits y's, so both contexts hold several middles
+        for c, held in shared.items():
+            for a in held:
+                xi = index[c[:i] + a + c[i:]]
+                for b in held:
+                    if b == a:
+                        continue
+                    for cy in holders[b]:
+                        if a in shared[cy]:
+                            found.append((xi, index[cy[:i] + b + cy[i:]], i, j))
+    found.sort()
+
+    replayed: set[int] = set()
+
+    def splice(t: tuple[int, ...]) -> Word:
+        pos = index[t]
+        if pos not in replayed:
+            if not member(s.members[pos]):
+                raise ValueError(
+                    f"complete slice {s.origin!r} holds {list(t)}, which the oracle rejects"
+                )
+            replayed.add(pos)
+        return s.members[pos]
+
+    out: list[SwapWitness] = []
+    for xi, yi, i, j in found:
+        x, y = raws[xi], raws[yi]
+        k = i + j
+        out.append(
+            SwapWitness(
+                i=i,
+                j=j,
+                x=s.members[xi],
+                y=s.members[yi],
+                swapped_x=splice(x[:i] + y[i:k] + x[k:]),
+                swapped_y=splice(y[:i] + x[i:k] + y[k:]),
+            )
+        )
+    return out
+
+
+def _shared_middles(raws: list[tuple[int, ...]], i: int, k: int):
+    """At the spot whose middle is ``x[i:k]``: every context
+    ``x[:i] + x[k:]`` (all of length n - (k - i)) that holds more than one
+    middle, with its middles, and every such middle with the contexts
+    among those that hold it."""
+    mids: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+    for x in raws:
+        mids.setdefault(x[:i] + x[k:], set()).add(x[i:k])
+    shared = {c: held for c, held in mids.items() if len(held) > 1}
+    holders: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for c, held in shared.items():
+        for u in held:
+            holders.setdefault(u, []).append(c)
+    return shared, holders
+
+
+def _pair_loop(
+    member: Callable[[Word], bool], s: Slice, spots: list[tuple[int, int]]
+) -> list[SwapWitness]:
+    """The swap scan of any slice: both splices of every ordered pair at
+    every spot go through the oracle."""
     cache: dict[tuple[int, ...], bool] = {}
 
     def in_language(t: tuple[int, ...]) -> bool:
@@ -353,26 +482,25 @@ def swap_scan(
         for yi, y in enumerate(raws):
             if xi == yi:
                 continue
-            for i in range(i_lo, i_hi + 1):
-                for j in range(j_lo, min(j_hi, n - i) + 1):
-                    x2 = x[i : i + j]
-                    y2 = y[i : i + j]
-                    if x2 == y2:
-                        continue
-                    sx = x[:i] + y2 + x[i + j :]
-                    if not in_language(sx):
-                        continue
-                    sy = y[:i] + x2 + y[i + j :]
-                    if not in_language(sy):
-                        continue
-                    out.append(
-                        SwapWitness(
-                            i=i,
-                            j=j,
-                            x=Word(x),
-                            y=Word(y),
-                            swapped_x=Word(sx),
-                            swapped_y=Word(sy),
-                        )
+            for i, j in spots:
+                x2 = x[i : i + j]
+                y2 = y[i : i + j]
+                if x2 == y2:
+                    continue
+                sx = x[:i] + y2 + x[i + j :]
+                if not in_language(sx):
+                    continue
+                sy = y[:i] + x2 + y[i + j :]
+                if not in_language(sy):
+                    continue
+                out.append(
+                    SwapWitness(
+                        i=i,
+                        j=j,
+                        x=s.members[xi],
+                        y=s.members[yi],
+                        swapped_x=Word(sx),
+                        swapped_y=Word(sy),
                     )
+                )
     return out

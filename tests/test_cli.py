@@ -134,6 +134,27 @@ def test_swap_scan_guard(capsys):
     assert code == 2 and "error" in doc
 
 
+def test_swap_scan_at_n40_runs_under_the_default_limit(capsys):
+    # the complete slice is charged 1024 * 355 index steps; the pair loop
+    # estimate, 2 * 1024 * 1023 * 355 (about 7.4e8), tripped the guard
+    code, doc = run_json(
+        capsys, "swap-scan", "--lang", "L2", "--n", "40", "--j-min", "1", "--j-max", "10"
+    )
+    assert code == 0
+    assert doc["inputs"]["limit"] == 100_000_000
+    assert doc["payload"]["slice_size"] == 1024 and doc["payload"]["count"] == 0
+
+
+def test_swap_scan_of_a_witness_heavy_slice_trips_the_default_limit(capsys):
+    # 9,344 members and 36 spots are 336,384 index steps, but the pairs the
+    # index tries at the spots bring the charge to about 1.5e8
+    code, doc = run_json(
+        capsys, "swap-scan", "--lang", "L2_1", "--n", "8", "--j-min", "1", "--j-max", "8"
+    )
+    assert code == 2
+    assert "context index" in doc["error"] and "147672576" in doc["error"]
+
+
 def test_advice_check_builtin(capsys):
     code, doc = run_json(
         capsys,

@@ -67,6 +67,20 @@ def test_one_chart_per_decomposition(monkeypatch):
     assert charted == [z] + [u + v * k + w + x * k + y for k in (0, 2, 3)]
 
 
+def test_refutation_charts_each_word_once(monkeypatch):
+    charted = []
+    chart = grammars.cyk_chart
+    for module in (grammars, refuter):  # every binding of the chart builder
+        if getattr(module, "cyk_chart", None) is chart:
+            monkeypatch.setattr(module, "cyk_chart", lambda g, w: charted.append(w) or chart(g, w))
+    outcome = refute_subset(ABC_FREE_TAIL, is_l2_dprime, 132)
+    assert isinstance(outcome, PumpWitness)
+    # z, then its variants at exponents 0, 2, 3 (replayed by the
+    # decomposition) and 4 (checked by the refutation): one chart each
+    assert len(charted) == 5
+    assert set(charted) == {outcome.z} | {w for _, w in outcome.pumped}
+
+
 def test_decomposition_is_deterministic():
     cnf = to_cnf(AB_BALANCED)
     p = pumping_constant(cnf)

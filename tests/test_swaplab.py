@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from langlab.advice import leq_advice
-from langlab.corpus import LANGUAGES, CorpusLanguage, is_l2, l2_members
+from langlab.cli import advised_oracle
+from langlab.corpus import LANGUAGES, CorpusLanguage, is_l2, is_pal_sharp, l2_members
 from langlab.guards import CostGuardError
 from langlab.swaplab import (
     Slice,
@@ -241,12 +242,158 @@ def test_swap_scan_cost_guard():
     assert swap_scan(is_even_palindrome, s, (1, 4), call_limit=10, force=True)
 
 
+def test_each_route_is_charged_its_own_estimate():
+    # 4 members and 10 spots: 40 index steps plus 28 tried pairs (each one
+    # of the 28 witnesses), against 2*4*3*10 = 240 pair-loop calls
+    s = build_slice(EVEN_PALINDROMES, 4)
+    incomplete = Slice(s.n, s.members, s.origin)
+    assert len(swap_scan(is_even_palindrome, s, (1, 4), call_limit=68)) == 28
+    with pytest.raises(CostGuardError):
+        swap_scan(is_even_palindrome, s, (1, 4), call_limit=67)
+    assert swap_scan(is_even_palindrome, incomplete, (1, 4), call_limit=240)
+    with pytest.raises(CostGuardError):
+        swap_scan(is_even_palindrome, incomplete, (1, 4), call_limit=239)
+
+
+def test_a_witness_heavy_complete_slice_is_charged_its_pairs():
+    # 8 members and 28 spots: 224 index steps, then 232 tried pairs; the
+    # guard trips on the pairs before any witness is built or replayed
+    s = build_slice(LANGUAGES["Pal_sharp"], 7)
+    calls = []
+
+    def member(w):
+        calls.append(w)
+        return is_pal_sharp(w)
+
+    with pytest.raises(CostGuardError, match="context index"):
+        swap_scan(member, s, (1, 7), call_limit=225)
+    assert calls == []
+    assert len(swap_scan(member, s, (1, 7), call_limit=456)) == 232
+    with pytest.raises(CostGuardError, match="456"):
+        swap_scan(member, s, (1, 7), call_limit=455)
+    assert len(swap_scan(member, s, (1, 7), call_limit=225, force=True)) == 232
+
+
+def test_an_incomplete_n40_slice_trips_the_pair_loop_estimate():
+    # 2 * 1024 * 1023 * 355 membership calls, about 7.4e8
+    s = build_slice(L2, 40)
+    with pytest.raises(CostGuardError, match="743761920"):
+        swap_scan(is_l2, Slice(s.n, s.members, s.origin), (1, 10))
+
+
 def test_swapping_never_touches_the_advice_track():
+    # an oracle that accepts every word does not match the complete slice,
+    # so the scan runs on an incomplete copy: the pair loop
     h = leq_advice()
-    s = build_slice(L2, 8, advice=h)
-    for w in swap_scan(lambda w: True, s, (1, 2)):
+    full = build_slice(L2, 8, advice=h)
+    s = Slice(full.n, full.members, full.origin)
+    witnesses = swap_scan(lambda w: True, s, (1, 2))
+    assert witnesses
+    for w in witnesses:
         assert TrackedWord.from_fused(w.swapped_x).bottom == h(8)
         assert TrackedWord.from_fused(w.swapped_y).bottom == h(8)
+
+
+def test_index_path_with_the_projecting_oracle():
+    h = leq_advice()
+    s = build_slice(LANGUAGES["Pal_sharp"], 7, advice=h)
+    member = advised_oracle(is_pal_sharp, h, 7)
+    witnesses = swap_scan(member, s, (1, 7))
+    assert witnesses
+    assert witnesses == swap_scan(member, Slice(s.n, s.members, s.origin), (1, 7))
+    for w in witnesses:
+        for spliced in (w.swapped_x, w.swapped_y):
+            assert TrackedWord.from_fused(spliced).bottom == h(7)
+            assert is_pal_sharp(TrackedWord.from_fused(spliced).top)
+
+
+# the differential cases: (language, lengths, advice); the pair loop that
+# checks the index path costs |S|^2 per spot, which bounds the lengths
+SCAN_CASES = [
+    ("Pal_sharp", range(1, 10), None),
+    ("L2_2", (2, 4, 6), None),
+    ("L2_1", range(3, 5), None),
+    ("L_eq", range(1, 9), None),
+    ("even_pal", range(1, 9), None),
+    ("Pal_sharp", range(1, 8), "leq"),
+    ("L2", (4, 8), "leq"),
+]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.data())
+def test_index_path_agrees_with_the_pair_loop(data):
+    name, lengths, advice_name = data.draw(st.sampled_from(SCAN_CASES))
+    n = data.draw(st.sampled_from(list(lengths)))
+    j_lo = data.draw(st.integers(0, n + 1))
+    j_hi = data.draw(st.integers(0, n + 1))
+    i_range = data.draw(
+        st.none() | st.tuples(st.integers(-1, n + 1), st.integers(-1, n + 1))
+    )
+    lang = EVEN_PALINDROMES if name == "even_pal" else LANGUAGES[name]
+    if advice_name is None:
+        s, member = build_slice(lang, n), lang.predicate
+    else:
+        advice = leq_advice()
+        s, member = build_slice(lang, n, advice), advised_oracle(lang.predicate, advice, n)
+    assert s.complete
+    reference = Slice(s.n, s.members, s.origin)
+    assert not reference.complete
+    got = swap_scan(member, s, (j_lo, j_hi), i_range)
+    assert got == swap_scan(member, reference, (j_lo, j_hi), i_range, force=True)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_index_path_agrees_with_the_pair_loop_on_drawn_languages(n, data):
+    # an arbitrary finite language at length n, known only by its predicate:
+    # its contexts may share some middles and not others
+    words = st.tuples(*[st.sampled_from((0, 1, 2))] * n)
+    chosen = data.draw(st.sets(words, max_size=40))
+    lang = CorpusLanguage("drawn", frozenset({0, 1, 2}), lambda w: w.letters in chosen, None)
+    j_range = (data.draw(st.integers(1, n)), data.draw(st.integers(1, n)))
+    s = build_slice(lang, n)
+    got = swap_scan(lang.predicate, s, j_range)
+    assert got == swap_scan(lang.predicate, Slice(s.n, s.members, s.origin), j_range)
+
+
+@pytest.mark.parametrize(
+    "name,n,j_range,i_range,count",
+    [("L2_2", 8, (1, 5), (0, 0), 768), ("L2_1", 6, (1, 1), (0, 1), 0)],
+)
+def test_index_path_agrees_with_the_pair_loop_on_larger_slices(name, n, j_range, i_range, count):
+    # 256 and 576 members: a few spots keep the pair loop and the witness
+    # lists small (other spots of these slices hold up to 331,200 witnesses)
+    s = build_slice(LANGUAGES[name], n)
+    member = LANGUAGES[name].predicate
+    got = swap_scan(member, s, j_range, i_range)
+    assert len(got) == count
+    assert got == swap_scan(member, Slice(s.n, s.members, s.origin), j_range, i_range)
+
+
+def test_index_path_oracle_calls():
+    calls = []
+
+    def counted(predicate):
+        return lambda w: calls.append(w) or predicate(w)
+
+    assert swap_scan(counted(is_l2), build_slice(L2, 16), (1, 4)) == []
+    assert calls == []
+    witnesses = swap_scan(counted(is_pal_sharp), build_slice(LANGUAGES["Pal_sharp"], 7), (1, 7))
+    splices = {w.swapped_x for w in witnesses} | {w.swapped_y for w in witnesses}
+    assert witnesses and len(calls) == len(set(calls)) == len(splices)
+
+
+def test_index_path_rejects_an_oracle_that_disagrees_with_the_slice():
+    s = build_slice(EVEN_PALINDROMES, 4)
+    with pytest.raises(ValueError, match="even_pal"):
+        swap_scan(lambda w: w != Word.of(0, 0, 0, 0), s, (1, 4))
+
+
+def test_only_built_slices_are_complete():
+    assert build_slice(L2, 8).complete
+    assert build_slice(EVEN_PALINDROMES, 4).complete
+    assert not Slice(2, (Word.of(0, 1),)).complete
 
 
 def test_swap_witness_validation():
