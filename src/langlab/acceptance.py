@@ -120,10 +120,15 @@ def binding_bound(seed: int = DEFAULT_SEED) -> CriterionResult:
             stats = slice_stats(s, j)
             bound = 2 ** (n // 4 - (j + 1) // 2)
             checked += len(stats.counts)
-            over = [(i, u, c) for (i, u), c in stats.counts.items() if c > bound]
-            if over:
+            # the first violation in (i, u) order, whatever the dict order
+            first = min(
+                ((i, u, c) for (i, u), c in stats.counts.items() if c > bound),
+                key=lambda v: (v[0], v[1]),
+                default=None,
+            )
+            if first is not None:
                 ok = False
-                worst = f"; violation at n={n}, j={j}: {over[0]}"
+                worst = f"; violation at n={n}, j={j}: {first}"
     return _result(4, "midsection binding bound", 60.0, t0, ok, f"{checked} counts checked{worst}")
 
 

@@ -2,7 +2,8 @@
 
 Exit codes: 0 for pass/inconclusive, 1 for fail (a property was violated or
 an unexpected counterexample appeared), 2 for usage errors, malformed
-inputs, and tripped cost guards.
+inputs, and tripped cost guards, 3 for an internal invariant failure (a
+result failed its own replay, so the program is at fault).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .grammars import (
     parse_grammar,
     to_cnf,
 )
-from .guards import CostGuardError
+from .guards import CostGuardError, InvariantError
 from .refuter import Inconclusive, refute_subset
 from .swaplab import build_slice, choose_params, l2_bound_check, slice_stats, swap_scan
 from .words import SYMBOL_TABLE, TrackedWord, Word, WordError, parse_word
@@ -337,6 +338,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     started = time.perf_counter()
     try:
         verdict, payload = args.fn(args)
+    except InvariantError as exc:
+        _emit({"command": args.command, "error": f"{type(exc).__name__}: {exc}"})
+        return 3
     except (
         UsageError,
         CostGuardError,

@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from .grammars import Cfg, cyk_member, enumerate_language, to_cnf
-from .guards import CostGuardError
+from .guards import CostGuardError, InvariantError
 from .words import SYMBOL_TABLE, Word, nest_l2, reverse, scale
 
 HASH = SYMBOL_TABLE["#"]
@@ -48,6 +48,12 @@ def _products(alphabet, n):
     return itertools.product(sorted(alphabet), repeat=n)
 
 
+def _canonical(words) -> tuple[Word, ...]:
+    # a generator's members share one length, so their letters give the
+    # canonical order
+    return tuple(sorted(words, key=lambda w: w.letters))
+
+
 # -- L2 and its relatives ---------------------------------------------------
 
 def is_l2(w: Word) -> bool:
@@ -65,7 +71,7 @@ def l2_members(n: int) -> tuple[Word, ...]:
     else one nesting per choice word, 2^(n/4) members in total."""
     if n < 4 or n % 4:
         return ()
-    return tuple(sorted(nest_l2(Word(t)) for t in _products({1, 2}, n // 4)))
+    return _canonical(nest_l2(Word._trusted(t)) for t in _products({1, 2}, n // 4))
 
 
 def is_l2_1(w: Word) -> bool:
@@ -86,11 +92,10 @@ def l2_1_members(n: int) -> tuple[Word, ...]:
     for t in range(1, (n - 1) // 2 + 1):
         r = n - 2 * t
         for head in _products({1, 2}, t):
-            head_w = Word(head)
-            prefix = head_w + scale(reverse(head_w), 3)
+            prefix = head + tuple(3 * a for a in reversed(head))
             for tail in _products({5, 10, 15, 30}, r):
-                out.append(prefix + Word(tail))
-    return tuple(sorted(out))
+                out.append(Word._trusted(prefix + tail))
+    return _canonical(out)
 
 
 def is_l2_2(w: Word) -> bool:
@@ -106,11 +111,10 @@ def is_l2_2(w: Word) -> bool:
 def l2_2_members(n: int) -> tuple[Word, ...]:
     if n < 2 or n % 2:
         return ()
-    out = []
-    for head in _products({1, 2, 3, 6}, n // 2):
-        head_w = Word(head)
-        out.append(head_w + scale(reverse(head_w), 5))
-    return tuple(sorted(out))
+    return _canonical(
+        Word._trusted(head + tuple(5 * a for a in reversed(head)))
+        for head in _products({1, 2, 3, 6}, n // 2)
+    )
 
 
 def is_l2_prime(w: Word) -> bool:
@@ -133,8 +137,8 @@ def l2_prime_members(n: int) -> tuple[Word, ...]:
     for head in _products({1, 2}, t):
         for mid in _products({3, 6}, t):
             for tail in _products({5, 10, 15, 30}, 2 * t):
-                out.append(Word(head + mid + tail))
-    return tuple(sorted(out))
+                out.append(Word._trusted(head + mid + tail))
+    return _canonical(out)
 
 
 def is_l2_dprime(w: Word) -> bool:
@@ -150,7 +154,7 @@ def l2pp_members(n: int) -> tuple[Word, ...]:
     if n < 4 or n % 4:
         return ()
     m = n // 4
-    return (Word((A,) * m + (B,) * m + (C,) * 2 * m),)
+    return (Word._trusted((A,) * m + (B,) * m + (C,) * 2 * m),)
 
 
 # -- the motivating small languages -----------------------------------------
@@ -167,7 +171,7 @@ def leq_members(n: int) -> tuple[Word, ...]:
     if n < 2 or n % 2:
         return ()
     m = n // 2
-    return (Word((0,) * m + (1,) * m),)
+    return (Word._trusted((0,) * m + (1,) * m),)
 
 
 def is_l3eq(w: Word) -> bool:
@@ -182,27 +186,25 @@ def l3eq_members(n: int) -> tuple[Word, ...]:
     if n < 3 or n % 3:
         return ()
     m = n // 3
-    return (Word((0,) * m + (1,) * m + (2,) * m),)
+    return (Word._trusted((0,) * m + (1,) * m + (2,) * m),)
 
 
 def is_pal_sharp(w: Word) -> bool:
     n = len(w)
     if n % 2 == 0 or w[n // 2] != HASH:
         return False
-    u = w[: n // 2]
-    if any(a not in (0, 1) for a in u.letters):
+    u = w.letters[: n // 2]
+    if any(a not in (0, 1) for a in u):
         return False
-    return w == u + Word([HASH]) + reverse(u)
+    return w.letters == u + (HASH,) + u[::-1]
 
 
 def pal_sharp_members(n: int) -> tuple[Word, ...]:
     if n % 2 == 0 or n < 1:
         return ()
-    out = []
-    for u in _products({0, 1}, n // 2):
-        u_w = Word(u)
-        out.append(u_w + Word([HASH]) + reverse(u_w))
-    return tuple(sorted(out))
+    return _canonical(
+        Word._trusted(u + (HASH,) + u[::-1]) for u in _products({0, 1}, n // 2)
+    )
 
 
 # -- grammars for the context-free members ----------------------------------
@@ -313,7 +315,7 @@ def intersection_check(max_len: int, *, force: bool = False) -> IntersectionRepo
     inter = [w for w in candidates if cyk_member(cnf_1, w)]
     for w in inter:
         if not (cyk_member(cnf_1, w) and cyk_member(cnf_2, w)):
-            raise AssertionError(f"intersection replay failed on {w!r}")
+            raise InvariantError(f"intersection replay failed on {w!r}")
     levels = []
     ok = True
     counterexample = None

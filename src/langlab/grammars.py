@@ -18,7 +18,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence, Union
 
-from .guards import CostGuardError
+from .guards import CostGuardError, InvariantError
 from .words import SYMBOL_TABLE, Word
 
 Symbol = Union[str, int]  # str = nonterminal, int = terminal letter
@@ -43,6 +43,11 @@ def _production_key(p: Production) -> tuple:
     return (head, len(body), tuple(_symbol_key(s) for s in body))
 
 
+def _is_letter(t) -> bool:
+    # bool is an int subclass, and True == 1 would pass a set lookup
+    return isinstance(t, int) and not isinstance(t, bool) and t >= 0
+
+
 @dataclass(frozen=True)
 class Cfg:
     """A context-free grammar over numeric terminal letters.
@@ -65,7 +70,7 @@ class Cfg:
         if self.start not in self.nonterminals:
             raise GrammarError(f"start symbol {self.start!r} is not a nonterminal")
         for t in self.terminals:
-            if not isinstance(t, int) or t < 0:
+            if not _is_letter(t):
                 raise GrammarError(f"terminals must be ints >= 0, got {t!r}")
         for head, body in self.productions:
             if head not in self.nonterminals:
@@ -74,7 +79,7 @@ class Cfg:
                 if isinstance(s, str):
                     if s not in self.nonterminals:
                         raise GrammarError(f"undeclared nonterminal {s!r} in body of {head}")
-                elif s not in self.terminals:
+                elif not _is_letter(s) or s not in self.terminals:
                     raise GrammarError(f"undeclared terminal {s!r} in body of {head}")
 
     @classmethod
@@ -462,12 +467,15 @@ def cyk_derivation(g: CnfGrammar, w: Word) -> list[tuple[str, int, int]] | None:
         path.append((names[label.bit_length() - 1], i, l))
         if l == 1:
             return path
-        s, b, c = next(
-            (s, b, c)
-            for s in range(1, l)
-            for b, c, heads in g._rules
-            if heads & label and chart[s][i] & b and chart[l - s][i + s] & c
-        )
+        try:
+            s, b, c = next(
+                (s, b, c)
+                for s in range(1, l)
+                for b, c, heads in g._rules
+                if heads & label and chart[s][i] & b and chart[l - s][i + s] & c
+            )
+        except StopIteration:
+            raise InvariantError(f"the chart admits no split of the node {path[-1]}") from None
         if l - s > s:
             label, i, l = c, i + s, l - s
         else:
@@ -529,8 +537,9 @@ def enumerate_language(g: Cfg, max_len: int, *, budget: int | None = None) -> tu
                         raise CostGuardError(
                             f"enumeration stored more than {budget} factor words"
                         )
-    out = [Word(t) for sets in table[g.start] for t in sets]
-    return tuple(sorted(out))
+    # the terminals were validated by Cfg, so the words are built trusted
+    found = sorted((t for sets in table[g.start] for t in sets), key=lambda t: (len(t), t))
+    return tuple(Word._trusted(t) for t in found)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from .grammars import (
     pumping_constant,
     to_cnf,
 )
+from .guards import InvariantError
 from .words import Word
 
 
@@ -101,7 +102,7 @@ def find_decomposition(g: CnfGrammar, z: Word) -> tuple[Word, Word, Word, Word, 
             break
         seen[label] = node
     if upper is None or lower is None:
-        raise AssertionError("no repeated nonterminal on the derivation path")
+        raise InvariantError("no repeated nonterminal on the derivation path")
     _, ui, ul = upper
     _, li, ll = lower
     u = z[:ui]
@@ -110,10 +111,10 @@ def find_decomposition(g: CnfGrammar, z: Word) -> tuple[Word, Word, Word, Word, 
     x = z[li + ll : ui + ul]
     y = z[ui + ul :]
     if len(v) + len(x) < 1 or len(v) + len(w) + len(x) > p:
-        raise AssertionError("extracted decomposition violates the pumping bounds")
+        raise InvariantError("extracted decomposition violates the pumping bounds")
     for times in REPLAYED_EXPONENTS:
         if not cyk_member(g, u + v * times + w + x * times + y):
-            raise AssertionError(f"pumping with exponent {times} left the language")
+            raise InvariantError(f"pumping with exponent {times} left the language")
     return u, v, w, x, y
 
 
@@ -149,7 +150,7 @@ def refute_subset(
         for times in PUMP_EXPONENTS:
             candidate = u + v * times + w + x * times + y
             if times not in REPLAYED_EXPONENTS and not cyk_member(cnf, candidate):
-                raise AssertionError(f"pumped variant at exponent {times} left the language")
+                raise InvariantError(f"pumped variant at exponent {times} left the language")
             pumped.append((times, candidate))
             if violating is None and not predicate(candidate):
                 violating = (times, candidate)

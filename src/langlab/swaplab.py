@@ -11,10 +11,11 @@ can drop them.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .guards import check_budget
+from .guards import InvariantError, check_budget
 from .words import TrackedWord, Word
 from . import corpus
 
@@ -41,7 +42,8 @@ class Slice:
     complete: bool = False
 
     def __post_init__(self) -> None:
-        canon = tuple(sorted(set(self.members)))
+        # the canonical Word order, read off the letters
+        canon = tuple(sorted(set(self.members), key=lambda w: (len(w.letters), w.letters)))
         object.__setattr__(self, "members", canon)
         for w in canon:
             if len(w) != self.n:
@@ -104,9 +106,7 @@ def build_slice(
         alphabet = sorted(language.alphabet)
         check_budget(len(alphabet) ** n, scan_limit, "brute-force slice scan", force=force)
         predicate = language.predicate
-        members = [
-            Word(t) for t in itertools.product(alphabet, repeat=n) if predicate(Word(t))
-        ]
+        members = [w for w in map(Word, itertools.product(alphabet, repeat=n)) if predicate(w)]
     origin = f"{getattr(language, 'name', 'language')}[n={n}]"
     if advice is not None:
         a = advice(n)
@@ -120,20 +120,17 @@ def slice_stats(s: Slice, j: int) -> SliceStats:
     members carry u at that offset."""
     if not 1 <= j <= s.n:
         raise ValueError(f"midsection length must be in 1..{s.n}, got {j}")
-    raw: dict[tuple[int, tuple[int, ...]], int] = {}
-    for w in s.members:
-        letters = w.letters
-        for i in range(s.n - j + 1):
-            key = (i, letters[i : i + j])
-            raw[key] = raw.get(key, 0) + 1
+    raws = [w.letters for w in s.members]
     # each distinct factor becomes one Word, shared by all its offsets
     factors: dict[tuple[int, ...], Word] = {}
     counts: dict[tuple[int, Word], int] = {}
-    for (i, u), c in raw.items():
-        word = factors.get(u)
-        if word is None:
-            word = factors[u] = Word(u)
-        counts[i, word] = c
+    for i in range(s.n - j + 1):
+        k = i + j
+        for u, c in Counter([x[i:k] for x in raws]).items():
+            word = factors.get(u)
+            if word is None:
+                word = factors[u] = Word._trusted(u)
+            counts[i, word] = c
     return SliceStats(s.n, j, len(s.members), counts)
 
 
@@ -298,13 +295,13 @@ class SwapWitness:
             raise ValueError("swap witnesses need equal-length words")
         if not (0 <= self.i and self.i + self.j <= len(self.x) and self.j >= 1):
             raise ValueError("inconsistent split offsets")
-        x2 = self.x[self.i : self.i + self.j]
-        y2 = self.y[self.i : self.i + self.j]
+        x, y, i, k = self.x.letters, self.y.letters, self.i, self.i + self.j
+        x2, y2 = x[i:k], y[i:k]
         if x2 == y2:
             raise ValueError("midsections must differ")
-        if self.swapped_x != self.x[: self.i] + y2 + self.x[self.i + self.j :]:
+        if self.swapped_x.letters != x[:i] + y2 + x[k:]:
             raise ValueError("swapped_x is not the midsection splice")
-        if self.swapped_y != self.y[: self.i] + x2 + self.y[self.i + self.j :]:
+        if self.swapped_y.letters != y[:i] + x2 + y[k:]:
             raise ValueError("swapped_y is not the midsection splice")
 
     @property
@@ -350,7 +347,7 @@ def swap_scan(
     |S|·spots steps for the index, checked before scanning, plus one step
     for every pair it tries at a spot, checked as each spot is indexed and
     before any witness is built.  Each distinct splice of a witness is then
-    replayed through ``member`` once; a rejected one raises ``ValueError``,
+    replayed through ``member`` once; a rejected one raises ``InvariantError``,
     since the slice and the oracle disagree.  Any other slice takes the
     pair loop, which asks ``member`` about both splices of every ordered
     pair at every spot (memoized), estimated at 2·|S|(|S|-1)·spots calls
@@ -423,7 +420,7 @@ def _index_scan(
         pos = index[t]
         if pos not in replayed:
             if not member(s.members[pos]):
-                raise ValueError(
+                raise InvariantError(
                     f"complete slice {s.origin!r} holds {list(t)}, which the oracle rejects"
                 )
             replayed.add(pos)
@@ -472,7 +469,7 @@ def _pair_loop(
     def in_language(t: tuple[int, ...]) -> bool:
         hit = cache.get(t)
         if hit is None:
-            hit = bool(member(Word(t)))
+            hit = bool(member(Word._trusted(t)))
             cache[t] = hit
         return hit
 
@@ -499,8 +496,8 @@ def _pair_loop(
                         j=j,
                         x=s.members[xi],
                         y=s.members[yi],
-                        swapped_x=Word(sx),
-                        swapped_y=Word(sy),
+                        swapped_x=Word._trusted(sx),
+                        swapped_y=Word._trusted(sy),
                     )
                 )
     return out

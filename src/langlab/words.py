@@ -53,6 +53,18 @@ class Word:
         self._letters = tup
 
     @classmethod
+    def _trusted(cls, letters: tuple[int, ...]) -> "Word":
+        """Wrap a tuple whose letters are already known to be ints >= 0.
+
+        The internal constructor: words built from the letters of other
+        words, or from constant letters, skip the per-letter check that
+        the public constructor makes at the boundary.
+        """
+        w = object.__new__(cls)
+        w._letters = letters
+        return w
+
+    @classmethod
     def of(cls, *letters: int) -> "Word":
         return cls(letters)
 
@@ -68,18 +80,18 @@ class Word:
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return Word(self._letters[index])
+            return Word._trusted(self._letters[index])
         return self._letters[index]
 
     def __add__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
             return NotImplemented
-        return Word(self._letters + other._letters)
+        return Word._trusted(self._letters + other._letters)
 
     def __mul__(self, times: int) -> "Word":
         if not isinstance(times, int) or times < 0:
             raise WordError(f"repeat count must be an int >= 0, got {times!r}")
-        return Word(self._letters * times)
+        return Word._trusted(self._letters * times)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Word):
@@ -135,11 +147,11 @@ def scale(w: Word, c: int) -> Word:
         raise WordError(f"scale factor must be an int >= 1, got {c!r}")
     if any(a < 1 for a in w.letters):
         raise WordError("scale is only defined on words with letters >= 1")
-    return Word(c * a for a in w.letters)
+    return Word._trusted(tuple(c * a for a in w.letters))
 
 
 def reverse(w: Word) -> Word:
-    return Word(reversed(w.letters))
+    return Word._trusted(w.letters[::-1])
 
 
 def nest_l2(w: Word) -> Word:
@@ -151,10 +163,13 @@ def nest_l2(w: Word) -> Word:
     """
     if len(w) == 0:
         raise WordError("nesting needs a nonempty word")
-    if any(a not in (1, 2) for a in w.letters):
+    t = w.letters
+    if any(a not in (1, 2) for a in t):
         raise WordError("nesting is only defined over the letters {1, 2}")
-    r = reverse(w)
-    return w + scale(r, 3) + scale(w, 15) + scale(r, 5)
+    r = t[::-1]
+    return Word._trusted(
+        t + tuple(3 * a for a in r) + tuple(15 * a for a in t) + tuple(5 * a for a in r)
+    )
 
 
 def fuse_letter(top: int, bottom: int) -> int:
@@ -192,12 +207,14 @@ class TrackedWord:
 
     def fused(self) -> Word:
         """The single-track view: one paired letter per position."""
-        return Word(
-            fuse_letter(t, b) for t, b in zip(self.top.letters, self.bottom.letters)
+        return Word._trusted(
+            tuple(fuse_letter(t, b) for t, b in zip(self.top.letters, self.bottom.letters))
         )
 
     @classmethod
     def from_fused(cls, w: Word) -> "TrackedWord":
         pairs = [split_letter(a) for a in w.letters]
-        return cls(Word(p[0] for p in pairs), Word(p[1] for p in pairs))
+        return cls(
+            Word._trusted(tuple(p[0] for p in pairs)), Word._trusted(tuple(p[1] for p in pairs))
+        )
 

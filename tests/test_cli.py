@@ -1,7 +1,9 @@
 """Command-line front end: JSON reports, exit codes, file formats."""
 
+import dataclasses
 import json
 
+from langlab import corpus
 from langlab.cli import main
 from langlab.grammars import dfa_to_json, Dfa
 
@@ -229,6 +231,39 @@ def test_malformed_grammar_file_is_exit_2(capsys, tmp_path):
 def test_usage_error_is_exit_2(capsys):
     assert main(["member", "--word"]) == 2
     assert main(["no-such-command"]) == 2
+
+
+PAL_SHARP_SCAN = ("swap-scan", "--lang", "Pal_sharp", "--j-min", "1", "--j-max", "3", "--n")
+
+
+def test_exit_0_on_pass(capsys):
+    code, doc = run_json(capsys, *PAL_SHARP_SCAN, "3")
+    assert code == 0 and doc["verdict"] == "pass" and doc["payload"]["count"] == 2
+
+
+def test_exit_1_on_a_property_failure(capsys, monkeypatch):
+    # a nesting generator that lost its members makes the intersection
+    # identity fail with a counterexample
+    monkeypatch.setattr(corpus, "l2_members", lambda n: ())
+    code, out = run(capsys, "intersect-check", "--max-len", "4")
+    doc = json.loads(out)
+    assert code == 1 and doc["verdict"] == "fail"
+    assert doc["payload"]["counterexample"] == [1, 3, 15, 5]
+
+
+def test_exit_2_on_a_usage_error(capsys):
+    code, out = run(capsys, *PAL_SHARP_SCAN, "0")
+    doc = json.loads(out)
+    assert code == 2 and doc["error"].startswith("ValueError")
+
+
+def test_exit_3_on_an_invariant_failure(capsys, monkeypatch):
+    # an oracle that rejects the members of its own complete slice
+    lang = dataclasses.replace(corpus.LANGUAGES["Pal_sharp"], predicate=lambda w: False)
+    monkeypatch.setitem(corpus.LANGUAGES, "Pal_sharp", lang)
+    code, out = run(capsys, *PAL_SHARP_SCAN, "3")
+    doc = json.loads(out)
+    assert code == 3 and doc["error"].startswith("InvariantError")
 
 
 def test_reports_are_byte_deterministic(capsys):

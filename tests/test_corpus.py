@@ -58,6 +58,15 @@ def test_generators_match_predicates_exhaustively(name):
         )
 
 
+@pytest.mark.parametrize("name", sorted(LANGUAGES))
+def test_generated_members_hold_valid_letters(name):
+    # generators build their words without the letter check
+    for n in range(0, 9):
+        for m in LANGUAGES[name].generator(n):
+            assert all(type(a) is int and a >= 0 for a in m.letters), (name, m)
+            assert m == Word(m.letters)
+
+
 @pytest.mark.parametrize("name", ["L2", "L2_1", "L2_2", "L2_prime"])
 def test_eight_letter_generators_match_predicates_at_length_7(name):
     # 8^7 candidates is the largest ambient power still worth filtering

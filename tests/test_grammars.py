@@ -92,6 +92,22 @@ def test_cfg_validation():
         Cfg(frozenset({"S"}), frozenset({-3}), (), "S")
 
 
+def test_cfg_rejects_bool_terminals():
+    # True == 1, so a bool would otherwise pass for the letter 1
+    with pytest.raises(GrammarError, match="True"):
+        Cfg.from_rules("S", {"S": [(True,)]})
+    with pytest.raises(GrammarError, match="False"):
+        Cfg.from_rules("S", {"S": [(1, "S"), (False,)]})
+    with pytest.raises(GrammarError, match="True"):
+        Cfg(frozenset({"S"}), frozenset({1}), (("S", (True,)),), "S")
+
+
+def test_enumerated_words_hold_valid_letters():
+    g = parse_grammar(PALINDROME_TEXT)
+    for w in enumerate_language(g, 6):
+        assert all(type(a) is int and a >= 0 for a in w.letters) and w == Word(w.letters)
+
+
 # -- CNF conversion ------------------------------------------------------------
 
 

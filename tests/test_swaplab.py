@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from langlab.advice import leq_advice
 from langlab.cli import advised_oracle
 from langlab.corpus import LANGUAGES, CorpusLanguage, is_l2, is_pal_sharp, l2_members
-from langlab.guards import CostGuardError
+from langlab.guards import CostGuardError, InvariantError
 from langlab.swaplab import (
     Slice,
     SliceStats,
@@ -116,6 +116,44 @@ def test_l2_stats_offset_zero_is_all_distinct():
     for (i, _), c in stats.counts.items():
         if i == 0:
             assert c == 1
+
+
+def reference_counts(s, j):
+    counts = {}
+    for w in s.members:
+        for i in range(s.n - j + 1):
+            key = (i, w[i : i + j])
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_slice_stats_match_a_reference_counter(n, data):
+    letters = st.tuples(*[st.sampled_from((0, 1, 2, 5))] * n)
+    members = data.draw(st.sets(letters, min_size=1, max_size=30))
+    s = Slice(n, tuple(Word(t) for t in members))
+    j = data.draw(st.integers(1, n))
+    stats = slice_stats(s, j)
+    assert stats.counts == reference_counts(s, j)
+    for _, u in stats.counts:
+        assert all(type(a) is int and a >= 0 for a in u.letters) and u == Word(u.letters)
+
+
+def test_nesting_scans_and_bounds_build_no_checked_words(monkeypatch):
+    # every word on these paths comes from trusted letters: a regression
+    # that re-validates them shows here as a nonzero count
+    inits = []
+    checked_init = Word.__init__
+
+    def counted_init(self, letters=()):
+        inits.append(letters)
+        checked_init(self, letters)
+
+    monkeypatch.setattr(Word, "__init__", counted_init)
+    assert l2_bound_check(32, 4).ok
+    assert swap_scan(is_l2, build_slice(L2, 16), (1, 4)) == []
+    assert len(inits) == 0
 
 
 def test_partition_identity_on_l2_slices():
@@ -386,7 +424,7 @@ def test_index_path_oracle_calls():
 
 def test_index_path_rejects_an_oracle_that_disagrees_with_the_slice():
     s = build_slice(EVEN_PALINDROMES, 4)
-    with pytest.raises(ValueError, match="even_pal"):
+    with pytest.raises(InvariantError, match="even_pal"):
         swap_scan(lambda w: w != Word.of(0, 0, 0, 0), s, (1, 4))
 
 

@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from langlab.words import (
@@ -149,6 +149,36 @@ def test_word_rejects_bad_letters():
         Word.of(-1)
     with pytest.raises(WordError):
         Word(["x"])
+
+
+def test_word_rejects_bool_letters():
+    with pytest.raises(WordError):
+        Word.of(True)
+    with pytest.raises(WordError):
+        Word((1, False))
+
+
+def is_valid(w):
+    return all(type(a) is int and a >= 0 for a in w.letters) and w == Word(w.letters)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(positive_words, positive_words, st.integers(0, 3), st.integers(1, 5))
+def test_words_built_inside_hold_valid_letters(u, v, times, c):
+    # slicing, concatenation, repetition, scaling, reversal and track fusion
+    # skip the letter check, so their results must pass it anyway
+    fused = TrackedWord(u, reverse(u)).fused()
+    tracked = TrackedWord.from_fused(fused)
+    built = [u[1:], u[::-1], u + v, u * times, scale(u, c), reverse(v)]
+    assert all(is_valid(w) for w in built + [fused, tracked.top, tracked.bottom])
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(choice_words)
+def test_nest_l2_matches_the_four_block_reference(w):
+    reference = w + scale(reverse(w), 3) + scale(w, 15) + scale(reverse(w), 5)
+    got = nest_l2(w)
+    assert got == reference and is_valid(got)
 
 
 def test_word_slicing_and_concatenation():
