@@ -15,13 +15,13 @@ from typing import Callable, Optional
 
 from . import corpus
 from .advice import (
-    AdviceFunction,
     AdvisedLanguage,
     leq_parallel,
     parallel_member,
     prefix_pair_decode,
     prefix_pair_encode,
     serial_to_parallel_reg,
+    table_advice,
 )
 from .grammars import Dfa, cyk_member, dfa_accepts, enumerate_language, parse_grammar, to_cnf
 from .refuter import PumpWitness, refute_subset
@@ -266,7 +266,7 @@ def advice_equivalences(seed: int = DEFAULT_SEED) -> CriterionResult:
     for _ in range(20):
         m = _random_dfa(rng)
         table = {n: [rng.choice((0, 1)) for _ in range(n)] for n in range(0, 9)}
-        g = AdviceFunction(lambda n, tb=table: Word(tb[n]), "random-table")
+        g = table_advice(table, "random-table")
         h, m2 = serial_to_parallel_reg(m, g)
         converted = AdvisedLanguage("parallel", m2, h)
         for ln in range(1, 9):

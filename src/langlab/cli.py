@@ -158,9 +158,11 @@ def advised_oracle(predicate, advice, n: int):
     be the advice word at ``n``, and the input track must satisfy
     ``predicate``."""
 
+    expected = advice(n)
+
     def member(w: Word) -> bool:
         tracked = TrackedWord.from_fused(w)
-        return tracked.bottom == advice(n) and predicate(tracked.top)
+        return tracked.bottom == expected and predicate(tracked.top)
 
     return member
 

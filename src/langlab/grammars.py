@@ -247,12 +247,16 @@ class CnfGrammar:
     start: str
     empty: bool = False
     # The CYK encoding, read only by this module: the k-th nonterminal of
-    # ``_names`` (name order) is the bit ``1 << k``; ``_lexicon`` maps a letter
-    # to the mask of its heads; ``_rules`` holds one ``(B, C, heads)`` mask
-    # triple per binary body ``B C``, sorted by body.
+    # ``_names`` (name order) has index ``k`` and bit ``1 << k``; ``_start``
+    # is the start symbol's bit; ``_lexicon`` maps a letter to the mask of its
+    # heads; ``_rules`` groups the binary bodies ``B C`` by left child, as
+    # ``(b, ((c, heads), ...))`` index groups sorted by ``(b, c)``.
     _names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _start: int = field(init=False, repr=False, compare=False)
     _lexicon: Mapping[int, int] = field(init=False, repr=False, compare=False)
-    _rules: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
+    _rules: tuple[tuple[int, tuple[tuple[int, int], ...]], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "binary", tuple(sorted(set(self.binary))))
@@ -273,16 +277,18 @@ class CnfGrammar:
             if not isinstance(t, int) or t not in self.terminals:
                 raise GrammarError(f"undeclared terminal {t!r}")
         names = tuple(sorted(self.nonterminals))
-        bit = {a: 1 << k for k, a in enumerate(names)}
+        index = {a: k for k, a in enumerate(names)}
         lexicon: dict[int, int] = defaultdict(int)
         for a, t in self.lexical:
-            lexicon[t] |= bit[a]
-        heads: dict[tuple[int, int], int] = defaultdict(int)
+            lexicon[t] |= 1 << index[a]
+        heads: dict[int, dict[int, int]] = defaultdict(lambda: defaultdict(int))
         for a, b, c in self.binary:
-            heads[(bit[b], bit[c])] |= bit[a]
+            heads[index[b]][index[c]] |= 1 << index[a]
+        rules = tuple((b, tuple(sorted(heads[b].items()))) for b in sorted(heads))
         object.__setattr__(self, "_names", names)
+        object.__setattr__(self, "_start", 1 << index[self.start])
         object.__setattr__(self, "_lexicon", dict(lexicon))
-        object.__setattr__(self, "_rules", tuple((b, c, h) for (b, c), h in sorted(heads.items())))
+        object.__setattr__(self, "_rules", rules)
 
     def as_cfg(self) -> Cfg:
         prods: list[Production] = [(a, (b, c)) for a, b, c in self.binary]
@@ -409,25 +415,51 @@ def cyk_chart(g: CnfGrammar, w: Word) -> list[list[int]]:
     factor of ``w`` at 0-based offset ``i``, where the k-th nonterminal in
     name order is the bit ``1 << k``.  Row ``l >= 1`` has ``len(w) - l + 1``
     cells; row 0 is empty.
+
+    The rows are filled bit-parallel.  Two bitsets per nonterminal ``x``
+    grow with the rows: ``ends[x][i]`` has bit ``e`` set when ``x`` derives
+    ``w[i:e]``, and ``starts[x][e]`` has bit ``i`` set when it does.  A rule
+    ``A -> B C`` puts ``A`` in cell ``(i, e)`` exactly when
+    ``ends[B][i] & starts[C][e]`` is nonzero, so a cell costs one AND per
+    rule instead of one probe per split.  The rules are grouped by left
+    child, so a ``B`` that starts no shorter factor at ``i`` skips all its
+    right children at once, and an offset pair with no split at which both
+    sides derive something (``any_end[i] & any_start[e]``) is skipped whole.
     """
-    rules = g._rules
-    n = len(w)
-    chart: list[list[int]] = [[], [g._lexicon.get(a, 0) for a in w.letters]]
-    for l in range(2, n + 1):
-        row = []
-        for i in range(n - l + 1):
-            acc = 0
-            for s in range(1, l):
-                left = chart[s][i]
-                if not left:
-                    continue
-                right = chart[l - s][i + s]
-                if not right:
-                    continue
-                for b, c, heads in rules:
-                    if left & b and right & c:
-                        acc |= heads
-            row.append(acc)
+    rules, lexicon, letters = g._rules, g._lexicon, w.letters
+    n = len(letters)
+    ends = [[0] * (n + 1) for _ in g._names]
+    starts = [[0] * (n + 1) for _ in g._names]
+    any_end = [0] * (n + 1)
+    any_start = [0] * (n + 1)
+    chart: list[list[int]] = [[]]
+    row = [lexicon.get(a, 0) for a in letters]
+    for l in range(1, n + 1):
+        if l > 1:
+            row = []
+            for i in range(n - l + 1):
+                e = i + l
+                acc = 0
+                if any_end[i] & any_start[e]:
+                    for b, right in rules:
+                        left = ends[b][i]
+                        if left:
+                            for c, heads in right:
+                                if left & starts[c][e]:
+                                    acc |= heads
+                row.append(acc)
+        # index the row's factors for the longer rows
+        for i, mask in enumerate(row):
+            if mask:
+                e_bit, i_bit = 1 << (i + l), 1 << i
+                any_end[i] |= e_bit
+                any_start[i + l] |= i_bit
+                while mask:
+                    low = mask & -mask
+                    k = low.bit_length() - 1
+                    ends[k][i] |= e_bit
+                    starts[k][i + l] |= i_bit
+                    mask ^= low
         chart.append(row)
     return chart
 
@@ -438,8 +470,7 @@ def cyk_member(g: CnfGrammar, w: Word) -> bool:
         return g.empty
     if any(a not in g.terminals for a in w.letters):
         return False
-    start = 1 << g._names.index(g.start)
-    return bool(cyk_chart(g, w)[len(w)][0] & start)
+    return bool(cyk_chart(g, w)[len(w)][0] & g._start)
 
 
 def cyk_derivation(g: CnfGrammar, w: Word) -> list[tuple[str, int, int]] | None:
@@ -457,22 +488,23 @@ def cyk_derivation(g: CnfGrammar, w: Word) -> list[tuple[str, int, int]] | None:
     if n == 0:
         return [(g.start, 0, 0)] if g.empty else None
     chart = cyk_chart(g, w)
-    names = g._names
-    label = 1 << names.index(g.start)
-    if not chart[n][0] & label:
+    if not chart[n][0] & g._start:
         return None
+    names = g._names
     path = []
-    i, l = 0, n
+    label, i, l = g._start.bit_length() - 1, 0, n
     while True:
-        path.append((names[label.bit_length() - 1], i, l))
+        path.append((names[label], i, l))
         if l == 1:
             return path
         try:
             s, b, c = next(
                 (s, b, c)
                 for s in range(1, l)
-                for b, c, heads in g._rules
-                if heads & label and chart[s][i] & b and chart[l - s][i + s] & c
+                for b, right in g._rules
+                if chart[s][i] & 1 << b
+                for c, heads in right
+                if heads & 1 << label and chart[l - s][i + s] & 1 << c
             )
         except StopIteration:
             raise InvariantError(f"the chart admits no split of the node {path[-1]}") from None
@@ -510,24 +542,41 @@ def _body_words(
     return current.get(length, set())
 
 
+def _reads_own_length(body: Body, nullable: set[str]) -> bool:
+    # a looping body: some nonterminal in it has only nullable nonterminals
+    # beside it, so it can read a word as long as the body's own; any other
+    # body reads only shorter lengths
+    return any(
+        isinstance(s, str)
+        and all(isinstance(t, str) and t in nullable for t in body[:p] + body[p + 1 :])
+        for p, s in enumerate(body)
+    )
+
+
 def enumerate_language(g: Cfg, max_len: int, *, budget: int | None = None) -> tuple[Word, ...]:
     """All members of the language up to ``max_len``, in canonical order.
 
     Runs a bottom-up, length-indexed closure, so it terminates for every
-    grammar (cyclic unit chains and empty productions included).  The
-    optional ``budget`` caps the number of stored factor words.
+    grammar (cyclic unit chains and empty productions included).  At each
+    length every production runs once, and only the looping ones repeat
+    until nothing changes.  The optional ``budget`` caps the number of
+    stored factor words.
     """
     if max_len < 0:
         raise GrammarError("max_len must be >= 0")
     table: dict[str, list[set[tuple[int, ...]]]] = {
         a: [set() for _ in range(max_len + 1)] for a in g.nonterminals
     }
+    nullable = _nullable_set(g.productions)
+    looping = tuple(p for p in g.productions if _reads_own_length(p[1], nullable))
     stored = 0
     for length in range(max_len + 1):
+        # every body once, then only the looping ones, until nothing changes
+        pending = g.productions
         changed = True
         while changed:
             changed = False
-            for head, body in g.productions:
+            for head, body in pending:
                 fresh = _body_words(body, length, table) - table[head][length]
                 if fresh:
                     table[head][length] |= fresh
@@ -537,6 +586,7 @@ def enumerate_language(g: Cfg, max_len: int, *, budget: int | None = None) -> tu
                         raise CostGuardError(
                             f"enumeration stored more than {budget} factor words"
                         )
+            pending = looping
     # the terminals were validated by Cfg, so the words are built trusted
     found = sorted((t for sets in table[g.start] for t in sets), key=lambda t: (len(t), t))
     return tuple(Word._trusted(t) for t in found)

@@ -7,6 +7,7 @@ run to the stated time budget where one is stated.
 import pytest
 
 from langlab import acceptance
+from langlab.words import Word
 
 
 @pytest.mark.parametrize(
@@ -31,3 +32,20 @@ def test_battery_is_green_end_to_end():
         print(result.line())
     assert [r.number for r in results] == list(range(1, 12))
     assert all(r.passed for r in results)
+
+
+def test_advice_equivalences_build_each_table_word_once(monkeypatch):
+    # 20 random tables of 9 advice words are built once each; rebuilding a
+    # table's word on every decision built 20,220 more (44,894 in all)
+    inits = []
+    checked_init = Word.__init__
+
+    def counted_init(self, letters=()):
+        inits.append(letters)
+        checked_init(self, letters)
+
+    monkeypatch.setattr(Word, "__init__", counted_init)
+    result = acceptance.advice_equivalences(1729)
+    assert result.passed
+    assert result.details == "parallel mismatches: 0, conversion mismatches: 0"
+    assert len(inits) <= 44_894 - 20_000

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from langlab import grammars
+from langlab.corpus import grammar_l2_2
 from langlab.grammars import (
     AutomatonError,
     Cfg,
@@ -25,12 +27,20 @@ from langlab.grammars import (
     pumping_constant,
     to_cnf,
 )
-from langlab.words import EMPTY_WORD, Word
+from langlab.guards import CostGuardError
+from langlab.words import EMPTY_WORD, SYMBOL_TABLE, Word
 
 PALINDROME_TEXT = """
 # nonempty even-length binary palindromes
 S -> '0' S '0' | '1' S '1'
 S -> '0' '0' | '1' '1'
+"""
+
+BLOCKS_TEXT = """
+# a^m b^m c^t (m, t >= 1)
+S -> A C
+A -> 'a' A 'b' | 'a' 'b'
+C -> 'c' C | 'c'
 """
 
 
@@ -235,19 +245,26 @@ def cnf_grammars(draw):
     return CnfGrammar(frozenset(names), terminals, tuple(binary), tuple(lexical), start, empty)
 
 
+def assert_chart_matches_the_reference(g, w):
+    # every cell against the set chart, the path against the reference walk
+    names = sorted(g.nonterminals)
+    chart = cyk_chart(g, w)
+    ref = reference_chart(g, w.letters)
+    assert all(len(chart[l]) == len(w) - l + 1 for l in range(1, len(w) + 1))
+    for (i, l), heads in ref.items():
+        assert {a for k, a in enumerate(names) if chart[l][i] >> k & 1} == heads
+    path = cyk_derivation(g, w)
+    assert path == reference_walk(g, w)
+    assert cyk_member(g, w) == (path is not None)
+    return ref, path
+
+
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(cnf_grammars())
 def test_mask_chart_agrees_with_the_set_chart(g):
     names = sorted(g.nonterminals)
     for w in brute_words(g.terminals, 6):
-        chart = cyk_chart(g, w)
-        ref = reference_chart(g, w.letters)
-        assert all(len(chart[l]) == len(w) - l + 1 for l in range(1, len(w) + 1))
-        for (i, l), heads in ref.items():
-            assert {a for k, a in enumerate(names) if chart[l][i] >> k & 1} == heads
-        path = cyk_derivation(g, w)
-        assert path == reference_walk(g, w)
-        assert cyk_member(g, w) == (path is not None)
+        ref, path = assert_chart_matches_the_reference(g, w)
         if path is None or not w:
             continue
         for (a, i, l), (d, j, m) in zip(path, path[1:]):
@@ -260,6 +277,64 @@ def test_mask_chart_agrees_with_the_set_chart(g):
                 assert any((a, b, d) in g.binary and b in ref[i, l - m] for b in names)
         label, i, _ = path[-1]
         assert (label, w.letters[i]) in g.lexical
+
+
+def derivable_lengths(g, max_len):
+    lengths = {a: set() for a in g.nonterminals}
+    for a, _ in g.lexical:
+        lengths[a].add(1)
+    for l in range(2, max_len + 1):
+        for a, b, c in g.binary:
+            if any(s in lengths[b] and l - s in lengths[c] for s in range(1, l)):
+                lengths[a].add(l)
+    return lengths
+
+
+def draw_member(data, g, lengths, label, l):
+    # the letters of a drawn derivation of a length-l word from label
+    if l == 1:
+        return [data.draw(st.sampled_from(sorted(t for a, t in g.lexical if a == label)))]
+    b, c, s = data.draw(
+        st.sampled_from(
+            [
+                (b, c, s)
+                for a, b, c in g.binary
+                if a == label
+                for s in range(1, l)
+                if s in lengths[b] and l - s in lengths[c]
+            ]
+        )
+    )
+    return draw_member(data, g, lengths, b, s) + draw_member(data, g, lengths, c, l - s)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(cnf_grammars(), st.data())
+def test_long_word_charts_agree_with_the_set_chart(g, data):
+    # 15-40 letters: the per-nonterminal bitsets span several machine words;
+    # members come from drawn derivations, so that paths descend both ways
+    lengths = derivable_lengths(g, 40)
+    long = sorted(l for l in lengths[g.start] if l >= 15)
+    if long and data.draw(st.booleans()):
+        letters = draw_member(data, g, lengths, g.start, data.draw(st.sampled_from(long)))
+    else:
+        alphabet = sorted({t for _, t in g.lexical} or g.terminals)
+        letters = data.draw(st.lists(st.sampled_from(alphabet), min_size=15, max_size=40))
+    assert_chart_matches_the_reference(g, Word(letters))
+
+
+def blocks_word(i, j, k):
+    a, b, c = (SYMBOL_TABLE[x] for x in "abc")
+    return Word((a,) * i + (b,) * j + (c,) * k)
+
+
+def test_blocks_grammar_on_400_letter_words():
+    cnf = to_cnf(parse_grammar(BLOCKS_TEXT))
+    assert cyk_member(cnf, blocks_word(100, 100, 200))
+    assert not cyk_member(cnf, blocks_word(100, 99, 201))
+    assert not cyk_member(cnf, blocks_word(99, 100, 201))
+    assert_chart_matches_the_reference(cnf, blocks_word(20, 20, 30))
+    assert_chart_matches_the_reference(cnf, blocks_word(20, 19, 31))
 
 
 def test_foreign_letters_have_no_derivation():
@@ -305,6 +380,97 @@ def test_enumerate_handles_unit_cycles_and_lambda():
 def test_enumeration_is_canonically_ordered():
     got = enumerate_language(parse_grammar(PALINDROME_TEXT), 6)
     assert list(got) == sorted(got)
+
+
+def reference_body_words(body, length, table):
+    # the terminal tuples of exactly `length` letters the body derives
+    if not body:
+        return {()} if length == 0 else set()
+    first, rest = body[0], body[1:]
+    if isinstance(first, int):
+        return {(first,) + t for t in reference_body_words(rest, length - 1, table)} if length else set()
+    return {
+        u + t
+        for k in range(length + 1)
+        for u in table[first][k]
+        for t in reference_body_words(rest, length - k, table)
+    }
+
+
+def reference_enumeration(g, max_len, budget=None):
+    # every production runs until nothing changes, at every length
+    table = {a: [set() for _ in range(max_len + 1)] for a in g.nonterminals}
+    stored = 0
+    for length in range(max_len + 1):
+        changed = True
+        while changed:
+            changed = False
+            for head, body in g.productions:
+                fresh = reference_body_words(body, length, table) - table[head][length]
+                if fresh:
+                    table[head][length] |= fresh
+                    stored += len(fresh)
+                    changed = True
+    if budget is not None and stored > budget:
+        raise CostGuardError(f"enumeration stored more than {budget} factor words")
+    return tuple(Word(t) for t in sorted((t for ts in table[g.start] for t in ts), key=lambda t: (len(t), t)))
+
+
+@st.composite
+def cfgs(draw):
+    # empty productions, unit chains and unit cycles are all likely
+    names = draw(st.lists(st.sampled_from(("S", "A", "B", "C")), min_size=1, max_size=4, unique=True))
+    symbol = st.one_of(st.sampled_from(names), st.sampled_from((0, 1)))
+    body = st.one_of(
+        st.just(()),
+        st.sampled_from(names).map(lambda a: (a,)),
+        st.lists(st.sampled_from(names), min_size=2, max_size=3).map(tuple),
+        st.lists(symbol, min_size=1, max_size=3).map(tuple),
+    )
+    rules = {a: draw(st.lists(body, max_size=4)) for a in names}
+    return Cfg.from_rules(draw(st.sampled_from(names)), rules)
+
+
+def outcome(enumerate_fn, g, max_len, budget):
+    try:
+        return enumerate_fn(g, max_len, budget=budget)
+    except CostGuardError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(cfgs(), st.one_of(st.none(), st.integers(0, 80)))
+def test_one_pass_enumeration_agrees_with_the_full_fixpoint(g, budget):
+    got = outcome(enumerate_language, g, 6, budget)
+    assert got == outcome(reference_enumeration, g, 6, budget)
+
+
+def count_body_words(monkeypatch):
+    calls = []
+    body_words = grammars._body_words
+    monkeypatch.setattr(grammars, "_body_words", lambda *args: calls.append(1) or body_words(*args))
+    return calls
+
+
+def test_enumeration_runs_each_nonlooping_body_once_per_length(monkeypatch):
+    # neither grammar has a body that can read its own length, so each of
+    # its productions runs once per length (a full fixpoint ran 1,325 and 176)
+    calls = count_body_words(monkeypatch)
+    assert len(enumerate_language(parse_grammar(BLOCKS_TEXT), 132)) == 4290
+    assert len(calls) == 5 * 133 == 665
+    calls.clear()
+    enumerate_language(grammar_l2_2(), 14)
+    assert len(calls) == 8 * 15 == 120
+
+
+def test_looping_bodies_repeat_until_nothing_changes(monkeypatch):
+    # S -> A is a unit chain read at its own length: the first pass misses
+    # A's word, which comes later in production order, so S's body repeats
+    calls = count_body_words(monkeypatch)
+    g = Cfg.from_rules("S", {"S": [("Z",)], "Z": [(1,)]})
+    assert enumerate_language(g, 2) == (Word.of(1),)
+    # lengths 0 and 2: one pass of 2; length 1: 2, then S -> Z twice more
+    assert len(calls) == 2 + 4 + 2
 
 
 GRAMMAR_BATTERY = [

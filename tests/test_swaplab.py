@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from langlab.advice import leq_advice
+from langlab.advice import AdviceFunction, leq_advice
 from langlab.cli import advised_oracle
 from langlab.corpus import LANGUAGES, CorpusLanguage, is_l2, is_pal_sharp, l2_members
 from langlab.guards import CostGuardError, InvariantError
@@ -330,6 +330,16 @@ def test_swapping_never_touches_the_advice_track():
     for w in witnesses:
         assert TrackedWord.from_fused(w.swapped_x).bottom == h(8)
         assert TrackedWord.from_fused(w.swapped_y).bottom == h(8)
+
+
+def test_the_projecting_oracle_asks_for_the_advice_once():
+    h = leq_advice()
+    asked = []
+    counted = AdviceFunction(lambda n: asked.append(n) or h(n), "counted-leq")
+    member = advised_oracle(is_pal_sharp, counted, 7)
+    members = build_slice(LANGUAGES["Pal_sharp"], 7, advice=h).members
+    assert all(member(w) for w in members)
+    assert asked == [7]
 
 
 def test_index_path_with_the_projecting_oracle():
