@@ -10,7 +10,7 @@ import argparse
 import time
 
 from langlab.corpus import LANGUAGES, is_l2
-from langlab.swaplab import build_slice, l2_bound_check, swap_scan
+from langlab.swaplab import bound_report, build_slice, slice_stats, swap_scan
 
 
 def main() -> None:
@@ -25,7 +25,7 @@ def main() -> None:
     for n in sizes:
         slice_ = build_slice(LANGUAGES["L2"], n)
         for j in range(1, n // 4 + 1):
-            report = l2_bound_check(n, j)
+            report = bound_report(slice_stats(slice_, j))
             started = time.perf_counter()
             witnesses = swap_scan(is_l2, slice_, (j, j))
             elapsed = time.perf_counter() - started

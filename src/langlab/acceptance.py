@@ -23,9 +23,9 @@ from .advice import (
     serial_to_parallel_reg,
     table_advice,
 )
-from .grammars import Dfa, cyk_member, dfa_accepts, enumerate_language, parse_grammar, to_cnf
+from .grammars import Dfa, cyk_member, dfa_accepts, parse_grammar, to_cnf
 from .refuter import PumpWitness, refute_subset
-from .swaplab import Slice, build_slice, choose_params, slice_stats, swap_scan
+from .swaplab import Slice, bound_report, build_slice, choose_params, slice_stats, swap_scan
 from .words import Word, scale
 
 DEFAULT_SEED = 1729
@@ -75,23 +75,16 @@ def scaling_example(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 
 def intersection_identity(seed: int = DEFAULT_SEED) -> CriterionResult:
-    """Enumerated intersection of the two covering grammars matches the
-    nesting generator exactly at every length up to 8."""
+    """``corpus.intersection_check(8)``: the intersection of the two
+    covering grammars matches the nesting generator at every length up to
+    8, with the expected cardinality at each length."""
     t0 = time.perf_counter()
-    e1 = set(enumerate_language(corpus.grammar_l2_1(), 8))
-    e2 = set(enumerate_language(corpus.grammar_l2_2(), 8))
-    inter = e1 & e2
-    expected_cards = {1: 0, 2: 0, 3: 0, 4: 2, 5: 0, 6: 0, 7: 0, 8: 4}
-    cards = {}
-    ok = True
-    for n in range(1, 9):
-        level = {w for w in inter if len(w) == n}
-        cards[n] = len(level)
-        if level != set(corpus.l2_members(n)) or len(level) != expected_cards[n]:
-            ok = False
+    report = corpus.intersection_check(8)
+    expected_cards = [0, 0, 0, 2, 0, 0, 0, 4]
+    cards = [lv.count for lv in report.levels]
+    ok = report.ok and cards == expected_cards
     return _result(
-        2, "two-grammar intersection identity", 10.0, t0, ok,
-        f"cardinalities n=1..8: {[cards[n] for n in range(1, 9)]}",
+        2, "two-grammar intersection identity", 10.0, t0, ok, f"cardinalities n=1..8: {cards}"
     )
 
 
@@ -118,17 +111,11 @@ def binding_bound(seed: int = DEFAULT_SEED) -> CriterionResult:
         s = build_slice(corpus.LANGUAGES["L2"], n)
         for j in range(1, n // 4 + 1):
             stats = slice_stats(s, j)
-            bound = 2 ** (n // 4 - (j + 1) // 2)
             checked += len(stats.counts)
-            # the first violation in (i, u) order, whatever the dict order
-            first = min(
-                ((i, u, c) for (i, u), c in stats.counts.items() if c > bound),
-                key=lambda v: (v[0], v[1]),
-                default=None,
-            )
-            if first is not None:
+            report = bound_report(stats)
+            if not report.ok:
                 ok = False
-                worst = f"; violation at n={n}, j={j}: {first}"
+                worst = f"; violation at n={n}, j={j}: {report.violation}"
     return _result(4, "midsection binding bound", 60.0, t0, ok, f"{checked} counts checked{worst}")
 
 

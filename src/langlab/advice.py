@@ -5,11 +5,10 @@ self-delimiting pair code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence, Union
 
-from .grammars import Cfg, CnfGrammar, Dfa, cyk_member, dfa_accepts, dfa_run, to_cnf
+from .grammars import Cfg, Dfa, cyk_member, dfa_accepts, dfa_run, to_cnf
 from .words import EMPTY_WORD, TrackedWord, Word, fuse_letter, split_letter
 
 
@@ -81,16 +80,12 @@ def advice_from_json(doc: Mapping[str, Sequence[int]], name: str = "table") -> A
         raise AdviceError(f"malformed advice table: {exc}") from exc
 
 
-Inner = Union[Cfg, CnfGrammar, Dfa, Callable[[Word], bool]]
-
-
-@lru_cache(maxsize=None)
-def _cached_cnf(g: Cfg) -> CnfGrammar:
-    return to_cnf(g)
+Inner = Union[Cfg, Dfa]
 
 
 def membership_oracle(inner: Inner) -> Callable[[Word], bool]:
-    """Normalize an inner language to a membership callable.
+    """Normalize an inner language to a membership callable; a grammar is
+    converted to CNF once, here.
 
     Words carrying letters outside a grammar's or automaton's alphabet are
     simply rejected, which makes foreign fused letters routine rather than
@@ -98,12 +93,9 @@ def membership_oracle(inner: Inner) -> Callable[[Word], bool]:
     """
     if isinstance(inner, Dfa):
         return lambda w: all(a in inner.alphabet for a in w.letters) and dfa_accepts(inner, w)
-    if isinstance(inner, CnfGrammar):
-        return lambda w: cyk_member(inner, w)
     if isinstance(inner, Cfg):
-        return lambda w: cyk_member(_cached_cnf(inner), w)
-    if callable(inner):
-        return inner
+        cnf = to_cnf(inner)
+        return lambda w: cyk_member(cnf, w)
     raise TypeError(f"cannot build a membership oracle from {inner!r}")
 
 
@@ -115,6 +107,7 @@ class AdvisedLanguage:
     mode: str
     inner: Inner
     advice: AdviceFunction
+    _oracle: Callable[[Word], bool] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.mode not in ("parallel", "serial"):
@@ -128,7 +121,7 @@ def parallel_member(lang: AdvisedLanguage, x: Word) -> bool:
     if lang.mode != "parallel":
         raise AdviceError("parallel_member needs a parallel advised language")
     fused = TrackedWord(x, lang.advice(len(x))).fused()
-    return lang._oracle(fused)  # type: ignore[attr-defined]
+    return lang._oracle(fused)
 
 
 def serial_member(lang: AdvisedLanguage, x: Word) -> bool:
@@ -136,7 +129,7 @@ def serial_member(lang: AdvisedLanguage, x: Word) -> bool:
     inner language."""
     if lang.mode != "serial":
         raise AdviceError("serial_member needs a serial advised language")
-    return lang._oracle(lang.advice(len(x)) + x)  # type: ignore[attr-defined]
+    return lang._oracle(lang.advice(len(x)) + x)
 
 
 def leq_parallel() -> AdvisedLanguage:

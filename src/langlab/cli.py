@@ -85,7 +85,6 @@ def _advice_spec(spec: str):
 
 
 def cmd_enumerate(args) -> tuple[str, dict]:
-    symtab = _load_symtab(args.symtab)
     if args.lang:
         lang = _language(args.lang)
         if args.length is None:
@@ -99,7 +98,7 @@ def cmd_enumerate(args) -> tuple[str, dict]:
     else:
         if args.grammar is None or args.max_len is None:
             raise UsageError("grammar enumeration needs --grammar FILE and --max-len N")
-        g = _load_grammar(args.grammar, symtab)
+        g = _load_grammar(args.grammar, _load_symtab(args.symtab))
         words = enumerate_language(g, args.max_len)
         payload = {"grammar": args.grammar, "max_len": args.max_len}
     payload.update({"count": len(words), "words": [w.to_json() for w in words]})
@@ -130,7 +129,7 @@ def cmd_intersect_check(args) -> tuple[str, dict]:
 def cmd_slice_stats(args) -> tuple[str, dict]:
     lang = _language(args.lang)
     advice = _advice_spec(args.advice) if args.advice else None
-    s = build_slice(lang, args.n, advice, force=args.force)
+    s = build_slice(lang, args.n, advice)
     stats = slice_stats(s, args.j)
     entry = stats.max_entry()
     table = [
@@ -149,7 +148,7 @@ def cmd_slice_stats(args) -> tuple[str, dict]:
 
 
 def cmd_bound_check(args) -> tuple[str, dict]:
-    report = l2_bound_check(args.n, args.j, force=args.force)
+    report = l2_bound_check(args.n, args.j)
     return ("pass" if report.ok else "fail"), report.to_json()
 
 
@@ -247,7 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, fn, help_):
         p = sub.add_parser(name, help=help_)
         p.set_defaults(fn=fn)
-        p.add_argument("--symtab", help="JSON file mapping letter names to integers")
+        # only the commands that parse words or grammar text read a symbol table
+        if name in ("enumerate", "member", "advice-check", "pump-refute"):
+            p.add_argument("--symtab", help="JSON file mapping letter names to integers")
         return p
 
     p = add("enumerate", cmd_enumerate, "list members of a corpus language or grammar")
@@ -271,13 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--advice", help="builtin advice name or JSON table file")
-    p.add_argument("--force", action="store_true")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = add("bound-check", cmd_bound_check, "nesting-slice midsection bound")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
-    p.add_argument("--force", action="store_true")
 
     p = add("swap-scan", cmd_swap_scan, "exhaustive midsection swap scan")
     p.add_argument("--lang", required=True)

@@ -168,23 +168,14 @@ class BoundReport:
         }
 
 
-def l2_bound_check(n: int, j: int, *, force: bool = False) -> BoundReport:
-    """Check the pinning bound on nested-palindrome slices.
-
-    Every length-j window overlaps the four blocks so that at least
-    ceil(j/2) of the n/4 free choice letters are fixed by its content
-    (the worst case straddles a block border with the window centred on
-    it), so no occurrence count may exceed 2^(n/4 - ceil(j/2)).
-    """
-    if n < 4 or n % 4:
-        raise ValueError("the nesting slice needs a positive multiple of 4")
-    if not 1 <= j <= n // 4:
-        raise ValueError(f"j must be in 1..{n // 4}, got {j}")
-    s = build_slice(corpus.LANGUAGES["L2"], n, force=force)
-    stats = slice_stats(s, j)
+def bound_report(stats: SliceStats) -> BoundReport:
+    """Hold the counts of a nesting slice to the pinning bound
+    2^(n/4 - ceil(j/2)), reporting the largest entry and the first
+    violation in (i, u) order."""
+    n, j = stats.n, stats.j
     bound = 2 ** (n // 4 - (j + 1) // 2)
     entry = stats.max_entry()
-    max_i, max_u, max_count = entry if entry else (None, None, 0)
+    # the first violation in (i, u) order, whatever the dict order
     violation = min(
         ((i, u, c) for (i, u), c in stats.counts.items() if c > bound),
         key=lambda v: (v[0], v[1]),
@@ -195,11 +186,27 @@ def l2_bound_check(n: int, j: int, *, force: bool = False) -> BoundReport:
         j=j,
         size=stats.size,
         bound=bound,
-        max_count=max_count,
-        max_at=None if entry is None else (max_i, max_u),
+        max_count=0 if entry is None else entry[2],
+        max_at=None if entry is None else entry[:2],
         ok=violation is None,
         violation=violation,
     )
+
+
+def l2_bound_check(n: int, j: int) -> BoundReport:
+    """Check the pinning bound on the nested-palindrome slice at ``n``,
+    through :func:`bound_report`.
+
+    Every length-j window overlaps the four blocks so that at least
+    ceil(j/2) of the n/4 free choice letters are fixed by its content
+    (the worst case straddles a block border with the window centred on
+    it), so no occurrence count may exceed 2^(n/4 - ceil(j/2)).
+    """
+    if n < 4 or n % 4:
+        raise ValueError("the nesting slice needs a positive multiple of 4")
+    if not 1 <= j <= n // 4:
+        raise ValueError(f"j must be in 1..{n // 4}, got {j}")
+    return bound_report(slice_stats(build_slice(corpus.LANGUAGES["L2"], n), j))
 
 
 @dataclass(frozen=True)
@@ -380,7 +387,7 @@ def _index_scan(
     raws = [w.letters for w in s.members]
     index = {x: k for k, x in enumerate(raws)}
     steps = len(raws) * len(spots)
-    live: list[tuple[int, int]] = []
+    found: list[tuple[int, int, int, int]] = []
     settled = None
     # longest middle first at each offset: once no context there holds two
     # middles, neither does the longer context of any shorter middle
@@ -396,11 +403,6 @@ def _index_scan(
         # before any witness is built
         steps += sum((len(held) - 1) * len(holders[b]) for held in shared.values() for b in held)
         check_budget(steps, call_limit, INDEX_ROUTE, force=force)
-        live.append((i, j))
-
-    found: list[tuple[int, int, int, int]] = []
-    for i, j in live:
-        shared, holders = _shared_middles(raws, i, i + j)
         # x with middle a swaps with y with middle b != a when b fits x's
         # context and a fits y's, so both contexts hold several middles
         for c, held in shared.items():

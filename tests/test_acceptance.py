@@ -6,7 +6,8 @@ run to the stated time budget where one is stated.
 
 import pytest
 
-from langlab import acceptance
+from langlab import acceptance, corpus
+from langlab.swaplab import SliceStats
 from langlab.words import Word
 
 
@@ -49,3 +50,42 @@ def test_advice_equivalences_build_each_table_word_once(monkeypatch):
     assert result.passed
     assert result.details == "parallel mismatches: 0, conversion mismatches: 0"
     assert len(inits) <= 44_894 - 20_000
+
+
+def test_intersection_identity_enumerates_once(monkeypatch):
+    # the criterion runs corpus.intersection_check, which enumerates L2_2
+    # and filters it through CYK on L2_1, rather than enumerating both
+    calls = []
+    enumerate_language = corpus.enumerate_language
+
+    def counted(g, max_len):
+        calls.append(max_len)
+        return enumerate_language(g, max_len)
+
+    monkeypatch.setattr(corpus, "enumerate_language", counted)
+    # also counts a route that enumerates from the battery module itself
+    monkeypatch.setattr(acceptance, "enumerate_language", counted, raising=False)
+    result = acceptance.intersection_identity(1729)
+    assert result.passed
+    assert result.details == "cardinalities n=1..8: [0, 0, 0, 2, 0, 0, 0, 4]"
+    assert calls == [8]
+
+
+def test_binding_bound_reports_a_planted_violation(monkeypatch):
+    # at n=8, j=2 the bound is 2; one count raised to 3 must fail the
+    # criterion and be named in its details
+    slice_stats = acceptance.slice_stats
+    planted = []
+
+    def planted_stats(s, j):
+        stats = slice_stats(s, j)
+        if (s.n, j) == (8, 2):
+            i, u, _ = stats.max_entry()
+            stats = SliceStats(stats.n, j, stats.size, {**stats.counts, (i, u): 3})
+            planted.append((i, u, 3))
+        return stats
+
+    monkeypatch.setattr(acceptance, "slice_stats", planted_stats)
+    result = acceptance.binding_bound(1729)
+    assert not result.passed
+    assert result.details == f"1842 counts checked; violation at n=8, j=2: {planted[0]}"

@@ -188,6 +188,33 @@ def test_advice_check_serial_with_dfa_file(capsys, tmp_path):
     assert [r["member"] for r in doc["payload"]["results"]] == [True, False]
 
 
+def test_advice_check_serial_with_grammar_file(capsys, tmp_path):
+    # 0^n x is in {0^m 1^m} exactly when x is all ones
+    path = tmp_path / "halves.cfg"
+    path.write_text("S -> '0' S '1' | '0' '1'\n")
+    code, doc = run_json(
+        capsys,
+        "advice-check", "--inner", str(path), "--advice", "zeros", "--serial",
+        "--word", "1,1", "--word", "1,0", "--word", "1",
+    )
+    assert code == 0
+    assert [r["member"] for r in doc["payload"]["results"]] == [True, False, True]
+
+
+def test_advice_check_parallel_with_grammar_file(capsys, tmp_path):
+    # fused letters 0 = [0; 0] and 4 = [1; 1]: the input must equal the
+    # leq advice 0^(n/2) 1^(n/2) at every position
+    path = tmp_path / "agree.cfg"
+    path.write_text("S -> A S | A\nA -> '0' | '4'\n")
+    code, doc = run_json(
+        capsys,
+        "advice-check", "--inner", str(path), "--advice", "leq", "--parallel",
+        "--word", "0,0,1,1", "--word", "0,1,0,1", "--word", "0",
+    )
+    assert code == 0
+    assert [r["member"] for r in doc["payload"]["results"]] == [True, False, False]
+
+
 def test_advice_check_rejects_wrong_mode(capsys):
     code, doc = run_json(
         capsys, "advice-check", "--advice", "leq-parallel", "--serial", "--word", "0,1"
@@ -234,6 +261,24 @@ def test_usage_error_is_exit_2(capsys):
 
 
 PAL_SHARP_SCAN = ("swap-scan", "--lang", "Pal_sharp", "--j-min", "1", "--j-max", "3", "--n")
+
+
+def test_symtab_is_an_option_only_where_a_symbol_table_is_read(capsys, tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"a": 1}))
+    code, _ = run(capsys, "swap-scan", "--lang", "L2", "--n", "8", "--j-min", "1",
+                  "--j-max", "2", "--symtab", str(path))
+    assert code == 2
+    code, _ = run(capsys, "bound-check", "--n", "8", "--j", "2", "--force")
+    assert code == 2
+
+
+def test_enumerate_by_name_never_opens_the_symbol_table(capsys, tmp_path):
+    code, doc = run_json(
+        capsys, "enumerate", "--lang", "L2", "--length", "4",
+        "--symtab", str(tmp_path / "missing.json"),
+    )
+    assert code == 0 and doc["payload"]["count"] == 2
 
 
 def test_exit_0_on_pass(capsys):

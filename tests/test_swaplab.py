@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 from langlab.advice import AdviceFunction, leq_advice
 from langlab.cli import advised_oracle
 from langlab.corpus import LANGUAGES, CorpusLanguage, is_l2, is_pal_sharp, l2_members
+from langlab import swaplab
 from langlab.guards import CostGuardError, InvariantError
 from langlab.swaplab import (
     Slice,
     SliceStats,
     SwapParams,
     SwapWitness,
+    bound_report,
     build_slice,
     ceil_log2,
     choose_params,
@@ -220,6 +222,26 @@ def test_bound_check_rejects_bad_arguments():
         l2_bound_check(10, 1)
     with pytest.raises(ValueError):
         l2_bound_check(8, 3)
+
+
+def test_bound_report_gives_the_first_violation_in_i_u_order():
+    # n=8, j=2: the bound is 2^(2-1) = 2; two entries exceed it, and the
+    # dict lists the later one in (i, u) order first
+    counts = {
+        (3, Word.of(5, 5)): 4,
+        (1, Word.of(2, 2)): 3,
+        (1, Word.of(1, 1)): 3,
+        (0, Word.of(9, 9)): 2,
+    }
+    report = bound_report(SliceStats(n=8, j=2, size=4, counts=counts))
+    assert report.bound == 2 and not report.ok
+    assert report.violation == (1, Word.of(1, 1), 3)
+    assert report.max_count == 4 and report.max_at == (3, Word.of(5, 5))
+
+
+def test_bound_report_on_no_counts():
+    report = bound_report(SliceStats(n=8, j=2, size=0, counts={}))
+    assert report.ok and report.max_count == 0 and report.max_at is None
 
 
 # -- the swap scan ----------------------------------------------------------------
@@ -430,6 +452,22 @@ def test_index_path_oracle_calls():
     witnesses = swap_scan(counted(is_pal_sharp), build_slice(LANGUAGES["Pal_sharp"], 7), (1, 7))
     splices = {w.swapped_x for w in witnesses} | {w.swapped_y for w in witnesses}
     assert witnesses and len(calls) == len(set(calls)) == len(splices)
+
+
+def test_the_index_scan_searches_each_spot_once(monkeypatch):
+    # Pal_sharp at n=11 has 36 spots with more than one middle per context
+    # or that settle their offset; the scan searches each of them once
+    calls = []
+    shared_middles = swaplab._shared_middles
+
+    def counted(raws, i, k):
+        calls.append((i, k))
+        return shared_middles(raws, i, k)
+
+    monkeypatch.setattr(swaplab, "_shared_middles", counted)
+    witnesses = swap_scan(is_pal_sharp, build_slice(LANGUAGES["Pal_sharp"], 11), (1, 11))
+    assert len(witnesses) == 8736
+    assert len(calls) == len(set(calls)) == 36
 
 
 def test_index_path_rejects_an_oracle_that_disagrees_with_the_slice():
