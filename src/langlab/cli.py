@@ -36,7 +36,14 @@ from .grammars import (
 )
 from .guards import CostGuardError, InvariantError
 from .refuter import Inconclusive, refute_subset
-from .swaplab import build_slice, choose_params, l2_bound_check, slice_stats, swap_scan
+from .swaplab import (
+    build_slice,
+    choose_params,
+    l2_bound_check,
+    paper_check,
+    slice_stats,
+    swap_scan,
+)
 from .words import SYMBOL_TABLE, TrackedWord, Word, WordError, parse_word
 
 
@@ -192,6 +199,11 @@ def cmd_params(args) -> tuple[str, dict]:
     return "pass", choose_params(args.m).to_json()
 
 
+def cmd_paper_check(args) -> tuple[str, dict]:
+    doc = paper_check(args.m)
+    return ("pass" if doc["ok"] else "fail"), doc
+
+
 def cmd_advice_check(args) -> tuple[str, dict]:
     symtab = _load_symtab(args.symtab)
     mode = "parallel" if args.parallel else "serial"
@@ -298,6 +310,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = add("params", cmd_params, "exact swap parameter chain for a constant m")
+    p.add_argument("--m", type=int, required=True)
+
+    p = add(
+        "paper-check",
+        cmd_paper_check,
+        "the swap argument at choose_params(m), as exact counts from the nesting map",
+    )
     p.add_argument("--m", type=int, required=True)
 
     p = add("advice-check", cmd_advice_check, "advised membership verdicts for words")

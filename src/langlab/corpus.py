@@ -35,13 +35,23 @@ L2_ALPHABET = frozenset({1, 2, 3, 6, 5, 10, 15, 30})
 @dataclass(frozen=True)
 class CorpusLanguage:
     """A language given by a predicate, an exact-length generator, and an
-    optional grammar (present exactly for the context-free members)."""
+    optional grammar (present exactly for the context-free members).
+
+    ``size(n)`` is the exact number of members of length ``n``, so the
+    cost of generating them is known before it is paid; a language with a
+    generator must give it.
+    """
 
     name: str
     alphabet: frozenset[int]
     predicate: Callable[[Word], bool]
-    generator: Callable[[int], tuple[Word, ...]]
+    generator: Optional[Callable[[int], tuple[Word, ...]]]
     grammar: Optional[Cfg] = None
+    size: Optional[Callable[[int], int]] = None
+
+    def __post_init__(self) -> None:
+        if self.generator is not None and self.size is None:
+            raise ValueError(f"language {self.name!r} has a generator but no size")
 
 
 def _products(alphabet, n):
@@ -74,6 +84,10 @@ def l2_members(n: int) -> tuple[Word, ...]:
     return _canonical(nest_l2(Word._trusted(t)) for t in _products({1, 2}, n // 4))
 
 
+def l2_size(n: int) -> int:
+    return 2 ** (n // 4) if n >= 4 and n % 4 == 0 else 0
+
+
 def is_l2_1(w: Word) -> bool:
     n = len(w)
     t = 0
@@ -98,6 +112,11 @@ def l2_1_members(n: int) -> tuple[Word, ...]:
     return _canonical(out)
 
 
+def l2_1_size(n: int) -> int:
+    # a head of t letters and a tail of n - 2t letters, for every t
+    return sum(2**t * 4 ** (n - 2 * t) for t in range(1, (n - 1) // 2 + 1))
+
+
 def is_l2_2(w: Word) -> bool:
     n = len(w)
     if n < 2 or n % 2:
@@ -115,6 +134,10 @@ def l2_2_members(n: int) -> tuple[Word, ...]:
         Word._trusted(head + tuple(5 * a for a in reversed(head)))
         for head in _products({1, 2, 3, 6}, n // 2)
     )
+
+
+def l2_2_size(n: int) -> int:
+    return 4 ** (n // 2) if n >= 2 and n % 2 == 0 else 0
 
 
 def is_l2_prime(w: Word) -> bool:
@@ -139,6 +162,11 @@ def l2_prime_members(n: int) -> tuple[Word, ...]:
             for tail in _products({5, 10, 15, 30}, 2 * t):
                 out.append(Word._trusted(head + mid + tail))
     return _canonical(out)
+
+
+def l2_prime_size(n: int) -> int:
+    # 2^t heads, 2^t middles and 4^(2t) tails
+    return 2 ** (6 * (n // 4)) if n >= 4 and n % 4 == 0 else 0
 
 
 def is_l2_dprime(w: Word) -> bool:
@@ -189,6 +217,12 @@ def l3eq_members(n: int) -> tuple[Word, ...]:
     return (Word._trusted((0,) * m + (1,) * m + (2,) * m),)
 
 
+def one_per_multiple(step: int) -> Callable[[int], int]:
+    """The size of a language with one member at each positive multiple of
+    ``step``."""
+    return lambda n: 1 if n >= step and n % step == 0 else 0
+
+
 def is_pal_sharp(w: Word) -> bool:
     n = len(w)
     if n % 2 == 0 or w[n // 2] != HASH:
@@ -205,6 +239,10 @@ def pal_sharp_members(n: int) -> tuple[Word, ...]:
     return _canonical(
         Word._trusted(u + (HASH,) + u[::-1]) for u in _products({0, 1}, n // 2)
     )
+
+
+def pal_sharp_size(n: int) -> int:
+    return 2 ** (n // 2) if n % 2 else 0
 
 
 # -- grammars for the context-free members ----------------------------------
@@ -248,16 +286,27 @@ def grammar_l2_2() -> Cfg:
 LANGUAGES: dict[str, CorpusLanguage] = {
     lang.name: lang
     for lang in (
-        CorpusLanguage("L_eq", frozenset({0, 1}), is_leq, leq_members, grammar_leq()),
-        CorpusLanguage("L_3eq", frozenset({0, 1, 2}), is_l3eq, l3eq_members),
         CorpusLanguage(
-            "Pal_sharp", frozenset({0, 1, HASH}), is_pal_sharp, pal_sharp_members, grammar_pal_sharp()
+            "L_eq", frozenset({0, 1}), is_leq, leq_members, grammar_leq(), one_per_multiple(2)
         ),
-        CorpusLanguage("L2", L2_ALPHABET, is_l2, l2_members),
-        CorpusLanguage("L2_1", L2_ALPHABET, is_l2_1, l2_1_members, grammar_l2_1()),
-        CorpusLanguage("L2_2", L2_ALPHABET, is_l2_2, l2_2_members, grammar_l2_2()),
-        CorpusLanguage("L2_prime", L2_ALPHABET, is_l2_prime, l2_prime_members),
-        CorpusLanguage("L2_dprime", frozenset({A, B, C}), is_l2_dprime, l2pp_members),
+        CorpusLanguage(
+            "L_3eq", frozenset({0, 1, 2}), is_l3eq, l3eq_members, size=one_per_multiple(3)
+        ),
+        CorpusLanguage(
+            "Pal_sharp",
+            frozenset({0, 1, HASH}),
+            is_pal_sharp,
+            pal_sharp_members,
+            grammar_pal_sharp(),
+            pal_sharp_size,
+        ),
+        CorpusLanguage("L2", L2_ALPHABET, is_l2, l2_members, size=l2_size),
+        CorpusLanguage("L2_1", L2_ALPHABET, is_l2_1, l2_1_members, grammar_l2_1(), l2_1_size),
+        CorpusLanguage("L2_2", L2_ALPHABET, is_l2_2, l2_2_members, grammar_l2_2(), l2_2_size),
+        CorpusLanguage("L2_prime", L2_ALPHABET, is_l2_prime, l2_prime_members, size=l2_prime_size),
+        CorpusLanguage(
+            "L2_dprime", frozenset({A, B, C}), is_l2_dprime, l2pp_members, size=one_per_multiple(4)
+        ),
     )
 }
 
@@ -299,8 +348,10 @@ def intersection_check(max_len: int, *, force: bool = False) -> IntersectionRepo
 
     Candidates come from enumerating the smaller covering language and
     filtering through CYK membership in the other (never from scanning all
-    words over the eight-letter alphabet); every intersection member is
-    then replayed through CYK on both grammars.
+    words over the eight-letter alphabet), so every intersection member is
+    in the first grammar by the filter's own call; each one is then
+    replayed through CYK on the second grammar, which enumeration produced
+    it from but CYK has not yet checked.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
@@ -314,7 +365,7 @@ def intersection_check(max_len: int, *, force: bool = False) -> IntersectionRepo
     candidates = enumerate_language(grammar_l2_2(), max_len)
     inter = [w for w in candidates if cyk_member(cnf_1, w)]
     for w in inter:
-        if not (cyk_member(cnf_1, w) and cyk_member(cnf_2, w)):
+        if not cyk_member(cnf_2, w):
             raise InvariantError(f"intersection replay failed on {w!r}")
     levels = []
     ok = True

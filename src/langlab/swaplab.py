@@ -13,11 +13,10 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .guards import InvariantError, check_budget
 from .words import TrackedWord, Word
-from . import corpus
 
 
 def ceil_log2(v: int) -> int:
@@ -91,16 +90,17 @@ def build_slice(
     """Collect every length-``n`` member of a language, fused with the
     advice word at ``n`` when advice is given.
 
-    Languages with a generator are queried directly; otherwise all words
-    over the language's alphabet are filtered through its predicate, which
-    trips the cost guard once the alphabet power exceeds ``scan_limit``.
-    Either way the slice holds every member at ``n`` and is marked
-    complete.
+    Languages with a generator are queried directly, which trips the cost
+    guard once the language's exact ``size(n)`` exceeds ``scan_limit``;
+    otherwise all words over the language's alphabet are filtered through
+    its predicate, which trips it once the alphabet power does.  Either
+    way the slice holds every member at ``n`` and is marked complete.
     """
     if n < 1:
         raise ValueError("slices need n >= 1")
     generator = getattr(language, "generator", None)
     if generator is not None:
+        check_budget(language.size(n), scan_limit, "generated slice", force=force)
         members = list(generator(n))
     else:
         alphabet = sorted(language.alphabet)
@@ -193,20 +193,155 @@ def bound_report(stats: SliceStats) -> BoundReport:
     )
 
 
+class PositionMap(NamedTuple):
+    """A slice read off one choice word through a fixed position map.
+
+    The member for a choice word ``w`` (of length ``t`` over ``letters``)
+    is the concatenation of the blocks, each of length ``t``: block ``b``
+    with ``(scale, mirrored)`` reads ``scale * w[q]`` at offset ``o``,
+    where q is ``o``, or ``t - 1 - o`` in a mirrored block.  So every
+    position p reads one choice index ``index[p]``, and distinct choice
+    letters give distinct letters there.
+
+    The nesting slice of L2 at n = 4t is :meth:`l2`; the palindromes of
+    L2_2 at n = 2t are the map with letters (1, 2, 3, 6) and the blocks
+    (1, unmirrored), (5, mirrored).
+    """
+
+    t: int
+    letters: tuple[int, ...]
+    blocks: tuple[tuple[int, bool], ...]
+
+    @classmethod
+    def l2(cls, n: int) -> "PositionMap":
+        """The map of ``nest_l2``: w, (w^R)*3, w*15, (w^R)*5."""
+        if n < 4 or n % 4:
+            raise ValueError("the nesting slice needs a positive multiple of 4")
+        return cls(n // 4, (1, 2), ((1, False), (3, True), (15, False), (5, True)))
+
+    @property
+    def n(self) -> int:
+        return self.t * len(self.blocks)
+
+    @property
+    def size(self) -> int:
+        return len(self.letters) ** self.t
+
+    @property
+    def index(self) -> tuple[int, ...]:
+        """The choice index that each position reads."""
+        t = self.t
+        out: list[int] = []
+        for _, mirrored in self.blocks:
+            out.extend(range(t - 1, -1, -1) if mirrored else range(t))
+        return tuple(out)
+
+    def word(self, choice: tuple[int, ...]) -> tuple[int, ...]:
+        """The letters of the member for the choice word ``choice``."""
+        out: list[int] = []
+        for scale, mirrored in self.blocks:
+            out.extend(scale * a for a in (choice[::-1] if mirrored else choice))
+        return tuple(out)
+
+    def distinct(self, j: int) -> list[int]:
+        """For every window start i, how many choice indices the positions
+        [i, i + j) read, by one sliding window.
+
+        The members that carry one factor at offset i agree on exactly
+        the indices that window reads, so every factor there occurs in
+        |letters|^(t - d) members, d being the window's entry.
+        """
+        index = self.index
+        held = [0] * self.t
+        d = 0
+        out: list[int] = []
+        for k, x in enumerate(index):
+            if not held[x]:
+                d += 1
+            held[x] += 1
+            if k >= j:
+                y = index[k - j]
+                held[y] -= 1
+                if not held[y]:
+                    d -= 1
+            if k >= j - 1:
+                out.append(d)
+        return out
+
+    def spot_witnesses(self) -> Iterator[tuple[int, int, int]]:
+        """``(i, j, w)`` for every swap spot, offset first, then length:
+        w ordered member pairs swap their distinct midsections at (i, j)
+        without leaving the slice.
+
+        Both splices are members exactly when the two choice words agree
+        on every index read both inside and outside the window, and the
+        middles differ exactly when they differ on an index read only
+        inside it.  With A letters, ``out`` indices read only outside and
+        ``inside`` indices read only inside, that makes
+        A^t * A^out * (A^inside - 1) ordered pairs.  The tallies grow one
+        position at a time as j grows.
+        """
+        t, n, index = self.t, self.n, self.index
+        per_index = Counter(index)
+        power = [len(self.letters) ** e for e in range(t + 1)]
+        for i in range(n):
+            held = [0] * t
+            out, inside = t, 0
+            for k in range(i, n):
+                x = index[k]
+                held[x] += 1
+                if held[x] == 1:
+                    out -= 1
+                if held[x] == per_index[x]:
+                    inside += 1
+                yield i, k - i + 1, power[t] * power[out] * (power[inside] - 1)
+
+
+#: The most windows or spots one closed-form count may visit.
+CLOSED_FORM_LIMIT = 10_000_000
+
+
 def l2_bound_check(n: int, j: int) -> BoundReport:
     """Check the pinning bound on the nested-palindrome slice at ``n``,
-    through :func:`bound_report`.
+    in closed form from its :class:`PositionMap`, with no slice built.
 
     Every length-j window overlaps the four blocks so that at least
     ceil(j/2) of the n/4 free choice letters are fixed by its content
     (the worst case straddles a block border with the window centred on
-    it), so no occurrence count may exceed 2^(n/4 - ceil(j/2)).
+    it), so no occurrence count may exceed 2^(n/4 - ceil(j/2)).  Each
+    factor at offset i occurs 2^(n/4 - d(i)) times, d(i) being the number
+    of choice indices the window reads; the smallest factor there, which
+    the report names, is the window of the all-1 member.  The report is
+    the one :func:`bound_report` gives on the enumerated slice.  The
+    n - j + 1 windows are charged against :data:`CLOSED_FORM_LIMIT`.
     """
     if n < 4 or n % 4:
         raise ValueError("the nesting slice needs a positive multiple of 4")
     if not 1 <= j <= n // 4:
         raise ValueError(f"j must be in 1..{n // 4}, got {j}")
-    return bound_report(slice_stats(build_slice(corpus.LANGUAGES["L2"], n), j))
+    check_budget(n - j + 1, CLOSED_FORM_LIMIT, "closed-form bound check")
+    pmap = PositionMap.l2(n)
+    t, fixed = pmap.t, (j + 1) // 2
+    distinct = pmap.distinct(j)
+    fewest = min(distinct)
+    i_max = distinct.index(fewest)
+    # a count above the bound is a window that reads fewer than ceil(j/2) indices
+    over = next((i for i, d in enumerate(distinct) if d < fixed), None)
+    smallest = pmap.word((pmap.letters[0],) * t)
+
+    def factor(i: int) -> Word:
+        return Word._trusted(smallest[i : i + j])
+
+    return BoundReport(
+        n=n,
+        j=j,
+        size=pmap.size,
+        bound=2 ** (t - fixed),
+        max_count=2 ** (t - fewest),
+        max_at=(i_max, factor(i_max)),
+        ok=over is None,
+        violation=None if over is None else (over, factor(over), 2 ** (t - distinct[over])),
+    )
 
 
 @dataclass(frozen=True)
@@ -268,19 +403,54 @@ def choose_params(m: int) -> SwapParams:
     return SwapParams(m=m, n=n, k=n // 4, j0=2 * (ceil_log2(m * n * n) + 1))
 
 
-def density_condition(stats: SliceStats, params: SwapParams) -> bool:
+def density_condition(report: BoundReport, params: SwapParams) -> bool:
     """Exact-rational scatteredness test: every midsection count must stay
-    strictly below |S| / (m (k - j0 + 1) (n - j0 + 1)).
+    strictly below |S| / (m (k - j0 + 1) (n - j0 + 1)), which is to say the
+    largest count in the bound report does.
 
     Comparisons are cross-multiplied integers, so no strict inequality can
     be blurred by rounding.
     """
-    if stats.j != params.j0:
+    if report.j != params.j0:
         raise ValueError(
-            f"stats were computed with j={stats.j}, but the parameters demand j0={params.j0}"
+            f"the report was computed with j={report.j}, but the parameters demand j0={params.j0}"
         )
     denom = params.m * (params.k - params.j0 + 1) * (params.n - params.j0 + 1)
-    return all(c * denom < stats.size for c in stats.counts.values())
+    return report.max_count * denom < report.size
+
+
+def paper_check(m: int) -> dict:
+    """Run the swap argument on the nesting slice at ``choose_params(m)``,
+    in closed form, and report it as a JSON document of exact integers:
+    the bound report and the density condition at j0, the ordered swap
+    witnesses added up over every spot with j <= k, and the first spot,
+    by length and then offset, that has any.  ``ok`` says that the bound
+    and the density condition hold and that no spot with j <= k swaps.
+    The n(n+1)/2 spots are charged against :data:`CLOSED_FORM_LIMIT`."""
+    params = choose_params(m)
+    n = params.n
+    check_budget(n * (n + 1) // 2, CLOSED_FORM_LIMIT, "closed-form swap spot count")
+    report = l2_bound_check(n, params.j0)
+    dense = density_condition(report, params)
+    spots = witnesses = 0
+    first = None
+    for i, j, w in PositionMap.l2(n).spot_witnesses():
+        spots += 1
+        if not w:
+            continue
+        if j <= params.k:
+            witnesses += w
+        if first is None or (j, i) < (first["j"], first["i"]):
+            first = {"i": i, "j": j, "witnesses": w}
+    return {
+        "params": params.to_json(),
+        "bound": report.to_json(),
+        "density_condition": dense,
+        "spots": spots,
+        "witnesses_up_to_k": witnesses,
+        "first_swap": first,
+        "ok": report.ok and dense and witnesses == 0,
+    }
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,21 @@ def test_intersection_identity_enumerates_once(monkeypatch):
     assert calls == [8]
 
 
+def test_intersection_identity_replays_only_through_the_second_grammar(monkeypatch):
+    # 340 L2_2 candidates are filtered through CYK on L2_1, then the 6
+    # members found are replayed once each, through CYK on L2_2
+    calls = []
+    cyk_member = corpus.cyk_member
+
+    def counted(g, w):
+        calls.append(g)
+        return cyk_member(g, w)
+
+    monkeypatch.setattr(corpus, "cyk_member", counted)
+    assert acceptance.intersection_identity(1729).passed
+    assert len(calls) == 346 == 340 + 6
+
+
 def test_binding_bound_reports_a_planted_violation(monkeypatch):
     # at n=8, j=2 the bound is 2; one count raised to 3 must fail the
     # criterion and be named in its details

@@ -98,6 +98,38 @@ def test_bound_check(capsys):
     assert doc["payload"]["bound"] == 2 and doc["payload"]["ok"] is True
 
 
+def test_bound_check_beyond_enumeration(capsys):
+    # a slice of 2^100 members, checked in closed form
+    code, doc = run_json(capsys, "bound-check", "--n", "400", "--j", "1")
+    assert code == 0 and doc["payload"]["ok"] is True
+    assert doc["payload"]["size"] == 2**100 and doc["payload"]["max_count"] == 2**99
+    assert doc["elapsed_ms"] < 1000
+
+
+def test_slice_stats_guard_on_a_huge_generated_slice(capsys):
+    code, doc = run_json(capsys, "slice-stats", "--lang", "L2", "--n", "400", "--j", "1")
+    assert code == 2 and "generated slice" in doc["error"]
+
+
+def test_paper_check_at_m_1(capsys):
+    code, doc = run_json(capsys, "paper-check", "--m", "1")
+    assert code == 0 and doc["verdict"] == "pass"
+    payload = doc["payload"]
+    assert {k: payload["params"][k] for k in ("n", "k", "j0")} == {"n": 288, "k": 72, "j0": 36}
+    bound = payload["bound"]
+    assert bound["max_count"] == bound["bound"] == 2**54 and bound["max"]["i"] == 54
+    assert bound["ok"] is True and payload["density_condition"] is True
+    assert payload["witnesses_up_to_k"] == 0
+    assert payload["first_swap"]["j"] == 146 and payload["first_swap"]["witnesses"] > 0
+    assert payload["ok"] is True
+    assert doc["elapsed_ms"] < 5000
+
+
+def test_paper_check_needs_a_positive_m(capsys):
+    code, doc = run_json(capsys, "paper-check", "--m", "0")
+    assert code == 2 and doc["error"].startswith("ValueError")
+
+
 def test_swap_scan_on_the_nesting_slice(capsys):
     code, doc = run_json(
         capsys, "swap-scan", "--lang", "L2", "--n", "8", "--j-min", "1", "--j-max", "2"

@@ -7,6 +7,7 @@ import pytest
 
 from langlab.corpus import (
     LANGUAGES,
+    CorpusLanguage,
     grammar_l2_1,
     grammar_l2_2,
     intersection_check,
@@ -27,6 +28,19 @@ def brute_members(alphabet, n, predicate):
     return sorted(
         Word(t) for t in itertools.product(sorted(alphabet), repeat=n) if predicate(Word(t))
     )
+
+
+@pytest.mark.parametrize("name", sorted(LANGUAGES))
+def test_sizes_count_the_generated_members(name):
+    lang = LANGUAGES[name]
+    max_n = 8 if len(lang.alphabet) > 3 else 13
+    for n in range(0, max_n + 1):
+        assert lang.size(n) == len(lang.generator(n)), (name, n)
+
+
+def test_a_generator_needs_a_size():
+    with pytest.raises(ValueError, match="size"):
+        CorpusLanguage("sizeless", frozenset({1}), lambda w: True, lambda n: ())
 
 
 def test_l2_members_small_lengths():

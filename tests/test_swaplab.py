@@ -1,6 +1,9 @@
 """Slices, midsection statistics, the swap scan, and the parameter chain."""
 
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +12,10 @@ from hypothesis import strategies as st
 from langlab.advice import AdviceFunction, leq_advice
 from langlab.cli import advised_oracle
 from langlab.corpus import LANGUAGES, CorpusLanguage, is_l2, is_pal_sharp, l2_members
-from langlab import swaplab
+from langlab import corpus, swaplab
 from langlab.guards import CostGuardError, InvariantError
 from langlab.swaplab import (
+    PositionMap,
     Slice,
     SliceStats,
     SwapParams,
@@ -25,7 +29,7 @@ from langlab.swaplab import (
     slice_stats,
     swap_scan,
 )
-from langlab.words import TrackedWord, Word
+from langlab.words import TrackedWord, Word, nest_l2
 
 L2 = LANGUAGES["L2"]
 
@@ -78,6 +82,16 @@ def test_brute_force_slice_cost_guard():
     with pytest.raises(CostGuardError):
         build_slice(big, 8)
     assert len(build_slice(EVEN_PALINDROMES, 4, scan_limit=1, force=True)) == 4
+
+
+def test_a_generated_slice_is_charged_its_exact_size():
+    # 2^100 members at n = 400: the guard trips before any is generated
+    with pytest.raises(CostGuardError, match=str(2**100)):
+        build_slice(L2, 400)
+    with pytest.raises(CostGuardError, match="1024"):
+        build_slice(L2, 40, scan_limit=1023)
+    assert len(build_slice(L2, 40, scan_limit=1024)) == 1024
+    assert len(build_slice(L2, 8, scan_limit=1, force=True)) == 4
 
 
 def test_slice_validation():
@@ -222,6 +236,38 @@ def test_bound_check_rejects_bad_arguments():
         l2_bound_check(10, 1)
     with pytest.raises(ValueError):
         l2_bound_check(8, 3)
+
+
+def test_bound_check_at_48_matches_the_enumerated_slice():
+    s = build_slice(L2, 48)
+    for j in range(1, 13):
+        report = l2_bound_check(48, j)
+        assert report == bound_report(slice_stats(s, j))
+        assert report.ok and report.max_count == report.bound
+
+
+def test_bound_check_builds_no_slice(monkeypatch):
+    nestings, slices = [], []
+    monkeypatch.setattr(corpus, "nest_l2", lambda w: nestings.append(w) or nest_l2(w))
+    monkeypatch.setattr(swaplab, "build_slice", lambda *a, **k: slices.append(a))
+    report = l2_bound_check(40, 10)
+    assert report.ok and report.size == 1024 and report.max_count == 2**5
+    assert nestings == [] and slices == []
+
+
+def test_bound_check_charges_its_windows(monkeypatch):
+    # n - j + 1 = 31 windows at (40, 10)
+    monkeypatch.setattr(swaplab, "CLOSED_FORM_LIMIT", 30)
+    with pytest.raises(CostGuardError, match="31"):
+        l2_bound_check(40, 10)
+    monkeypatch.setattr(swaplab, "CLOSED_FORM_LIMIT", 31)
+    assert l2_bound_check(40, 10).ok
+
+
+def test_bound_check_beyond_enumeration():
+    report = l2_bound_check(400, 1)
+    assert report.ok and report.size == 2**100 and report.max_count == report.bound == 2**99
+    assert report.max_at == (0, Word.of(1))
 
 
 def test_bound_report_gives_the_first_violation_in_i_u_order():
@@ -548,6 +594,60 @@ def test_invalid_params_are_rejected(kwargs):
         SwapParams(**kwargs)
 
 
+# -- the position map ----------------------------------------------------------
+
+
+def test_the_l2_map_reads_the_nestings():
+    for n in (4, 8, 12, 16):
+        pmap = PositionMap.l2(n)
+        assert pmap.n == n and pmap.size == 2 ** (n // 4)
+        for choice in product((1, 2), repeat=n // 4):
+            assert pmap.word(choice) == nest_l2(Word(choice)).letters
+    assert PositionMap.l2(12).index == (0, 1, 2, 2, 1, 0, 0, 1, 2, 2, 1, 0)
+    with pytest.raises(ValueError):
+        PositionMap.l2(6)
+
+
+@lru_cache(maxsize=None)
+def _l2_slice(n):
+    return build_slice(L2, n)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.sampled_from((4, 8, 12, 16, 20, 24)), st.data())
+def test_map_counts_match_enumeration(n, data):
+    # the closed forms against the enumerated slice: bound reports at
+    # j <= n/4, witnesses per spot at any j
+    s = _l2_slice(n)
+    j = data.draw(st.integers(1, n))
+    if j <= n // 4:
+        assert l2_bound_check(n, j) == bound_report(slice_stats(s, j))
+    scanned = Counter((w.i, w.j) for w in swap_scan(is_l2, s, (j, j)))
+    counted = {(i, jj): c for i, jj, c in PositionMap.l2(n).spot_witnesses() if jj == j and c}
+    assert counted == dict(scanned)
+
+
+def test_map_witness_totals_at_small_n():
+    for n, total in ((8, 24), (12, 168), (16, 928)):
+        assert sum(c for _, _, c in PositionMap.l2(n).spot_witnesses()) == total
+
+
+def test_paper_check_at_m_1():
+    doc = swaplab.paper_check(1)
+    assert {k: doc["params"][k] for k in ("n", "k", "j0")} == {"n": 288, "k": 72, "j0": 36}
+    assert doc["bound"]["max_count"] == doc["bound"]["bound"] == 2**54
+    assert doc["bound"]["max"]["i"] == 54
+    assert doc["density_condition"] and doc["witnesses_up_to_k"] == 0 and doc["ok"]
+    assert doc["spots"] == 288 * 289 // 2
+    assert (doc["first_swap"]["i"], doc["first_swap"]["j"]) == (71, 146)
+
+
+def test_paper_check_charges_its_spots(monkeypatch):
+    monkeypatch.setattr(swaplab, "CLOSED_FORM_LIMIT", 288 * 289 // 2 - 1)
+    with pytest.raises(CostGuardError, match="41616"):
+        swaplab.paper_check(1)
+
+
 def _stats(n, j, size, counts):
     return SliceStats(n=n, j=j, size=size, counts=counts)
 
@@ -555,7 +655,7 @@ def _stats(n, j, size, counts):
 def test_density_condition_concentrated_slice_fails():
     p = choose_params(1)
     stats = _stats(p.n, p.j0, 100, {(0, Word.of(1) * p.j0): 100})
-    assert not density_condition(stats, p)
+    assert not density_condition(bound_report(stats), p)
 
 
 def test_density_condition_scattered_slice_passes():
@@ -563,13 +663,13 @@ def test_density_condition_scattered_slice_passes():
     denominator = p.m * (p.k - p.j0 + 1) * (p.n - p.j0 + 1)
     size = denominator + 1
     counts = {(i, Word.of(1) * p.j0): 1 for i in range(p.n - p.j0 + 1)}
-    assert density_condition(_stats(p.n, p.j0, size, counts), p)
+    assert density_condition(bound_report(_stats(p.n, p.j0, size, counts)), p)
 
 
 def test_density_condition_requires_matching_j():
     p = choose_params(1)
     with pytest.raises(ValueError):
-        density_condition(_stats(p.n, p.j0 - 2, 10, {}), p)
+        density_condition(bound_report(_stats(p.n, p.j0 - 2, 10, {})), p)
 
 
 @pytest.mark.parametrize("m", range(1, 11))
