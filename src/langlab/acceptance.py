@@ -306,7 +306,8 @@ def pumping_refutation(seed: int = DEFAULT_SEED) -> CriterionResult:
         C -> 'c' C | 'c'
         """
     )
-    outcome = refute_subset(g, corpus.is_l2_dprime, 132)
+    lang = corpus.LANGUAGES["L2_dprime"]
+    outcome = refute_subset(g, lang.predicate, 132, generator=lang.generator, size=lang.size)
     if not isinstance(outcome, PumpWitness):
         return _result(11, "pumping refutation", 30.0, t0, False, f"inconclusive: {outcome}")
     cnf = to_cnf(g)

@@ -231,8 +231,10 @@ def cmd_pump_refute(args) -> tuple[str, dict]:
         raise UsageError(
             f"unknown predicate {args.predicate!r}; available: {', '.join(sorted(corpus.LANGUAGES))}"
         )
-    predicate = corpus.LANGUAGES[args.predicate].predicate
-    outcome = refute_subset(g, predicate, args.max_len)
+    lang = corpus.LANGUAGES[args.predicate]
+    outcome = refute_subset(
+        g, lang.predicate, args.max_len, generator=lang.generator, size=lang.size
+    )
     if isinstance(outcome, Inconclusive):
         return "inconclusive", {"examined": outcome.examined, "max_len": args.max_len}
     payload = {"witness": outcome.to_json(), "predicate": args.predicate}

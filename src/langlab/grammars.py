@@ -475,7 +475,8 @@ def cyk_member(g: CnfGrammar, w: Word) -> bool:
 
 def cyk_derivation(g: CnfGrammar, w: Word) -> list[tuple[str, int, int]] | None:
     """One descent path through a derivation of ``w``, or None if ``w`` is
-    not in L(g).
+    not in L(g); a word with letters outside the terminal set is rejected
+    without a chart.
 
     A node ``(label, i, l)`` says that ``label`` derives the length-``l``
     factor at offset ``i``.  From the root ``(start, 0, len(w))``, each node
@@ -487,6 +488,8 @@ def cyk_derivation(g: CnfGrammar, w: Word) -> list[tuple[str, int, int]] | None:
     n = len(w)
     if n == 0:
         return [(g.start, 0, 0)] if g.empty else None
+    if any(a not in g.terminals for a in w.letters):
+        return None
     chart = cyk_chart(g, w)
     if not chart[n][0] & g._start:
         return None

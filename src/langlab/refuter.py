@@ -9,18 +9,18 @@ without a witness is an honest ``Inconclusive`` outcome.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
+from .corpus import LANGUAGES
 from .grammars import (
     Cfg,
     CnfGrammar,
     cyk_derivation,
     cyk_member,
-    enumerate_language,
     pumping_constant,
     to_cnf,
 )
-from .guards import InvariantError
+from .guards import InvariantError, check_budget
 from .words import Word
 
 
@@ -75,21 +75,28 @@ RefuteOutcome = Union[PumpWitness, Inconclusive]
 PUMP_EXPONENTS = (0, 2, 3, 4)
 # the exponents find_decomposition replays through CYK before returning
 REPLAYED_EXPONENTS = (0, 2, 3)
+# the chart cells a refutation may charge: one n(n+1)/2-cell chart for
+# every candidate of length n
+REFUTE_CELL_LIMIT = 10_000_000
 
 
-def find_decomposition(g: CnfGrammar, z: Word) -> tuple[Word, Word, Word, Word, Word]:
+def find_decomposition(
+    g: CnfGrammar, z: Word, *, path: Optional[list[tuple[str, int, int]]] = None
+) -> tuple[Word, Word, Word, Word, Word]:
     """Extract a pumping decomposition z = u v w x y from the parse tree.
 
     A path of maximal-yield descent must repeat a nonterminal within its
     lowest ``|V| + 1`` nodes; the lowest such repeat is taken, which bounds
     the midsection by the pumping constant and leaves at least one pumped
     letter.  The variants for exponents 0, 2 and 3 are replayed through CYK
-    before the decomposition is returned.
+    before the decomposition is returned.  A caller that already holds z's
+    :func:`~langlab.grammars.cyk_derivation` path passes it as ``path``.
     """
     p = pumping_constant(g)
     if len(z) < p:
         raise ValueError(f"word of length {len(z)} is below the pumping constant {p}")
-    path = cyk_derivation(g, z)
+    if path is None:
+        path = cyk_derivation(g, z)
     if path is None:
         raise ValueError("the word is not in the grammar's language")
     seen: dict[str, tuple[str, int, int]] = {}
@@ -123,14 +130,21 @@ def refute_subset(
     predicate: Callable[[Word], bool],
     search_len: int,
     *,
-    budget: int = 2_000_000,
+    generator: Optional[Callable[[int], tuple[Word, ...]]] = None,
+    size: Optional[Callable[[int], int]] = None,
 ) -> RefuteOutcome:
     """Search for a pumping refutation of "L(g) is contained in the
     predicate".
 
-    Members of L(g) satisfying the predicate, at least as long as the
-    pumping constant, are tried in canonical order; each is decomposed and
-    pumped until some variant (confirmed in L(g) by CYK, by
+    The candidates are the predicate's members of each length n from the
+    pumping constant p up to ``search_len``, taken from ``generator(n)``,
+    which must give every member of length n over g's terminals, in
+    canonical order; ``size(n)`` is how many words it gives.  Both default to
+    the corpus language whose predicate ``predicate`` is.  Each candidate
+    costs one CYK chart, which also keeps only the members of L(g); every
+    candidate's chart is charged against :data:`REFUTE_CELL_LIMIT` before
+    any is generated.  A kept candidate is replayed through the predicate,
+    decomposed and pumped until some variant (confirmed in L(g) by CYK, by
     :func:`find_decomposition` for the exponents it replays) falsifies the
     predicate.  A witness certifies the non-inclusion; running out of
     candidates is inconclusive, never an error.
@@ -139,23 +153,42 @@ def refute_subset(
     p = pumping_constant(cnf)
     if search_len < p:
         raise ValueError(f"search_len must reach the pumping constant {p}")
+    if generator is None:
+        generator, size = _corpus_generator(predicate)
+    elif size is None:
+        raise ValueError("a generator needs its size")
+    cells = sum(size(n) * n * (n + 1) // 2 for n in range(p, search_len + 1))
+    check_budget(cells, REFUTE_CELL_LIMIT, "pumping refutation charts")
     examined = 0
-    for z in enumerate_language(g, search_len, budget=budget):
-        if len(z) < p or not predicate(z):
-            continue
-        examined += 1
-        u, v, w, x, y = find_decomposition(cnf, z)
-        pumped = []
-        violating = None
-        for times in PUMP_EXPONENTS:
-            candidate = u + v * times + w + x * times + y
-            if times not in REPLAYED_EXPONENTS and not cyk_member(cnf, candidate):
-                raise InvariantError(f"pumped variant at exponent {times} left the language")
-            pumped.append((times, candidate))
-            if violating is None and not predicate(candidate):
-                violating = (times, candidate)
-        if violating is not None:
-            return PumpWitness(
-                z=z, u=u, v=v, w=w, x=x, y=y, pumped=tuple(pumped), violating=violating
-            )
+    for n in range(p, search_len + 1):
+        for z in generator(n):
+            path = cyk_derivation(cnf, z)
+            if path is None:
+                continue
+            if len(z) != n or not predicate(z):
+                raise InvariantError(
+                    f"the generator gave {z!r} at length {n}, which is no member there"
+                )
+            examined += 1
+            u, v, w, x, y = find_decomposition(cnf, z, path=path)
+            pumped = []
+            violating = None
+            for times in PUMP_EXPONENTS:
+                candidate = u + v * times + w + x * times + y
+                if times not in REPLAYED_EXPONENTS and not cyk_member(cnf, candidate):
+                    raise InvariantError(f"pumped variant at exponent {times} left the language")
+                pumped.append((times, candidate))
+                if violating is None and not predicate(candidate):
+                    violating = (times, candidate)
+            if violating is not None:
+                return PumpWitness(
+                    z=z, u=u, v=v, w=w, x=x, y=y, pumped=tuple(pumped), violating=violating
+                )
     return Inconclusive(examined=examined)
+
+
+def _corpus_generator(predicate: Callable[[Word], bool]):
+    for lang in LANGUAGES.values():
+        if lang.predicate is predicate and lang.generator is not None:
+            return lang.generator, lang.size
+    raise ValueError("the predicate is no corpus language's; pass its generator and size")

@@ -557,7 +557,7 @@ def _index_scan(
     raws = [w.letters for w in s.members]
     index = {x: k for k, x in enumerate(raws)}
     steps = len(raws) * len(spots)
-    found: list[tuple[int, int, int, int]] = []
+    indexed = []
     settled = None
     # longest middle first at each offset: once no context there holds two
     # middles, neither does the longer context of any shorter middle
@@ -569,10 +569,13 @@ def _index_scan(
             settled = i
             continue
         # x (context c, middle a) is tried against one y for every middle
-        # b != a of c and every context that holds b; each try is charged
-        # before any witness is built
+        # b != a of c and every context that holds b; every spot's tries
+        # are charged before any pair is built
         steps += sum((len(held) - 1) * len(holders[b]) for held in shared.values() for b in held)
         check_budget(steps, call_limit, INDEX_ROUTE, force=force)
+        indexed.append((i, j, shared, holders))
+    found: list[tuple[int, int, int, int]] = []
+    for i, j, shared, holders in indexed:
         # x with middle a swaps with y with middle b != a when b fits x's
         # context and a fits y's, so both contexts hold several middles
         for c, held in shared.items():

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import time
+import tracemalloc
 
 from langlab import corpus
 from langlab.cli import main
@@ -181,12 +183,20 @@ def test_swap_scan_at_n40_runs_under_the_default_limit(capsys):
 
 def test_swap_scan_of_a_witness_heavy_slice_trips_the_default_limit(capsys):
     # 9,344 members and 36 spots are 336,384 index steps, but the pairs the
-    # index tries at the spots bring the charge to about 1.5e8
-    code, doc = run_json(
-        capsys, "swap-scan", "--lang", "L2_1", "--n", "8", "--j-min", "1", "--j-max", "8"
-    )
+    # index tries at the spots bring the charge to about 1.5e8; every spot
+    # is charged before any pair is built, so the scan trips holding only
+    # the context indexes of its first spots
+    tracemalloc.start()
+    try:
+        code, doc = run_json(
+            capsys, "swap-scan", "--lang", "L2_1", "--n", "8", "--j-min", "1", "--j-max", "8"
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert code == 2
     assert "context index" in doc["error"] and "147672576" in doc["error"]
+    assert peak < 64 * 2**20
 
 
 def test_advice_check_builtin(capsys):
@@ -273,6 +283,18 @@ def test_pump_refute_inconclusive(capsys, tmp_path):
     )
     assert code == 0 and doc["verdict"] == "inconclusive"
     assert doc["payload"]["examined"] == 0
+
+
+def test_pump_refute_charges_every_candidate_before_generating_any(capsys, tmp_path):
+    path = tmp_path / "blocks.cfg"
+    path.write_text("S -> A C\nA -> 'a' A 'b' | 'a' 'b'\nC -> 'c' C | 'c'\n")
+    started = time.perf_counter()
+    code, doc = run_json(
+        capsys, "pump-refute", "--grammar", str(path), "--predicate", "L2_prime", "--max-len", "132"
+    )
+    # p = 128, and L2_prime has 2^192 members of length 128
+    assert code == 2 and "CostGuardError: pumping refutation charts" in doc["error"]
+    assert time.perf_counter() - started < 1.0
 
 
 def test_unknown_language_is_exit_2(capsys):
