@@ -17,6 +17,7 @@ from .grammars import (
     CnfGrammar,
     Dfa,
     GrammarError,
+    cyk_filter,
     cyk_member,
     dfa_accepts,
     dfa_run,
@@ -42,6 +43,7 @@ __all__ = [
     "CnfGrammar",
     "Dfa",
     "GrammarError",
+    "cyk_filter",
     "cyk_member",
     "dfa_accepts",
     "dfa_run",

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
-from .grammars import Cfg, cyk_member, enumerate_language, to_cnf
+from .grammars import Cfg, cyk_filter, cyk_member, enumerate_language, to_cnf
 from .guards import CostGuardError, InvariantError
 from .words import SYMBOL_TABLE, Word, nest_l2, reverse, scale
 
@@ -346,12 +346,16 @@ def intersection_check(max_len: int, *, force: bool = False) -> IntersectionRepo
     """Verify, length by length, that the intersection of the two covering
     grammars is exactly the nested-palindrome language.
 
-    Candidates come from enumerating the smaller covering language and
-    filtering through CYK membership in the other (never from scanning all
-    words over the eight-letter alphabet), so every intersection member is
-    in the first grammar by the filter's own call; each one is then
-    replayed through CYK on the second grammar, which enumeration produced
-    it from but CYK has not yet checked.
+    Candidates come from enumerating the smaller covering language, L2_2,
+    never from scanning all words over the eight-letter alphabet.  One
+    :func:`cyk_filter` call keeps those that the first grammar derives: it
+    builds one word-parallel chart per length for all of that length's
+    candidates, n(n+1)/2 cells of at most |N| word bitsets each, instead
+    of one chart per word.  Every member it keeps is then replayed through
+    :func:`cyk_member` on the second grammar, which enumeration produced it
+    from but CYK has not yet checked, and each length is compared against
+    the nesting generator.  Lengths above 12 trip the cost guard unless
+    ``force`` is given.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
@@ -363,7 +367,7 @@ def intersection_check(max_len: int, *, force: bool = False) -> IntersectionRepo
     cnf_1 = to_cnf(grammar_l2_1())
     cnf_2 = to_cnf(grammar_l2_2())
     candidates = enumerate_language(grammar_l2_2(), max_len)
-    inter = [w for w in candidates if cyk_member(cnf_1, w)]
+    inter = cyk_filter(cnf_1, candidates)
     for w in inter:
         if not cyk_member(cnf_2, w):
             raise InvariantError(f"intersection replay failed on {w!r}")

@@ -473,6 +473,77 @@ def cyk_member(g: CnfGrammar, w: Word) -> bool:
     return bool(cyk_chart(g, w)[len(w)][0] & g._start)
 
 
+def _bit_indices(mask: int) -> tuple[int, ...]:
+    return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
+
+
+def cyk_filter(g: CnfGrammar, words: Sequence[Word]) -> list[Word]:
+    """The words of ``words`` that ``g`` derives, in input order, each one
+    decided as :func:`cyk_member` decides it: the empty word is kept when
+    ``g.empty`` is set, and a word with a letter outside the terminal set
+    is dropped without a chart.
+
+    The words are grouped by length, and each length gets one chart for
+    all of its words.  A cell maps a nonterminal's index to a word bitset
+    whose bit ``k`` is set when the group's k-th word derives that factor
+    from it; only nonzero bitsets are kept.  A rule ``A -> B C`` at a split
+    then costs one AND of two bitsets for the whole group, and the rules
+    are grouped by left child, so a ``B`` absent from the left cell skips
+    all of its right children.  A length-n chart has n(n+1)/2 cells of at
+    most |N| bitsets each.
+    """
+    terminals = g.terminals
+    lexicon = {a: _bit_indices(g._lexicon.get(a, 0)) for a in terminals}
+    rules = [(b, tuple((c, _bit_indices(heads)) for c, heads in right)) for b, right in g._rules]
+    start = g._start.bit_length() - 1
+    derived = [False] * len(words)
+    groups: dict[int, list[int]] = defaultdict(list)
+    for pos, w in enumerate(words):
+        letters = w.letters
+        if not letters:
+            derived[pos] = g.empty
+        elif terminals.issuperset(letters):
+            groups[len(letters)].append(pos)
+    for n, group in groups.items():
+        rows = [words[pos].letters for pos in group]
+        cells = []
+        for i in range(n):
+            by_letter: dict[int, int] = defaultdict(int)
+            for k, letters in enumerate(rows):
+                by_letter[letters[i]] |= 1 << k
+            cell: dict[int, int] = defaultdict(int)
+            for a, bits in by_letter.items():
+                for x in lexicon[a]:
+                    cell[x] |= bits
+            cells.append(cell)
+        # chart[l][i] is the cell of the length-l factors at offset i
+        chart = [[], cells]
+        for l in range(2, n + 1):
+            cells = []
+            for i in range(n - l + 1):
+                cell = defaultdict(int)
+                for s in range(1, l):
+                    left = chart[s][i]
+                    right = chart[l - s][i + s]
+                    if not left or not right:
+                        continue
+                    for b, by_right in rules:
+                        lb = left.get(b)
+                        if lb:
+                            for c, heads in by_right:
+                                both = lb & right.get(c, 0)
+                                if both:
+                                    for a in heads:
+                                        cell[a] |= both
+                cells.append(cell)
+            chart.append(cells)
+        top = chart[n][0].get(start, 0)
+        for k, pos in enumerate(group):
+            if top >> k & 1:
+                derived[pos] = True
+    return [w for w, kept in zip(words, derived) if kept]
+
+
 def cyk_derivation(g: CnfGrammar, w: Word) -> list[tuple[str, int, int]] | None:
     """One descent path through a derivation of ``w``, or None if ``w`` is
     not in L(g); a word with letters outside the terminal set is rejected

@@ -5,17 +5,22 @@ from __future__ import annotations
 
 
 class CostGuardError(RuntimeError):
-    """A scan would exceed its cost budget; pass ``force`` to run anyway."""
+    """A scan would exceed its cost budget; where the call takes ``force``,
+    passing it runs the scan anyway."""
 
 
-def check_budget(estimate: int, limit: int, what: str, *, force: bool = False) -> None:
+def check_budget(estimate: int, limit: int, what: str, *, force: bool | None = None) -> None:
+    """Raise :class:`CostGuardError` when ``estimate`` exceeds ``limit``.
+
+    ``force=True`` skips the check; ``force=False`` checks it and names the
+    override in the message; ``None``, for callers that take no ``force``,
+    checks it and names none.
+    """
     if force:
         return
     if estimate > limit:
-        raise CostGuardError(
-            f"{what} would touch about {estimate} items (limit {limit}); "
-            "rerun with force to override"
-        )
+        hint = "" if force is None else "; rerun with force to override"
+        raise CostGuardError(f"{what} would touch about {estimate} items (limit {limit}){hint}")
 
 
 class InvariantError(RuntimeError):

@@ -73,10 +73,10 @@ class SliceStats:
 
     def partition_ok(self) -> bool:
         """At every offset the counts must add up to the slice size."""
-        for i in range(self.n - self.j + 1):
-            if sum(c for (k, _), c in self.counts.items() if k == i) != self.size:
-                return False
-        return True
+        totals: Counter[int] = Counter()
+        for (i, _), c in self.counts.items():
+            totals[i] += c
+        return all(totals[i] == self.size for i in range(self.n - self.j + 1))
 
 
 def build_slice(

@@ -7,6 +7,7 @@ run to the stated time budget where one is stated.
 import pytest
 
 from langlab import acceptance, corpus
+from langlab.grammars import to_cnf
 from langlab.swaplab import SliceStats
 from langlab.words import Word
 
@@ -72,18 +73,29 @@ def test_intersection_identity_enumerates_once(monkeypatch):
 
 
 def test_intersection_identity_replays_only_through_the_second_grammar(monkeypatch):
-    # 340 L2_2 candidates are filtered through CYK on L2_1, then the 6
-    # members found are replayed once each, through CYK on L2_2
-    calls = []
+    # one word-parallel filter call takes the 340 L2_2 candidates through
+    # CYK on L2_1, then the 6 members found are replayed once each, through
+    # CYK on L2_2
+    filtered = []
+    replayed = []
+    cyk_filter = corpus.cyk_filter
     cyk_member = corpus.cyk_member
 
-    def counted(g, w):
-        calls.append(g)
+    def counted_filter(g, words):
+        filtered.append((g, len(words)))
+        return cyk_filter(g, words)
+
+    def counted_member(g, w):
+        replayed.append(g)
         return cyk_member(g, w)
 
-    monkeypatch.setattr(corpus, "cyk_member", counted)
+    monkeypatch.setattr(corpus, "cyk_filter", counted_filter)
+    monkeypatch.setattr(corpus, "cyk_member", counted_member)
     assert acceptance.intersection_identity(1729).passed
-    assert len(calls) == 346 == 340 + 6
+    cnf_1 = to_cnf(corpus.grammar_l2_1())
+    cnf_2 = to_cnf(corpus.grammar_l2_2())
+    assert filtered == [(cnf_1, 340)]
+    assert replayed == [cnf_2] * 6
 
 
 def test_binding_bound_reports_a_planted_violation(monkeypatch):

@@ -297,6 +297,23 @@ def test_pump_refute_charges_every_candidate_before_generating_any(capsys, tmp_p
     assert time.perf_counter() - started < 1.0
 
 
+def test_guard_messages_name_force_only_where_the_command_takes_it(capsys, tmp_path):
+    path = tmp_path / "blocks.cfg"
+    path.write_text("S -> A C\nA -> 'a' A 'b' | 'a' 'b'\nC -> 'c' C | 'c'\n")
+    code, doc = run_json(
+        capsys, "pump-refute", "--grammar", str(path), "--predicate", "L2_prime", "--max-len", "132"
+    )
+    assert code == 2 and "CostGuardError" in doc["error"] and "force" not in doc["error"]
+    code, doc = run_json(capsys, "bound-check", "--n", "10000004", "--j", "1")
+    assert code == 2 and "CostGuardError" in doc["error"] and "force" not in doc["error"]
+    code, doc = run_json(
+        capsys, "swap-scan", "--lang", "L2", "--n", "8", "--j-min", "1", "--j-max", "2", "--limit", "1"
+    )
+    assert code == 2 and doc["error"].endswith("rerun with force to override")
+    code, doc = run_json(capsys, "intersect-check", "--max-len", "13")
+    assert code == 2 and doc["error"].endswith("rerun with force to override")
+
+
 def test_unknown_language_is_exit_2(capsys):
     code, doc = run_json(capsys, "member", "--lang", "nope", "--word", "1")
     assert code == 2 and "unknown language" in doc["error"]

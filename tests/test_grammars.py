@@ -1,13 +1,14 @@
 """Grammar engine: parsing, CNF conversion, CYK, enumeration, DFAs."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from langlab import grammars
-from langlab.corpus import grammar_l2_2
+from langlab.corpus import L2_ALPHABET, grammar_l2_1, grammar_l2_2
 from langlab.grammars import (
     AutomatonError,
     Cfg,
@@ -16,6 +17,7 @@ from langlab.grammars import (
     GrammarError,
     cyk_chart,
     cyk_derivation,
+    cyk_filter,
     cyk_member,
     dfa_accepts,
     dfa_from_json,
@@ -321,6 +323,46 @@ def test_long_word_charts_agree_with_the_set_chart(g, data):
         alphabet = sorted({t for _, t in g.lexical} or g.terminals)
         letters = data.draw(st.lists(st.sampled_from(alphabet), min_size=15, max_size=40))
     assert_chart_matches_the_reference(g, Word(letters))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(cnf_grammars(), st.data())
+def test_word_parallel_filter_agrees_with_cyk_member(g, data):
+    # one chart per length for all the words against one chart per word:
+    # lengths mixed, 0 and 4 foreign to every drawn terminal set, members
+    # from drawn derivations, duplicates, the empty word, and every word of
+    # one length, so that a length's bitsets span several machine words;
+    # drawn bodies get further heads, so that one AND feeds several heads
+    if g.binary:
+        heads = st.sampled_from(sorted(g.nonterminals))
+        shared = data.draw(st.lists(st.tuples(heads, st.sampled_from(g.binary)), max_size=3))
+        binary = g.binary + tuple((a, b, c) for a, (_, b, c) in shared)
+        g = CnfGrammar(g.nonterminals, g.terminals, binary, g.lexical, g.start, g.empty)
+    lengths = derivable_lengths(g, 12)
+    letters = st.sampled_from(sorted(g.terminals | {0, 4}))
+    words = data.draw(st.lists(st.lists(letters, max_size=10).map(Word), max_size=30))
+    if lengths[g.start]:
+        for l in data.draw(st.lists(st.sampled_from(sorted(lengths[g.start])), max_size=6)):
+            words.append(Word(draw_member(data, g, lengths, g.start, l)))
+    words += brute_words(g.terminals, data.draw(st.integers(0, 5)))
+    words += words[: data.draw(st.integers(0, 8))] + [EMPTY_WORD]
+    words = data.draw(st.permutations(words))
+    assert cyk_filter(g, words) == [w for w in words if cyk_member(g, w)]
+
+
+@pytest.mark.parametrize("grammar", (grammar_l2_1, grammar_l2_2), ids=("L2_1", "L2_2"))
+def test_word_parallel_filter_on_the_covering_grammars(grammar):
+    # enumerated members of both covering languages and seeded random words
+    # over their alphabet and one foreign letter, through each grammar
+    rng = random.Random(1729)
+    alphabet = sorted(L2_ALPHABET | {4})
+    words = list(enumerate_language(grammar_l2_1(), 8) + enumerate_language(grammar_l2_2(), 8))
+    words += [Word(rng.choices(alphabet, k=rng.randint(0, 12))) for _ in range(500)]
+    rng.shuffle(words)
+    cnf = to_cnf(grammar())
+    kept = cyk_filter(cnf, words)
+    assert kept == [w for w in words if cyk_member(cnf, w)]
+    assert len(kept) > 100
 
 
 def blocks_word(i, j, k):

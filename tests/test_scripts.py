@@ -1,0 +1,32 @@
+"""The README's scripts run to completion at small arguments."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPTS = (
+    ("no_swap_experiment.py", "--sizes", "8,16"),
+    ("params_table.py", "--m-max", "3"),
+    ("advice_conversion_demo.py", "--rounds", "2", "--max-len", "4"),
+)
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=[s[0] for s in SCRIPTS])
+def test_script_exits_0(script):
+    name, *args = script
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout and "UNEXPECTED" not in done.stdout

@@ -194,6 +194,19 @@ def test_partition_identity_on_arbitrary_slices(n, seeds, data):
     assert stats.size == len(members)
 
 
+@pytest.mark.parametrize("delta", (1, -1))
+def test_partition_identity_fails_on_one_planted_count(delta):
+    # every single count at every offset of the n = 8, j = 2 slice, off by one
+    stats = slice_stats(build_slice(L2, 8), 2)
+    assert stats.partition_ok()
+    for key, c in stats.counts.items():
+        planted = SliceStats(stats.n, stats.j, stats.size, {**stats.counts, key: c + delta})
+        assert not planted.partition_ok(), key
+    # an offset with no counts at all breaks the identity too
+    missing = {key: c for key, c in stats.counts.items() if key[0] != 3}
+    assert not SliceStats(stats.n, stats.j, stats.size, missing).partition_ok()
+
+
 def test_stats_rejects_bad_j():
     s = build_slice(L2, 8)
     with pytest.raises(ValueError):
