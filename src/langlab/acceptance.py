@@ -201,10 +201,14 @@ def partition_identity(seed: int = DEFAULT_SEED) -> CriterionResult:
     rng = random.Random(seed)
     failures = 0
     slices = 0
+    # the pool holds 37 (name, n) pairs: each slice is generated once per run
+    generated: dict[tuple[str, int], tuple] = {}
     while slices < 200:
         name = rng.choice(sorted(_PARTITION_POOL))
         n = rng.choice(_PARTITION_POOL[name])
-        members = corpus.LANGUAGES[name].generator(n)
+        members = generated.get((name, n))
+        if members is None:
+            members = generated[name, n] = corpus.LANGUAGES[name].generator(n)
         if not members:
             continue
         take = rng.randint(1, min(len(members), 64))

@@ -307,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=100_000_000,
         help="cost budget: the scanned slice holds every member at --n, so the scan is "
         "charged |S|*spots context-index steps plus one step per member pair it tries "
-        "(the pair loop of an incomplete slice would be charged 2*|S|*(|S|-1)*spots "
-        "membership calls)",
+        "(a scan of an incomplete slice would also be charged |contexts|*|middles| "
+        "oracle calls at every spot)",
     )
 
     p = add("params", cmd_params, "exact swap parameter chain for a constant m")

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 from .grammars import Cfg, cyk_filter, cyk_member, enumerate_language, to_cnf
 from .guards import CostGuardError, InvariantError
-from .words import SYMBOL_TABLE, Word, nest_l2, reverse, scale
+from .words import SYMBOL_TABLE, Word, nest_l2
 
 HASH = SYMBOL_TABLE["#"]
 A, B, C = SYMBOL_TABLE["a"], SYMBOL_TABLE["b"], SYMBOL_TABLE["c"]
@@ -67,13 +67,14 @@ def _canonical(words) -> tuple[Word, ...]:
 # -- L2 and its relatives ---------------------------------------------------
 
 def is_l2(w: Word) -> bool:
-    n = len(w)
+    x = w.letters
+    n = len(x)
     if n < 4 or n % 4:
         return False
-    head = w[: n // 4]
-    if any(a not in (1, 2) for a in head.letters):
+    head = x[: n // 4]
+    if any(a not in (1, 2) for a in head):
         return False
-    return w == nest_l2(head)
+    return x == nest_l2(Word._trusted(head)).letters
 
 
 def l2_members(n: int) -> tuple[Word, ...]:
@@ -89,16 +90,16 @@ def l2_size(n: int) -> int:
 
 
 def is_l2_1(w: Word) -> bool:
-    n = len(w)
+    x = w.letters
+    n = len(x)
     t = 0
-    while t < n and w[t] in (1, 2):
+    while t < n and x[t] in (1, 2):
         t += 1
     if t < 1 or 2 * t >= n:
         return False
-    head = w[:t]
-    if w[t : 2 * t] != scale(reverse(head), 3):
+    if x[t : 2 * t] != tuple(3 * a for a in reversed(x[:t])):
         return False
-    return all(a in (5, 10, 15, 30) for a in w[2 * t :].letters)
+    return all(a in (5, 10, 15, 30) for a in x[2 * t :])
 
 
 def l2_1_members(n: int) -> tuple[Word, ...]:
@@ -118,13 +119,12 @@ def l2_1_size(n: int) -> int:
 
 
 def is_l2_2(w: Word) -> bool:
-    n = len(w)
+    x = w.letters
+    n = len(x)
     if n < 2 or n % 2:
         return False
-    head = w[: n // 2]
-    if any(a not in (1, 2, 3, 6) for a in head.letters):
-        return False
-    return w[n // 2 :] == scale(reverse(head), 5)
+    # the head letter at p pairs with five times itself at n - 1 - p
+    return all(a in (1, 2, 3, 6) and b == 5 * a for a, b in zip(x[: n // 2], reversed(x)))
 
 
 def l2_2_members(n: int) -> tuple[Word, ...]:
@@ -145,10 +145,11 @@ def is_l2_prime(w: Word) -> bool:
     if n < 4 or n % 4:
         return False
     t = n // 4
+    x = w.letters
     return (
-        all(a in (1, 2) for a in w[:t].letters)
-        and all(a in (3, 6) for a in w[t : 2 * t].letters)
-        and all(a in (5, 10, 15, 30) for a in w[2 * t :].letters)
+        all(a in (1, 2) for a in x[:t])
+        and all(a in (3, 6) for a in x[t : 2 * t])
+        and all(a in (5, 10, 15, 30) for a in x[2 * t :])
     )
 
 

@@ -453,7 +453,7 @@ def paper_check(m: int) -> dict:
     }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SwapWitness:
     """Two slice members whose distinct midsections swap without leaving
     the language.  Offsets are 0-based; ``i_zero`` marks witnesses whose
@@ -468,11 +468,11 @@ class SwapWitness:
     both_in_language: bool = True
 
     def __post_init__(self) -> None:
-        if len(self.x) != len(self.y):
-            raise ValueError("swap witnesses need equal-length words")
-        if not (0 <= self.i and self.i + self.j <= len(self.x) and self.j >= 1):
-            raise ValueError("inconsistent split offsets")
         x, y, i, k = self.x.letters, self.y.letters, self.i, self.i + self.j
+        if len(x) != len(y):
+            raise ValueError("swap witnesses need equal-length words")
+        if not (0 <= i and k <= len(x) and self.j >= 1):
+            raise ValueError("inconsistent split offsets")
         x2, y2 = x[i:k], y[i:k]
         if x2 == y2:
             raise ValueError("midsections must differ")
@@ -498,7 +498,7 @@ class SwapWitness:
         }
 
 
-INDEX_ROUTE = "swap scan by context index"
+SCAN_ROUTE = "swap scan by context index"
 
 
 def swap_scan(
@@ -510,25 +510,32 @@ def swap_scan(
     force: bool = False,
     call_limit: int = 100_000_000,
 ) -> list[SwapWitness]:
-    """Exhaustively try every midsection swap over ordered member pairs.
+    """Exhaustively find every midsection swap over ordered member pairs.
 
     Emits a witness for every (x, y, i, j) with differing midsections whose
     two splices both satisfy the membership oracle, in deterministic order:
     pair order first (members are canonically sorted), then offset, then
     midsection length.
 
-    A splice keeps the length n.  So on a complete slice (``s.complete``:
-    the members are every length-n word that ``member`` accepts) a splice
-    is in the language exactly when it is a member, and the scan finds the
-    witnesses in a context index at each (i, j) spot.  It is charged
-    |S|·spots steps for the index, checked before scanning, plus one step
-    for every pair it tries at a spot, checked as each spot is indexed and
-    before any witness is built.  Each distinct splice of a witness is then
-    replayed through ``member`` once; a rejected one raises ``InvariantError``,
-    since the slice and the oracle disagree.  Any other slice takes the
-    pair loop, which asks ``member`` about both splices of every ordered
-    pair at every spot (memoized), estimated at 2·|S|(|S|-1)·spots calls
-    and checked before scanning.  Both routes share ``call_limit``.
+    At each (i, j) spot the members are grouped by context
+    ``c = x[:i] + x[i+j:]``; a context and a middle identify one member.
+    The member (c, a) swaps with (cy, b), b != a, exactly when the splices
+    c + b and cy + a are both in the language, so the scan needs, for every
+    context, the middles whose splice is accepted.  A splice keeps the
+    length n.  So on a complete slice (``s.complete``: the members are every
+    length-n word that ``member`` accepts) those are the middles the context
+    holds, read off the slice; each distinct splice of a witness is then
+    replayed through ``member`` once, and a rejected one raises
+    ``InvariantError``, since the slice and the oracle disagree.  On any
+    other slice ``member`` is asked about every context with every middle
+    of the spot, each distinct splice once, except a context's own middle
+    when it holds no other.
+
+    The scan is charged |S|·spots steps for grouping the members and, on an
+    incomplete slice, |contexts|·|middles| oracle calls at each spot, all
+    checked before the first oracle call; then one step for every pair it
+    tries at a spot, checked as each spot is indexed and before any witness
+    is built.  Both routes share ``call_limit``.
     """
     n = s.n
     j_lo, j_hi = j_range
@@ -538,69 +545,55 @@ def swap_scan(
     i_lo, i_hi = i_range if i_range is not None else (0, n - j_lo)
     i_lo, i_hi = max(0, i_lo), min(n - j_lo, i_hi)
     spots = [(i, j) for i in range(i_lo, i_hi + 1) for j in range(j_lo, min(j_hi, n - i) + 1)]
-    size = len(s.members)
-    if s.complete:
-        check_budget(size * len(spots), call_limit, INDEX_ROUTE, force=force)
-        return _index_scan(member, s, spots, call_limit, force)
-    check_budget(2 * size * (size - 1) * len(spots), call_limit, "swap scan pair loop", force=force)
-    return _pair_loop(member, s, spots)
-
-
-def _index_scan(
-    member: Callable[[Word], bool],
-    s: Slice,
-    spots: list[tuple[int, int]],
-    call_limit: int,
-    force: bool,
-) -> list[SwapWitness]:
-    """The swap scan of a complete slice, by context index."""
     raws = [w.letters for w in s.members]
-    index = {x: k for k, x in enumerate(raws)}
     steps = len(raws) * len(spots)
+    check_budget(steps, call_limit, SCAN_ROUTE, force=force)
+    if s.complete:
+        accepted, splice = _slice_route(member, s)
+    else:
+        steps += sum(_class_count(raws, i, i + j) for i, j in spots)
+        check_budget(steps, call_limit, SCAN_ROUTE, force=force)
+        accepted, splice = _oracle_route(member)
     indexed = []
     settled = None
-    # longest middle first at each offset: once no context there holds two
-    # middles, neither does the longer context of any shorter middle
+    # longest middle first at each offset: on a complete slice, once no
+    # context there holds two middles, neither does the longer context of
+    # any shorter middle
     for i, j in reversed(spots):
         if i == settled:
             continue
-        shared, holders = _shared_middles(raws, i, i + j)
-        if not shared:
-            settled = i
+        mids, acc = _spot_classes(raws, i, i + j, accepted)
+        if not acc:
+            if s.complete:
+                settled = i
             continue
+        holders: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for c in acc:
+            for u in mids[c]:
+                holders.setdefault(u, []).append(c)
         # x (context c, middle a) is tried against one y for every middle
-        # b != a of c and every context that holds b; every spot's tries
-        # are charged before any pair is built
-        steps += sum((len(held) - 1) * len(holders[b]) for held in shared.values() for b in held)
-        check_budget(steps, call_limit, INDEX_ROUTE, force=force)
-        indexed.append((i, j, shared, holders))
+        # b != a that c accepts and every context that holds b; every
+        # spot's tries are charged before any pair is built
+        steps += sum(
+            (len(mids[c]) - (b in mids[c])) * len(holders.get(b, ()))
+            for c, bs in acc.items()
+            for b in bs
+        )
+        check_budget(steps, call_limit, SCAN_ROUTE, force=force)
+        indexed.append((i, j, mids, acc, holders))
     found: list[tuple[int, int, int, int]] = []
-    for i, j, shared, holders in indexed:
-        # x with middle a swaps with y with middle b != a when b fits x's
-        # context and a fits y's, so both contexts hold several middles
-        for c, held in shared.items():
-            for a in held:
-                xi = index[c[:i] + a + c[i:]]
-                for b in held:
+    for i, j, mids, acc, holders in indexed:
+        # x with middle a swaps with y with middle b != a when x's context
+        # accepts b and y's accepts a
+        for c, bs in acc.items():
+            for a, xi in mids[c].items():
+                for b in bs:
                     if b == a:
                         continue
-                    for cy in holders[b]:
-                        if a in shared[cy]:
-                            found.append((xi, index[cy[:i] + b + cy[i:]], i, j))
+                    for cy in holders.get(b, ()):
+                        if a in acc[cy]:
+                            found.append((xi, mids[cy][b], i, j))
     found.sort()
-
-    replayed: set[int] = set()
-
-    def splice(t: tuple[int, ...]) -> Word:
-        pos = index[t]
-        if pos not in replayed:
-            if not member(s.members[pos]):
-                raise InvariantError(
-                    f"complete slice {s.origin!r} holds {list(t)}, which the oracle rejects"
-                )
-            replayed.add(pos)
-        return s.members[pos]
-
     out: list[SwapWitness] = []
     for xi, yi, i, j in found:
         x, y = raws[xi], raws[yi]
@@ -618,61 +611,75 @@ def _index_scan(
     return out
 
 
-def _shared_middles(raws: list[tuple[int, ...]], i: int, k: int):
-    """At the spot whose middle is ``x[i:k]``: every context
-    ``x[:i] + x[k:]`` (all of length n - (k - i)) that holds more than one
-    middle, with its middles, and every such middle with the contexts
-    among those that hold it."""
-    mids: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
-    for x in raws:
-        mids.setdefault(x[:i] + x[k:], set()).add(x[i:k])
-    shared = {c: held for c, held in mids.items() if len(held) > 1}
-    holders: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for c, held in shared.items():
-        for u in held:
-            holders.setdefault(u, []).append(c)
-    return shared, holders
+def _spot_classes(raws: list[tuple[int, ...]], i: int, k: int, accepted):
+    """Group the members by context ``x[:i] + x[k:]`` at the spot whose
+    middle is ``x[i:k]``.  Returns, for every context that ``accepted``
+    finds accepting some middle, the middles it holds, each mapped to the
+    member's position in the slice, and the middles it accepts."""
+    mids: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+    for pos, x in enumerate(raws):
+        mids.setdefault(x[:i] + x[k:], {})[x[i:k]] = pos
+    acc = accepted(mids, i)
+    return {c: mids[c] for c in acc}, acc
 
 
-def _pair_loop(
-    member: Callable[[Word], bool], s: Slice, spots: list[tuple[int, int]]
-) -> list[SwapWitness]:
-    """The swap scan of any slice: both splices of every ordered pair at
-    every spot go through the oracle."""
-    cache: dict[tuple[int, ...], bool] = {}
+def _class_count(raws: list[tuple[int, ...]], i: int, k: int) -> int:
+    """Contexts times middles at one spot: the splices the oracle may be
+    asked about there."""
+    return len({x[:i] + x[k:] for x in raws}) * len({x[i:k] for x in raws})
 
-    def in_language(t: tuple[int, ...]) -> bool:
-        hit = cache.get(t)
-        if hit is None:
-            hit = bool(member(Word._trusted(t)))
-            cache[t] = hit
-        return hit
 
-    raws = [w.letters for w in s.members]
-    out: list[SwapWitness] = []
-    for xi, x in enumerate(raws):
-        for yi, y in enumerate(raws):
-            if xi == yi:
-                continue
-            for i, j in spots:
-                x2 = x[i : i + j]
-                y2 = y[i : i + j]
-                if x2 == y2:
-                    continue
-                sx = x[:i] + y2 + x[i + j :]
-                if not in_language(sx):
-                    continue
-                sy = y[:i] + x2 + y[i + j :]
-                if not in_language(sy):
-                    continue
-                out.append(
-                    SwapWitness(
-                        i=i,
-                        j=j,
-                        x=s.members[xi],
-                        y=s.members[yi],
-                        swapped_x=Word._trusted(sx),
-                        swapped_y=Word._trusted(sy),
-                    )
+def _slice_route(member: Callable[[Word], bool], s: Slice):
+    """On a complete slice a context accepts the middles it holds, and a
+    splice is the member it spells, replayed through the oracle once."""
+
+    def accepted(mids, i):
+        # a context with one middle can swap it for no other
+        return {c: held for c, held in mids.items() if len(held) > 1}
+
+    index = {w.letters: w for w in s.members}
+    replayed: set[tuple[int, ...]] = set()
+
+    def splice(t: tuple[int, ...]) -> Word:
+        if t not in replayed:
+            if not member(index[t]):
+                raise InvariantError(
+                    f"complete slice {s.origin!r} holds {list(t)}, which the oracle rejects"
                 )
-    return out
+            replayed.add(t)
+        return index[t]
+
+    return accepted, splice
+
+
+def _oracle_route(member: Callable[[Word], bool]):
+    """On any other slice the oracle decides every splice, once: the memo
+    keeps the Word of each accepted splice and None for a rejected one."""
+    words: dict[tuple[int, ...], Optional[Word]] = {}
+
+    def accepted(mids, i):
+        middles = {u: None for held in mids.values() for u in held}
+        acc = {}
+        for c, held in mids.items():
+            # a context's own middle matters only beside another one
+            lone = next(iter(held)) if len(held) == 1 else None
+            left, right = c[:i], c[i:]
+            ok = set()
+            for b in middles:
+                if b == lone:
+                    continue
+                t = left + b + right
+                if t in words:
+                    w = words[t]
+                else:
+                    w = Word._trusted(t)
+                    if not member(w):
+                        w = None
+                    words[t] = w
+                if w is not None:
+                    ok.add(b)
+            if ok:
+                acc[c] = ok
+        return acc
+
+    return accepted, words.__getitem__

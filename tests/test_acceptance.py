@@ -4,6 +4,9 @@ Each test prints its criterion line, asserts the verdict, and holds the
 run to the stated time budget where one is stated.
 """
 
+import dataclasses
+from collections import Counter
+
 import pytest
 
 from langlab import acceptance, corpus
@@ -51,6 +54,23 @@ def test_advice_equivalences_build_each_table_word_once(monkeypatch):
     assert result.passed
     assert result.details == "parallel mismatches: 0, conversion mismatches: 0"
     assert len(inits) <= 44_894 - 20_000
+
+
+def test_partition_identity_generates_each_slice_once(monkeypatch):
+    # 200 draws over 37 distinct (name, n): regenerating a slice per draw
+    # built l2_1_members(8), 9,344 words, every time it was drawn
+    calls = Counter()
+    for name, lang in list(corpus.LANGUAGES.items()):
+
+        def counted(n, name=name, generator=lang.generator):
+            calls[name, n] += 1
+            return generator(n)
+
+        monkeypatch.setitem(corpus.LANGUAGES, name, dataclasses.replace(lang, generator=counted))
+    result = acceptance.partition_identity(1729)
+    assert result.passed
+    assert result.details == "200 slices, all (i, j) checked, 0 failures"
+    assert len(calls) == 37 and set(calls.values()) == {1}
 
 
 def test_intersection_identity_enumerates_once(monkeypatch):

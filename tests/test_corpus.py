@@ -2,10 +2,14 @@
 grammars, and the intersection identity."""
 
 import itertools
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from langlab.corpus import (
+    L2_ALPHABET,
     LANGUAGES,
     CorpusLanguage,
     grammar_l2_1,
@@ -70,6 +74,58 @@ def test_generators_match_predicates_exhaustively(name):
             name,
             n,
         )
+
+
+# the L2 letters plus a padding letter and the palindrome centre, which no
+# L2-family member holds; L2_1's slices at lengths 11 and 12 have 0.6 and
+# 2.4 million members, so its words stop at length 10
+FAMILY_LETTERS = sorted(L2_ALPHABET | {0, 4})
+FAMILY_LENGTHS = {"L2": 12, "L2_1": 10, "L2_2": 12, "L2_prime": 12}
+
+
+@lru_cache(maxsize=None)
+def _slice_letters(name, n):
+    return tuple(w.letters for w in LANGUAGES[name].generator(n))
+
+
+@lru_cache(maxsize=None)
+def _slice_set(name, n):
+    return frozenset(_slice_letters(name, n))
+
+
+@st.composite
+def family_words(draw, name):
+    """Words of at most ``FAMILY_LENGTHS[name]`` letters over
+    ``FAMILY_LETTERS``: members and random words, and blocks of one head
+    over {0, 1, 2}, each scaled by 1, 3, 5 or 15 and perhaps mirrored (the
+    shape of every member, with the scales and mirrors free), each with up
+    to two letters changed."""
+    cap = FAMILY_LENGTHS[name]
+    kind = draw(st.sampled_from(("member", "member", "random", "blocks")))
+    if kind == "member":
+        n = draw(st.sampled_from([n for n in range(cap + 1) if LANGUAGES[name].size(n)]))
+        letters = list(draw(st.sampled_from(_slice_letters(name, n))))
+    elif kind == "blocks":
+        head = draw(st.lists(st.sampled_from((0, 1, 2)), min_size=1, max_size=cap // 2))
+        letters = []
+        for _ in range(draw(st.integers(1, 4))):
+            block = head[::-1] if draw(st.booleans()) else head
+            letters += [draw(st.sampled_from((1, 3, 5, 15))) * a for a in block]
+        letters += draw(st.lists(st.sampled_from(FAMILY_LETTERS), max_size=cap))
+        letters = letters[:cap]
+    else:
+        letters = draw(st.lists(st.sampled_from(FAMILY_LETTERS), max_size=cap))
+    for _ in range(draw(st.integers(0, 2)) if letters else 0):
+        letters[draw(st.integers(0, len(letters) - 1))] = draw(st.sampled_from(FAMILY_LETTERS))
+    return Word(letters)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_LENGTHS))
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.data())
+def test_family_predicates_agree_with_their_generators(name, data):
+    w = data.draw(family_words(name))
+    assert LANGUAGES[name].predicate(w) == (w.letters in _slice_set(name, len(w)))
 
 
 @pytest.mark.parametrize("name", sorted(LANGUAGES))

@@ -1,5 +1,6 @@
 """Slices, midsection statistics, the swap scan, and the parameter chain."""
 
+import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -363,15 +364,16 @@ def test_swap_scan_cost_guard():
 
 def test_each_route_is_charged_its_own_estimate():
     # 4 members and 10 spots: 40 index steps plus 28 tried pairs (each one
-    # of the 28 witnesses), against 2*4*3*10 = 240 pair-loop calls
+    # of the 28 witnesses); the incomplete copy adds 88 (context, middle)
+    # classes, the oracle calls it may make, summed over the spots
     s = build_slice(EVEN_PALINDROMES, 4)
     incomplete = Slice(s.n, s.members, s.origin)
     assert len(swap_scan(is_even_palindrome, s, (1, 4), call_limit=68)) == 28
     with pytest.raises(CostGuardError):
         swap_scan(is_even_palindrome, s, (1, 4), call_limit=67)
-    assert swap_scan(is_even_palindrome, incomplete, (1, 4), call_limit=240)
-    with pytest.raises(CostGuardError):
-        swap_scan(is_even_palindrome, incomplete, (1, 4), call_limit=239)
+    assert len(swap_scan(is_even_palindrome, incomplete, (1, 4), call_limit=156)) == 28
+    with pytest.raises(CostGuardError, match="156"):
+        swap_scan(is_even_palindrome, incomplete, (1, 4), call_limit=155)
 
 
 def test_a_witness_heavy_complete_slice_is_charged_its_pairs():
@@ -394,15 +396,25 @@ def test_a_witness_heavy_complete_slice_is_charged_its_pairs():
 
 
 def test_an_incomplete_n40_slice_trips_the_pair_loop_estimate():
-    # 2 * 1024 * 1023 * 355 membership calls, about 7.4e8
+    # 1024 members at 355 spots are 363,520 grouping steps; the classes the
+    # oracle may be asked about add 28,297,216, and all of it is charged
+    # before the first oracle call (the plain pair loop would have been
+    # charged 2 * 1024 * 1023 * 355, about 7.4e8)
     s = build_slice(L2, 40)
-    with pytest.raises(CostGuardError, match="743761920"):
-        swap_scan(is_l2, Slice(s.n, s.members, s.origin), (1, 10))
+    calls = []
+
+    def member(w):
+        calls.append(w)
+        raise AssertionError("the oracle was asked before the guard tripped")
+
+    with pytest.raises(CostGuardError, match=str(363_520 + 28_297_216)):
+        swap_scan(member, Slice(s.n, s.members, s.origin), (1, 10), call_limit=28_000_000)
+    assert calls == []
 
 
 def test_swapping_never_touches_the_advice_track():
     # an oracle that accepts every word does not match the complete slice,
-    # so the scan runs on an incomplete copy: the pair loop
+    # so the scan runs on an incomplete copy, which asks the oracle
     h = leq_advice()
     full = build_slice(L2, 8, advice=h)
     s = Slice(full.n, full.members, full.origin)
@@ -429,11 +441,46 @@ def test_index_path_with_the_projecting_oracle():
     member = advised_oracle(is_pal_sharp, h, 7)
     witnesses = swap_scan(member, s, (1, 7))
     assert witnesses
-    assert witnesses == swap_scan(member, Slice(s.n, s.members, s.origin), (1, 7))
+    assert witnesses == pair_loop_reference(member, s, (1, 7))
     for w in witnesses:
         for spliced in (w.swapped_x, w.swapped_y):
             assert TrackedWord.from_fused(spliced).bottom == h(7)
             assert is_pal_sharp(TrackedWord.from_fused(spliced).top)
+
+
+def pair_loop_reference(member, s, j_range, i_range=None):
+    """The swap scan as a plain loop: both splices of every ordered pair at
+    every spot go through the (memoized) oracle, in pair, offset, length
+    order."""
+    n = s.n
+    j_lo, j_hi = max(1, j_range[0]), min(n, j_range[1])
+    i_lo, i_hi = i_range if i_range is not None else (0, n - j_lo)
+    spots = [
+        (i, j)
+        for i in range(max(0, i_lo), min(n - j_lo, i_hi) + 1)
+        for j in range(j_lo, min(j_hi, n - i) + 1)
+    ]
+    verdicts = {}
+
+    def accepts(t):
+        if t not in verdicts:
+            verdicts[t] = bool(member(Word(t)))
+        return verdicts[t]
+
+    out = []
+    for x in s.members:
+        for y in s.members:
+            if x == y:
+                continue
+            a, b = x.letters, y.letters
+            for i, j in spots:
+                k = i + j
+                if a[i:k] == b[i:k]:
+                    continue
+                sx, sy = a[:i] + b[i:k] + a[k:], b[:i] + a[i:k] + b[k:]
+                if accepts(sx) and accepts(sy):
+                    out.append(SwapWitness(i, j, x, y, Word(sx), Word(sy)))
+    return out
 
 
 # the differential cases: (language, lengths, advice); the pair loop that
@@ -466,10 +513,8 @@ def test_index_path_agrees_with_the_pair_loop(data):
         advice = leq_advice()
         s, member = build_slice(lang, n, advice), advised_oracle(lang.predicate, advice, n)
     assert s.complete
-    reference = Slice(s.n, s.members, s.origin)
-    assert not reference.complete
     got = swap_scan(member, s, (j_lo, j_hi), i_range)
-    assert got == swap_scan(member, reference, (j_lo, j_hi), i_range, force=True)
+    assert got == pair_loop_reference(member, s, (j_lo, j_hi), i_range)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -483,7 +528,7 @@ def test_index_path_agrees_with_the_pair_loop_on_drawn_languages(n, data):
     j_range = (data.draw(st.integers(1, n)), data.draw(st.integers(1, n)))
     s = build_slice(lang, n)
     got = swap_scan(lang.predicate, s, j_range)
-    assert got == swap_scan(lang.predicate, Slice(s.n, s.members, s.origin), j_range)
+    assert got == pair_loop_reference(lang.predicate, s, j_range)
 
 
 @pytest.mark.parametrize(
@@ -497,7 +542,55 @@ def test_index_path_agrees_with_the_pair_loop_on_larger_slices(name, n, j_range,
     member = LANGUAGES[name].predicate
     got = swap_scan(member, s, j_range, i_range)
     assert len(got) == count
-    assert got == swap_scan(member, Slice(s.n, s.members, s.origin), j_range, i_range)
+    assert got == pair_loop_reference(member, s, j_range, i_range)
+
+
+# proper samples of complete slices: (language, lengths with at least two
+# members, advice); splices of the sample fall outside it, so the oracle
+# and the sample disagree
+SAMPLE_CASES = [
+    ("L2_2", (2, 4, 6), None),
+    ("L2_1", (3, 4, 5), None),
+    ("Pal_sharp", (3, 5, 7), None),
+    ("Pal_sharp", (3, 5, 7), "leq"),
+]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.data())
+def test_the_oracle_route_agrees_with_the_pair_loop_on_proper_samples(data):
+    name, lengths, advice_name = data.draw(st.sampled_from(SAMPLE_CASES))
+    n = data.draw(st.sampled_from(lengths))
+    lang = LANGUAGES[name]
+    if advice_name is None:
+        full, member = build_slice(lang, n), lang.predicate
+    else:
+        advice = leq_advice()
+        full, member = build_slice(lang, n, advice), advised_oracle(lang.predicate, advice, n)
+    picked = data.draw(
+        st.lists(st.sampled_from(full.members), unique=True, min_size=1, max_size=len(full) - 1)
+    )
+    s = Slice(n, tuple(picked), f"{full.origin} sample")
+    j_range = (data.draw(st.integers(0, n + 1)), data.draw(st.integers(0, n + 1)))
+    i_range = data.draw(st.none() | st.tuples(st.integers(-1, n + 1), st.integers(-1, n + 1)))
+    got = swap_scan(member, s, j_range, i_range)
+    assert got == pair_loop_reference(member, s, j_range, i_range)
+
+
+def test_the_seeded_l2_2_sample_asks_each_splice_once():
+    # the 64-member sample of the L2_2 slice at n = 8 drawn at seed 1729
+    full = corpus.l2_2_members(8)
+    s = Slice(8, tuple(random.Random(1729).sample(full, 64)), "L2_2[n=8] sample")
+    calls = []
+
+    def member(w):
+        calls.append(w)
+        return corpus.is_l2_2(w)
+
+    witnesses = swap_scan(member, s, (1, 8))
+    assert len(witnesses) == 21_200
+    assert len(calls) == len(set(calls)) == 13_976
+    assert witnesses == pair_loop_reference(corpus.is_l2_2, s, (1, 8))
 
 
 def test_index_path_oracle_calls():
@@ -517,13 +610,13 @@ def test_the_index_scan_searches_each_spot_once(monkeypatch):
     # Pal_sharp at n=11 has 36 spots with more than one middle per context
     # or that settle their offset; the scan searches each of them once
     calls = []
-    shared_middles = swaplab._shared_middles
+    spot_classes = swaplab._spot_classes
 
-    def counted(raws, i, k):
+    def counted(raws, i, k, accepted):
         calls.append((i, k))
-        return shared_middles(raws, i, k)
+        return spot_classes(raws, i, k, accepted)
 
-    monkeypatch.setattr(swaplab, "_shared_middles", counted)
+    monkeypatch.setattr(swaplab, "_spot_classes", counted)
     witnesses = swap_scan(is_pal_sharp, build_slice(LANGUAGES["Pal_sharp"], 11), (1, 11))
     assert len(witnesses) == 8736
     assert len(calls) == len(set(calls)) == 36
