@@ -249,7 +249,7 @@ def advice_equivalences(seed: int = DEFAULT_SEED) -> CriterionResult:
     leq = leq_parallel()
     for n in range(0, 11):
         for t in itertools.product((0, 1), repeat=n):
-            x = Word(t)
+            x = Word._trusted(t)
             if parallel_member(leq, x) != corpus.is_leq(x):
                 mismatches_a += 1
     rng = random.Random(seed)
@@ -262,7 +262,7 @@ def advice_equivalences(seed: int = DEFAULT_SEED) -> CriterionResult:
         converted = AdvisedLanguage("parallel", m2, h)
         for ln in range(1, 9):
             for t in itertools.product((0, 1), repeat=ln):
-                x = Word(t)
+                x = Word._trusted(t)
                 serial = dfa_accepts(m, g(ln) + x)
                 if parallel_member(converted, x) != serial:
                     mismatches_b += 1

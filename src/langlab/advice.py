@@ -185,7 +185,7 @@ def serial_to_parallel_reg(m: Dfa, g: AdviceFunction) -> tuple[AdviceFunction, D
         if n == 0:
             return EMPTY_WORD
         q = dfa_run(m, m.start, g(n))
-        return Word((code_of[q],) + (0,) * (n - 1))
+        return Word._trusted((code_of[q],) + (0,) * (n - 1))
 
     h = AdviceFunction(h_fn, name=f"state-prefixed({g.name})")
 

@@ -8,10 +8,10 @@ result failed its own replay, so the program is at fault).
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
+from functools import lru_cache
 from typing import Optional
 
 from . import acceptance, corpus
@@ -138,10 +138,12 @@ def cmd_slice_stats(args) -> tuple[str, dict]:
     advice = _advice_spec(args.advice) if args.advice else None
     s = build_slice(lang, args.n, advice)
     stats = slice_stats(s, args.j)
+    # counting once: after .counts, max_entry reads the decoded table
+    counts = stats.counts
     entry = stats.max_entry()
     table = [
         {"i": i, "u": u.to_json(), "count": c}
-        for (i, u), c in sorted(stats.counts.items(), key=lambda kv: (kv[0][0], kv[0][1]))
+        for (i, u), c in sorted(counts.items(), key=lambda kv: (kv[0][0], kv[0][1]))
     ]
     payload = {
         "origin": s.origin,
@@ -249,7 +251,13 @@ def cmd_suite(args) -> tuple[str, dict]:
     return verdict, {"seed": args.seed, "criteria": [r.to_json() for r in results]}
 
 
-def build_parser() -> argparse.ArgumentParser:
+@lru_cache(maxsize=None)
+def build_parser() -> "argparse.ArgumentParser":
+    """The argument parser, built on the first call and shared after it:
+    parsing leaves the parser unchanged, so one process builds it once.
+    ``argparse`` is imported here, so importing the package does not."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="langlab",
         description="Formal-language lab: nested-palindrome corpus, swap scans, "
@@ -306,9 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=100_000_000,
         help="cost budget: the scanned slice holds every member at --n, so the scan is "
-        "charged |S|*spots context-index steps plus one step per member pair it tries "
-        "(a scan of an incomplete slice would also be charged |contexts|*|middles| "
-        "oracle calls at every spot)",
+        "charged |S| grouping steps at every spot it visits, as it reaches the spot (an "
+        "offset whose longest spot has no shared context is visited once), plus one step "
+        "per member pair it tries (a scan of an incomplete slice would visit every spot "
+        "twice and also be charged |contexts|*|middles| oracle calls at every spot)",
     )
 
     p = add("params", cmd_params, "exact swap parameter chain for a constant m")

@@ -24,6 +24,7 @@ from typing import Callable, Optional
 
 from .grammars import Cfg, cyk_filter, cyk_member, enumerate_language, to_cnf
 from .guards import CostGuardError, InvariantError
+from .swaplab import PositionMap
 from .words import SYMBOL_TABLE, Word, nest_l2
 
 HASH = SYMBOL_TABLE["#"]
@@ -39,7 +40,11 @@ class CorpusLanguage:
 
     ``size(n)`` is the exact number of members of length ``n``, so the
     cost of generating them is known before it is paid; a language with a
-    generator must give it.
+    generator must give it.  ``pmap(n)``, where given, is the
+    :class:`~langlab.swaplab.PositionMap` whose choice words spell the
+    members of length ``n``, or None where there are none; a slice is read
+    off it already packed.  A language with a map keeps its generator,
+    which the map is checked against.
     """
 
     name: str
@@ -48,10 +53,13 @@ class CorpusLanguage:
     generator: Optional[Callable[[int], tuple[Word, ...]]]
     grammar: Optional[Cfg] = None
     size: Optional[Callable[[int], int]] = None
+    pmap: Optional[Callable[[int], Optional[PositionMap]]] = None
 
     def __post_init__(self) -> None:
         if self.generator is not None and self.size is None:
             raise ValueError(f"language {self.name!r} has a generator but no size")
+        if self.pmap is not None and self.generator is None:
+            raise ValueError(f"language {self.name!r} has a position map but no generator")
 
 
 def _products(alphabet, n):
@@ -87,6 +95,10 @@ def l2_members(n: int) -> tuple[Word, ...]:
 
 def l2_size(n: int) -> int:
     return 2 ** (n // 4) if n >= 4 and n % 4 == 0 else 0
+
+
+def l2_map(n: int) -> Optional[PositionMap]:
+    return PositionMap.l2(n) if n >= 4 and n % 4 == 0 else None
 
 
 def is_l2_1(w: Word) -> bool:
@@ -301,7 +313,7 @@ LANGUAGES: dict[str, CorpusLanguage] = {
             grammar_pal_sharp(),
             pal_sharp_size,
         ),
-        CorpusLanguage("L2", L2_ALPHABET, is_l2, l2_members, size=l2_size),
+        CorpusLanguage("L2", L2_ALPHABET, is_l2, l2_members, size=l2_size, pmap=l2_map),
         CorpusLanguage("L2_1", L2_ALPHABET, is_l2_1, l2_1_members, grammar_l2_1(), l2_1_size),
         CorpusLanguage("L2_2", L2_ALPHABET, is_l2_2, l2_2_members, grammar_l2_2(), l2_2_size),
         CorpusLanguage("L2_prime", L2_ALPHABET, is_l2_prime, l2_prime_members, size=l2_prime_size),

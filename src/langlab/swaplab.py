@@ -26,57 +26,165 @@ def ceil_log2(v: int) -> int:
     return (v - 1).bit_length()
 
 
-@dataclass(frozen=True)
+def _width(k: int) -> int:
+    """Bits per letter code for an alphabet of ``k`` letters (at least 1)."""
+    return max(1, (k - 1).bit_length())
+
+
 class Slice:
-    """All recorded members of some language at one fixed length.
+    """All recorded members of some language at one fixed length, packed.
+
+    A member is one int: the code of the letter at position p fills
+    ``width`` bits, the first letter the highest, and the codes number the
+    slice's ``letters`` in increasing order.  Integer order is then the
+    canonical Word order, and ``packed`` holds the members sorted.  The
+    swap scan and :func:`slice_stats` work on the ints; ``members``
+    decodes the Words on first use, and ``word`` decodes one member.
 
     ``complete`` asserts that the members are every length-``n`` word the
     membership oracle of a later swap scan accepts.  Only
     :func:`build_slice` sets it; a hand-built slice makes no such claim.
     """
 
-    n: int
-    members: tuple[Word, ...]
-    origin: str = ""
-    complete: bool = False
+    __slots__ = ("n", "origin", "complete", "letters", "width", "packed", "_members")
 
-    def __post_init__(self) -> None:
-        # the canonical Word order, read off the letters
-        canon = tuple(sorted(set(self.members), key=lambda w: (len(w.letters), w.letters)))
-        object.__setattr__(self, "members", canon)
-        for w in canon:
-            if len(w) != self.n:
-                raise ValueError(f"slice member {w!r} does not have length {self.n}")
+    def __init__(self, n: int, members, origin: str = "", complete: bool = False) -> None:
+        words = set(members)
+        for w in words:
+            if len(w) != n:
+                raise ValueError(f"slice member {w!r} does not have length {n}")
+        letters = sorted({a for w in words for a in w.letters})
+        code = {a: c for c, a in enumerate(letters)}
+        width = _width(len(letters))
+        packed = []
+        for w in words:
+            v = 0
+            for a in w.letters:
+                v = v << width | code[a]
+            packed.append(v)
+        packed.sort()
+        self._set(n, tuple(letters), packed, origin, complete)
+
+    @classmethod
+    def _of_packed(cls, n: int, letters: tuple[int, ...], packed: list[int], origin: str):
+        """A complete slice from members already packed with the codes of
+        ``letters``, sorted and distinct."""
+        s = object.__new__(cls)
+        s._set(n, letters, packed, origin, True)
+        return s
+
+    def _set(self, n, letters, packed, origin, complete) -> None:
+        self.n, self.letters, self.packed = n, letters, packed
+        self.origin, self.complete = origin, complete
+        self.width = _width(len(letters))
+        self._members: Optional[tuple[Word, ...]] = None
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.packed)
+
+    def _decode(self, v: int, length: int) -> Word:
+        # the ``length`` letters whose codes end at the lowest bit of v
+        w, letters = self.width, self.letters
+        mask = (1 << w) - 1
+        return Word._trusted(tuple(letters[v >> e & mask] for e in range(w * (length - 1), -1, -w)))
+
+    def word(self, v: int) -> Word:
+        """The Word a packed member (or a splice of members) spells."""
+        return self._decode(v, self.n)
+
+    @property
+    def members(self) -> tuple[Word, ...]:
+        if self._members is None:
+            self._members = tuple(self.word(v) for v in self.packed)
+        return self._members
 
 
-@dataclass(frozen=True)
 class SliceStats:
-    """Occurrence counts of every midsection of one length across a slice."""
+    """Occurrence counts of every midsection of one length across a slice.
 
-    n: int
-    j: int
-    size: int
-    counts: dict[tuple[int, Word], int]
+    ``counts[i, u]`` is the number of members that carry the factor u at
+    offset i.  Stats made by :func:`slice_stats` count the slice's packed
+    factors one offset at a time each time they are read, so
+    :func:`bound_report`, :meth:`max_entry` and :meth:`partition_ok` hold
+    one offset's counts at once; ``counts`` decodes the whole table into
+    Words on first use.
+    """
+
+    __slots__ = ("n", "j", "size", "_slice", "_counts")
+
+    def __init__(self, n: int, j: int, size: int, counts: Optional[dict]) -> None:
+        self.n, self.j, self.size = n, j, size
+        self._slice: Optional[Slice] = None
+        self._counts = counts
+
+    def _tables(self) -> Iterator[tuple[int, dict]]:
+        """(i, {key: count}) for every offset with counts, in offset order.
+        A key is the factor, or on a slice's stats the packed factor, which
+        :meth:`_factor` decodes; the keys of one offset order as their
+        factors do."""
+        if self._slice is not None:
+            yield from _factor_tables(self._slice, self.j)
+            return
+        by_offset: dict[int, dict[Word, int]] = {}
+        for (i, u), c in self._counts.items():
+            by_offset.setdefault(i, {})[u] = c
+        for i in sorted(by_offset):
+            yield i, by_offset[i]
+
+    def _factor(self, i: int, key) -> Word:
+        s = self._slice
+        return key if s is None else s._decode(key >> s.width * (self.n - i - self.j), self.j)
+
+    @property
+    def counts(self) -> dict[tuple[int, Word], int]:
+        if self._slice is not None:
+            # decoded once; later reads use the Words, not the slice
+            self._counts = {
+                (i, self._factor(i, key)): c
+                for i, table in self._tables()
+                for key, c in table.items()
+            }
+            self._slice = None
+        return self._counts
 
     def count(self, i: int, u: Word) -> int:
         return self.counts.get((i, u), 0)
 
+    def _extremes(self, bound: Optional[int] = None):
+        """The largest entry, ties broken towards the smallest (i, u), and
+        the first entry above ``bound`` in (i, u) order, each as
+        (i, u, count) or None, in one pass over the offsets."""
+        top = over = None
+        for i, table in self._tables():
+            if not table:
+                continue
+            c = max(table.values())
+            if top is None or c > top[2]:
+                top = (i, min(u for u, v in table.items() if v == c), c)
+            if over is None and bound is not None and c > bound:
+                u = min(u for u, v in table.items() if v > bound)
+                over = (i, u, table[u])
+        return tuple(
+            None if e is None else (e[0], self._factor(e[0], e[1]), e[2]) for e in (top, over)
+        )
+
     def max_entry(self) -> Optional[tuple[int, Word, int]]:
         """The largest count, ties broken towards the smallest (i, u)."""
-        if not self.counts:
-            return None
-        (i, u), c = min(self.counts.items(), key=lambda kv: (-kv[1], kv[0][0], kv[0][1]))
-        return i, u, c
+        return self._extremes()[0]
 
     def partition_ok(self) -> bool:
         """At every offset the counts must add up to the slice size."""
-        totals: Counter[int] = Counter()
-        for (i, _), c in self.counts.items():
-            totals[i] += c
-        return all(totals[i] == self.size for i in range(self.n - self.j + 1))
+        totals = {i: sum(table.values()) for i, table in self._tables()}
+        return all(totals.get(i, 0) == self.size for i in range(self.n - self.j + 1))
+
+
+def _factor_tables(s: Slice, j: int) -> Iterator[tuple[int, Counter]]:
+    """Count the packed length-j factors of ``s`` at every offset, in
+    offset order, as ``v & mask`` for the offset's window mask."""
+    n, w, packed = s.n, s.width, s.packed
+    window = (1 << w * j) - 1
+    for i in range(n - j + 1):
+        yield i, Counter(map((window << w * (n - i - j)).__and__, packed))
 
 
 def build_slice(
@@ -92,46 +200,66 @@ def build_slice(
 
     Languages with a generator are queried directly, which trips the cost
     guard once the language's exact ``size(n)`` exceeds ``scan_limit``;
-    otherwise all words over the language's alphabet are filtered through
-    its predicate, which trips it once the alphabet power does.  Either
-    way the slice holds every member at ``n`` and is marked complete.
+    one with a position map at ``n`` (and no advice) has its members read
+    off the map already packed, by :func:`_map_members`.  Otherwise all
+    words over the language's alphabet are filtered through its predicate,
+    which trips the guard once the alphabet power does.  Either way the
+    slice holds every member at ``n`` and is marked complete.
     """
     if n < 1:
         raise ValueError("slices need n >= 1")
+    origin = f"{getattr(language, 'name', 'language')}[n={n}]"
     generator = getattr(language, "generator", None)
     if generator is not None:
         check_budget(language.size(n), scan_limit, "generated slice", force=force)
-        members = list(generator(n))
+        if advice is None and getattr(language, "pmap", None) is not None:
+            pmap = language.pmap(n)
+            if pmap is not None:
+                return Slice._of_packed(n, *_map_members(pmap), origin)
+        members = generator(n)
     else:
         alphabet = sorted(language.alphabet)
         check_budget(len(alphabet) ** n, scan_limit, "brute-force slice scan", force=force)
         predicate = language.predicate
         members = [w for w in map(Word, itertools.product(alphabet, repeat=n)) if predicate(w)]
-    origin = f"{getattr(language, 'name', 'language')}[n={n}]"
     if advice is not None:
         a = advice(n)
         members = [TrackedWord(x, a).fused() for x in members]
         origin += f"+{getattr(advice, 'name', 'advice')}"
-    return Slice(n, tuple(members), origin, complete=True)
+    return Slice(n, members, origin, complete=True)
+
+
+def _map_members(pmap: "PositionMap") -> tuple[tuple[int, ...], list[int]]:
+    """The letters of a position map's slice and its members, packed and
+    sorted.  A member is the OR of one mask per choice index: the codes
+    that index's chosen letter puts at the positions reading it.  The
+    members are built by doubling, the first choice index last, so they
+    come out in choice-word order."""
+    t, n = pmap.t, pmap.n
+    scales = [scale for scale, _ in pmap.blocks for _ in range(t)]
+    letters = tuple(sorted({scale * a for scale, _ in pmap.blocks for a in pmap.letters}))
+    code = {a: c for c, a in enumerate(letters)}
+    w = _width(len(letters))
+    masks = [[0] * len(pmap.letters) for _ in range(t)]
+    for p, (x, scale) in enumerate(zip(pmap.index, scales)):
+        for c, a in enumerate(pmap.letters):
+            masks[x][c] |= code[scale * a] << w * (n - 1 - p)
+    packed = [0]
+    for q in reversed(range(t)):
+        packed = [v | m for m in masks[q] for v in packed]
+    packed.sort()
+    return letters, packed
 
 
 def slice_stats(s: Slice, j: int) -> SliceStats:
     """Count, for every offset i and factor u of length j, how many slice
-    members carry u at that offset."""
+    members carry u at that offset: the counts are read off the packed
+    members by :func:`_factor_tables` whenever the stats are read."""
     if not 1 <= j <= s.n:
         raise ValueError(f"midsection length must be in 1..{s.n}, got {j}")
-    raws = [w.letters for w in s.members]
-    # each distinct factor becomes one Word, shared by all its offsets
-    factors: dict[tuple[int, ...], Word] = {}
-    counts: dict[tuple[int, Word], int] = {}
-    for i in range(s.n - j + 1):
-        k = i + j
-        for u, c in Counter([x[i:k] for x in raws]).items():
-            word = factors.get(u)
-            if word is None:
-                word = factors[u] = Word._trusted(u)
-            counts[i, word] = c
-    return SliceStats(s.n, j, len(s.members), counts)
+    stats = SliceStats(s.n, j, len(s), None)
+    stats._slice = s
+    return stats
 
 
 @dataclass(frozen=True)
@@ -174,13 +302,7 @@ def bound_report(stats: SliceStats) -> BoundReport:
     violation in (i, u) order."""
     n, j = stats.n, stats.j
     bound = 2 ** (n // 4 - (j + 1) // 2)
-    entry = stats.max_entry()
-    # the first violation in (i, u) order, whatever the dict order
-    violation = min(
-        ((i, u, c) for (i, u), c in stats.counts.items() if c > bound),
-        key=lambda v: (v[0], v[1]),
-        default=None,
-    )
+    entry, violation = stats._extremes(bound)
     return BoundReport(
         n=n,
         j=j,
@@ -203,9 +325,7 @@ class PositionMap(NamedTuple):
     position p reads one choice index ``index[p]``, and distinct choice
     letters give distinct letters there.
 
-    The nesting slice of L2 at n = 4t is :meth:`l2`; the palindromes of
-    L2_2 at n = 2t are the map with letters (1, 2, 3, 6) and the blocks
-    (1, unmirrored), (5, mirrored).
+    The nesting slice of L2 at n = 4t is :meth:`l2`.
     """
 
     t: int
@@ -517,25 +637,31 @@ def swap_scan(
     pair order first (members are canonically sorted), then offset, then
     midsection length.
 
-    At each (i, j) spot the members are grouped by context
-    ``c = x[:i] + x[i+j:]``; a context and a middle identify one member.
-    The member (c, a) swaps with (cy, b), b != a, exactly when the splices
-    c + b and cy + a are both in the language, so the scan needs, for every
+    The scan works on the slice's packed members.  At each (i, j) spot a
+    member v has the context ``v & keep``, every letter outside the
+    middle, and the middle ``v & mid``; a context and a middle identify one
+    member, and the splice of a context with a middle is their OR.  The
+    member (c, a) swaps with (cy, b), b != a, exactly when the splices
+    c | b and cy | a are both in the language, so the scan needs, for every
     context, the middles whose splice is accepted.  A splice keeps the
     length n.  So on a complete slice (``s.complete``: the members are every
     length-n word that ``member`` accepts) those are the middles the context
-    holds, read off the slice; each distinct splice of a witness is then
+    holds, read off the slice: a spot whose contexts are all distinct has no
+    swap, and neither has any shorter middle at its offset, which the scan
+    then skips, longest middle first.  Each distinct splice of a witness is
     replayed through ``member`` once, and a rejected one raises
     ``InvariantError``, since the slice and the oracle disagree.  On any
     other slice ``member`` is asked about every context with every middle
     of the spot, each distinct splice once, except a context's own middle
     when it holds no other.
 
-    The scan is charged |S|·spots steps for grouping the members and, on an
-    incomplete slice, |contexts|·|middles| oracle calls at each spot, all
-    checked before the first oracle call; then one step for every pair it
-    tries at a spot, checked as each spot is indexed and before any witness
-    is built.  Both routes share ``call_limit``.
+    The scan is charged |S| steps for grouping the members at every spot
+    it visits, as it reaches the spot; on an incomplete slice a first pass
+    over the spots, charged the same way, counts the |contexts|·|middles|
+    oracle calls of every spot, and all of them are charged before the
+    first oracle call.  Every spot's tried pairs are charged, one step
+    each, as the spot is indexed and before any witness is built.  All of
+    it shares ``call_limit``.
     """
     n = s.n
     j_lo, j_hi = j_range
@@ -545,41 +671,63 @@ def swap_scan(
     i_lo, i_hi = i_range if i_range is not None else (0, n - j_lo)
     i_lo, i_hi = max(0, i_lo), min(n - j_lo, i_hi)
     spots = [(i, j) for i in range(i_lo, i_hi + 1) for j in range(j_lo, min(j_hi, n - i) + 1)]
-    raws = [w.letters for w in s.members]
-    steps = len(raws) * len(spots)
-    check_budget(steps, call_limit, SCAN_ROUTE, force=force)
-    if s.complete:
-        accepted, splice = _slice_route(member, s)
-    else:
-        steps += sum(_class_count(raws, i, i + j) for i, j in spots)
+    packed, size, width = s.packed, len(s), s.width
+    full = (1 << width * n) - 1
+    steps = 0
+
+    def charge(more: int) -> None:
+        nonlocal steps
+        steps += more
         check_budget(steps, call_limit, SCAN_ROUTE, force=force)
-        accepted, splice = _oracle_route(member)
+
+    def masks(i: int, j: int) -> tuple[int, int]:
+        mid = ((1 << width * j) - 1) << width * (n - i - j)
+        return full ^ mid, mid
+
+    words: dict[int, Word] = {}
+
+    def word(v: int) -> Word:
+        if v not in words:
+            words[v] = s.word(v)
+        return words[v]
+
+    if s.complete:
+        accepted, splice = _slice_route(member, s.origin, word)
+    else:
+        calls = 0
+        for i, j in spots:
+            charge(size)
+            keep, mid = masks(i, j)
+            calls += len(set(map(keep.__and__, packed))) * len(set(map(mid.__and__, packed)))
+        charge(calls)
+        accepted, splice = _oracle_route(member, s)
     indexed = []
     settled = None
-    # longest middle first at each offset: on a complete slice, once no
-    # context there holds two middles, neither does the longer context of
-    # any shorter middle
     for i, j in reversed(spots):
         if i == settled:
             continue
-        mids, acc = _spot_classes(raws, i, i + j, accepted)
-        if not acc:
-            if s.complete:
-                settled = i
+        charge(size)
+        keep, mid = masks(i, j)
+        if s.complete and len(set(map(keep.__and__, packed))) == size:
+            # no context holds two middles, here or at a shorter middle at i
+            settled = i
             continue
-        holders: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        mids, acc = _spot_classes(packed, keep, mid, accepted)
+        if not acc:
+            continue
+        holders: dict[int, list[int]] = {}
         for c in acc:
             for u in mids[c]:
                 holders.setdefault(u, []).append(c)
         # x (context c, middle a) is tried against one y for every middle
-        # b != a that c accepts and every context that holds b; every
-        # spot's tries are charged before any pair is built
-        steps += sum(
-            (len(mids[c]) - (b in mids[c])) * len(holders.get(b, ()))
-            for c, bs in acc.items()
-            for b in bs
+        # b != a that c accepts and every context that holds b
+        charge(
+            sum(
+                (len(mids[c]) - (b in mids[c])) * len(holders.get(b, ()))
+                for c, bs in acc.items()
+                for b in bs
+            )
         )
-        check_budget(steps, call_limit, SCAN_ROUTE, force=force)
         indexed.append((i, j, mids, acc, holders))
     found: list[tuple[int, int, int, int]] = []
     for i, j, mids, acc, holders in indexed:
@@ -596,83 +744,77 @@ def swap_scan(
     found.sort()
     out: list[SwapWitness] = []
     for xi, yi, i, j in found:
-        x, y = raws[xi], raws[yi]
-        k = i + j
+        keep, mid = masks(i, j)
+        x, y = packed[xi], packed[yi]
         out.append(
             SwapWitness(
                 i=i,
                 j=j,
-                x=s.members[xi],
-                y=s.members[yi],
-                swapped_x=splice(x[:i] + y[i:k] + x[k:]),
-                swapped_y=splice(y[:i] + x[i:k] + y[k:]),
+                x=word(x),
+                y=word(y),
+                swapped_x=splice(x & keep | y & mid),
+                swapped_y=splice(y & keep | x & mid),
             )
         )
     return out
 
 
-def _spot_classes(raws: list[tuple[int, ...]], i: int, k: int, accepted):
-    """Group the members by context ``x[:i] + x[k:]`` at the spot whose
-    middle is ``x[i:k]``.  Returns, for every context that ``accepted``
+def _spot_classes(packed: list[int], keep: int, mid: int, accepted):
+    """Group the packed members by context ``v & keep`` at the spot whose
+    middle is ``v & mid``.  Returns, for every context that ``accepted``
     finds accepting some middle, the middles it holds, each mapped to the
     member's position in the slice, and the middles it accepts."""
-    mids: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-    for pos, x in enumerate(raws):
-        mids.setdefault(x[:i] + x[k:], {})[x[i:k]] = pos
-    acc = accepted(mids, i)
+    mids: dict[int, dict[int, int]] = {}
+    for pos, v in enumerate(packed):
+        mids.setdefault(v & keep, {})[v & mid] = pos
+    acc = accepted(mids)
     return {c: mids[c] for c in acc}, acc
 
 
-def _class_count(raws: list[tuple[int, ...]], i: int, k: int) -> int:
-    """Contexts times middles at one spot: the splices the oracle may be
-    asked about there."""
-    return len({x[:i] + x[k:] for x in raws}) * len({x[i:k] for x in raws})
-
-
-def _slice_route(member: Callable[[Word], bool], s: Slice):
+def _slice_route(member: Callable[[Word], bool], origin: str, word: Callable[[int], Word]):
     """On a complete slice a context accepts the middles it holds, and a
-    splice is the member it spells, replayed through the oracle once."""
+    splice is the member it spells (decoded by ``word``), replayed through
+    the oracle once."""
 
-    def accepted(mids, i):
+    def accepted(mids):
         # a context with one middle can swap it for no other
         return {c: held for c, held in mids.items() if len(held) > 1}
 
-    index = {w.letters: w for w in s.members}
-    replayed: set[tuple[int, ...]] = set()
+    replayed: set[int] = set()
 
-    def splice(t: tuple[int, ...]) -> Word:
-        if t not in replayed:
-            if not member(index[t]):
+    def splice(v: int) -> Word:
+        w = word(v)
+        if v not in replayed:
+            if not member(w):
                 raise InvariantError(
-                    f"complete slice {s.origin!r} holds {list(t)}, which the oracle rejects"
+                    f"complete slice {origin!r} holds {w.to_json()}, which the oracle rejects"
                 )
-            replayed.add(t)
-        return index[t]
+            replayed.add(v)
+        return w
 
     return accepted, splice
 
 
-def _oracle_route(member: Callable[[Word], bool]):
+def _oracle_route(member: Callable[[Word], bool], s: Slice):
     """On any other slice the oracle decides every splice, once: the memo
     keeps the Word of each accepted splice and None for a rejected one."""
-    words: dict[tuple[int, ...], Optional[Word]] = {}
+    words: dict[int, Optional[Word]] = {}
 
-    def accepted(mids, i):
+    def accepted(mids):
         middles = {u: None for held in mids.values() for u in held}
         acc = {}
         for c, held in mids.items():
             # a context's own middle matters only beside another one
             lone = next(iter(held)) if len(held) == 1 else None
-            left, right = c[:i], c[i:]
             ok = set()
             for b in middles:
                 if b == lone:
                     continue
-                t = left + b + right
+                t = c | b
                 if t in words:
                     w = words[t]
                 else:
-                    w = Word._trusted(t)
+                    w = s.word(t)
                     if not member(w):
                         w = None
                     words[t] = w

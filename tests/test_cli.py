@@ -171,8 +171,9 @@ def test_swap_scan_guard(capsys):
 
 
 def test_swap_scan_at_n40_runs_under_the_default_limit(capsys):
-    # the complete slice is charged 1024 * 355 index steps; the pair loop
-    # estimate, 2 * 1024 * 1023 * 355 (about 7.4e8), tripped the guard
+    # the complete slice settles every offset at its longest spot, 1024 * 40
+    # grouping steps; the pair loop estimate, 2 * 1024 * 1023 * 355 (about
+    # 7.4e8), tripped the guard
     code, doc = run_json(
         capsys, "swap-scan", "--lang", "L2", "--n", "40", "--j-min", "1", "--j-max", "10"
     )
@@ -182,10 +183,10 @@ def test_swap_scan_at_n40_runs_under_the_default_limit(capsys):
 
 
 def test_swap_scan_of_a_witness_heavy_slice_trips_the_default_limit(capsys):
-    # 9,344 members and 36 spots are 336,384 index steps, but the pairs the
-    # index tries at the spots bring the charge to about 1.5e8; every spot
-    # is charged before any pair is built, so the scan trips holding only
-    # the context indexes of its first spots
+    # 9,344 members are charged 9,344 grouping steps at each spot the scan
+    # reaches, and the pairs the index tries there bring the charge to about
+    # 1.5e8; every spot is charged before any pair is built, so the scan
+    # trips holding only the context indexes of its first spots
     tracemalloc.start()
     try:
         code, doc = run_json(
@@ -195,8 +196,24 @@ def test_swap_scan_of_a_witness_heavy_slice_trips_the_default_limit(capsys):
     finally:
         tracemalloc.stop()
     assert code == 2
-    assert "context index" in doc["error"] and "147672576" in doc["error"]
+    assert "context index" in doc["error"] and "147354880" in doc["error"]
     assert peak < 64 * 2**20
+
+
+def test_consecutive_runs_in_one_process_leak_no_arguments(capsys):
+    # the parser is built once per process and shared by every main call
+    scan = ("swap-scan", "--lang", "L2", "--n", "8", "--j-min", "1", "--j-max", "2")
+    _, advised = run_json(capsys, *scan, "--advice", "leq")
+    _, plain = run_json(capsys, *scan)
+    assert advised["inputs"]["advice"] == "leq" and "advice" not in plain["inputs"]
+    assert advised["payload"]["origin"] == "L2[n=8]+leq"
+    assert plain["payload"]["origin"] == "L2[n=8]"
+    check = ("advice-check", "--advice", "leq-parallel", "--parallel", "--word")
+    _, first = run_json(capsys, *check, "0,0,1,1")
+    _, second = run_json(capsys, *check, "0,1,0,1")
+    assert first["inputs"]["word"] == ["0,0,1,1"] and second["inputs"]["word"] == ["0,1,0,1"]
+    results = first["payload"]["results"] + second["payload"]["results"]
+    assert [r["member"] for r in results] == [True, False]
 
 
 def test_advice_check_builtin(capsys):

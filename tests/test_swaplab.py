@@ -100,6 +100,49 @@ def test_slice_validation():
         Slice(3, (Word.of(1, 2),))
 
 
+def test_a_slice_read_off_the_map_is_the_generated_slice():
+    # the packed map route against the tuple generator, in the same order
+    lang = LANGUAGES["L2"]
+    for n in (4, 8, 12, 16, 20, 24, 7):
+        s = build_slice(lang, n)
+        assert s.complete and s.members == lang.generator(n)
+        assert s.packed == sorted(set(s.packed))
+
+
+# (language, lengths, advice): slices whose members are packed from Words
+ROUND_TRIP_CASES = [
+    ("Pal_sharp", (1, 3, 5, 7, 9), None),
+    ("Pal_sharp", (3, 5, 7), "leq"),
+    ("L2", (4, 8, 12), "leq"),
+    ("L2_1", (3, 4, 5), None),
+    ("L_eq", (2, 4, 6), "leq"),
+]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.data())
+def test_packing_round_trips_in_canonical_order(data):
+    # pack, then decode: the same Words in the same order, on drawn slices
+    # over arbitrary letters, on corpus slices and on fused slices
+    if data.draw(st.booleans()):
+        n = data.draw(st.integers(1, 6))
+        alphabet = data.draw(st.lists(st.integers(0, 300), min_size=1, max_size=20, unique=True))
+        letters = st.tuples(*[st.sampled_from(alphabet)] * n)
+        words = [Word(t) for t in data.draw(st.lists(letters, max_size=30))]
+        s = Slice(n, tuple(words))
+    else:
+        name, lengths, advice = data.draw(st.sampled_from(ROUND_TRIP_CASES))
+        n = data.draw(st.sampled_from(lengths))
+        full = build_slice(LANGUAGES[name], n, leq_advice() if advice else None)
+        words = data.draw(st.lists(st.sampled_from(full.members), max_size=40))
+        s = Slice(n, tuple(words))
+    assert s.members == tuple(sorted(set(words)))
+    assert [s.word(v) for v in s.packed] == list(s.members)
+    assert s.packed == sorted(set(s.packed)) and len(s) == len(s.members)
+    assert s.letters == tuple(sorted({a for w in words for a in w.letters}))
+    assert all(v < 2 ** (s.width * n) for v in s.packed)
+
+
 def test_tracked_slice_members_carry_the_advice():
     s = build_slice(L2, 8, advice=leq_advice())
     assert len(s) == 4
@@ -260,6 +303,24 @@ def test_bound_check_at_48_matches_the_enumerated_slice():
         assert report.ok and report.max_count == report.bound
 
 
+def test_bound_check_at_64_matches_the_packed_slice_stats():
+    # 65,536 members: the packed counts agree with the closed form at every j
+    s = build_slice(L2, 64)
+    for j in range(1, 17):
+        report = l2_bound_check(64, j)
+        assert report == bound_report(slice_stats(s, j))
+        assert report.ok and report.max_count == report.bound
+
+
+def test_bound_report_agrees_with_its_decoded_counts():
+    # the packed tables and the decoded ``counts`` give one report
+    for n, j in ((16, 3), (24, 6), (32, 8)):
+        stats = slice_stats(build_slice(L2, n), j)
+        decoded = SliceStats(stats.n, stats.j, stats.size, stats.counts)
+        assert bound_report(stats) == bound_report(decoded)
+        assert stats.max_entry() == decoded.max_entry()
+
+
 def test_bound_check_builds_no_slice(monkeypatch):
     nestings, slices = [], []
     monkeypatch.setattr(corpus, "nest_l2", lambda w: nestings.append(w) or nest_l2(w))
@@ -363,22 +424,25 @@ def test_swap_scan_cost_guard():
 
 
 def test_each_route_is_charged_its_own_estimate():
-    # 4 members and 10 spots: 40 index steps plus 28 tried pairs (each one
-    # of the 28 witnesses); the incomplete copy adds 88 (context, middle)
+    # 4 members: the complete slice visits 8 of its 10 spots (two shorter
+    # spots are skipped once their offsets settle), 32 grouping steps, plus
+    # 28 tried pairs (each one of the 28 witnesses); the incomplete copy
+    # visits all 10 spots twice, 80 steps, and adds 88 (context, middle)
     # classes, the oracle calls it may make, summed over the spots
     s = build_slice(EVEN_PALINDROMES, 4)
     incomplete = Slice(s.n, s.members, s.origin)
-    assert len(swap_scan(is_even_palindrome, s, (1, 4), call_limit=68)) == 28
+    assert len(swap_scan(is_even_palindrome, s, (1, 4), call_limit=60)) == 28
     with pytest.raises(CostGuardError):
-        swap_scan(is_even_palindrome, s, (1, 4), call_limit=67)
-    assert len(swap_scan(is_even_palindrome, incomplete, (1, 4), call_limit=156)) == 28
-    with pytest.raises(CostGuardError, match="156"):
-        swap_scan(is_even_palindrome, incomplete, (1, 4), call_limit=155)
+        swap_scan(is_even_palindrome, s, (1, 4), call_limit=59)
+    assert len(swap_scan(is_even_palindrome, incomplete, (1, 4), call_limit=196)) == 28
+    with pytest.raises(CostGuardError, match="196"):
+        swap_scan(is_even_palindrome, incomplete, (1, 4), call_limit=195)
 
 
 def test_a_witness_heavy_complete_slice_is_charged_its_pairs():
-    # 8 members and 28 spots: 224 index steps, then 232 tried pairs; the
-    # guard trips on the pairs before any witness is built or replayed
+    # 8 members at 16 visited spots (of 28): 128 grouping steps, then 232
+    # tried pairs; the guard trips on the pairs before any witness is built
+    # or replayed
     s = build_slice(LANGUAGES["Pal_sharp"], 7)
     calls = []
 
@@ -389,17 +453,30 @@ def test_a_witness_heavy_complete_slice_is_charged_its_pairs():
     with pytest.raises(CostGuardError, match="context index"):
         swap_scan(member, s, (1, 7), call_limit=225)
     assert calls == []
-    assert len(swap_scan(member, s, (1, 7), call_limit=456)) == 232
-    with pytest.raises(CostGuardError, match="456"):
-        swap_scan(member, s, (1, 7), call_limit=455)
+    assert len(swap_scan(member, s, (1, 7), call_limit=360)) == 232
+    with pytest.raises(CostGuardError, match="360"):
+        swap_scan(member, s, (1, 7), call_limit=359)
     assert len(swap_scan(member, s, (1, 7), call_limit=225, force=True)) == 232
 
 
+def test_a_complete_scan_is_charged_per_visited_spot():
+    # 1024 members: every offset of the L2 slice settles at its longest
+    # spot, so the 355 spots cost 40 visits, 40,960 steps; the charge grows
+    # as the spots are reached, so the second visit trips a limit of 2,047
+    s = build_slice(L2, 40)
+    assert swap_scan(is_l2, s, (1, 10), call_limit=40_960) == []
+    with pytest.raises(CostGuardError, match="40960"):
+        swap_scan(is_l2, s, (1, 10), call_limit=40_959)
+    with pytest.raises(CostGuardError, match="2048"):
+        swap_scan(is_l2, s, (1, 10), call_limit=2_047)
+
+
 def test_an_incomplete_n40_slice_trips_the_pair_loop_estimate():
-    # 1024 members at 355 spots are 363,520 grouping steps; the classes the
-    # oracle may be asked about add 28,297,216, and all of it is charged
-    # before the first oracle call (the plain pair loop would have been
-    # charged 2 * 1024 * 1023 * 355, about 7.4e8)
+    # 1024 members at 355 spots are 363,520 grouping steps in the pass that
+    # counts the classes; the classes the oracle may be asked about add
+    # 28,297,216, and all of it is charged before the first oracle call (the
+    # plain pair loop would have been charged 2 * 1024 * 1023 * 355, about
+    # 7.4e8)
     s = build_slice(L2, 40)
     calls = []
 
@@ -607,19 +684,20 @@ def test_index_path_oracle_calls():
 
 
 def test_the_index_scan_searches_each_spot_once(monkeypatch):
-    # Pal_sharp at n=11 has 36 spots with more than one middle per context
-    # or that settle their offset; the scan searches each of them once
+    # Pal_sharp at n=11 has 25 spots where contexts share a middle; the scan
+    # groups each of them once, and settles each of the 11 offsets at its
+    # longest spot without grouping
     calls = []
     spot_classes = swaplab._spot_classes
 
-    def counted(raws, i, k, accepted):
-        calls.append((i, k))
-        return spot_classes(raws, i, k, accepted)
+    def counted(packed, keep, mid, accepted):
+        calls.append((keep, mid))
+        return spot_classes(packed, keep, mid, accepted)
 
     monkeypatch.setattr(swaplab, "_spot_classes", counted)
     witnesses = swap_scan(is_pal_sharp, build_slice(LANGUAGES["Pal_sharp"], 11), (1, 11))
     assert len(witnesses) == 8736
-    assert len(calls) == len(set(calls)) == 36
+    assert len(calls) == len(set(calls)) == 25
 
 
 def test_index_path_rejects_an_oracle_that_disagrees_with_the_slice():
