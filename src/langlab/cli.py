@@ -34,9 +34,10 @@ from .grammars import (
     parse_grammar,
     to_cnf,
 )
-from .guards import CostGuardError, InvariantError
+from .guards import CostGuardError, InvariantError, check_budget
 from .refuter import Inconclusive, refute_subset
 from .swaplab import (
+    SLICE_LIMIT,
     build_slice,
     choose_params,
     l2_bound_check,
@@ -96,6 +97,7 @@ def cmd_enumerate(args) -> tuple[str, dict]:
         lang = _language(args.lang)
         if args.length is None:
             raise UsageError("--lang enumeration needs --length (exact length)")
+        check_budget(lang.size(args.length), SLICE_LIMIT, "language enumeration")
         words = lang.generator(args.length)
         payload = {"lang": args.lang, "length": args.length}
         if args.show_grammar:

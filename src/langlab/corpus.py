@@ -7,7 +7,7 @@ Registry names and their members (letters per :data:`langlab.words.SYMBOL_TABLE`
 L_eq        0^m 1^m, m >= 1
 L_3eq       0^m 1^m 2^m, m >= 1
 Pal_sharp   u # reverse(u), u over {0, 1}
-L2          nest_l2(w) = w (w^R)*3 (w)*15 (w^R)*5, w over {1, 2}, nonempty
+L2          w (w^R)*3 (w)*15 (w^R)*5, w over {1, 2}, nonempty
 L2_1        w (w^R)*3 x, w over {1, 2} nonempty, x over {5, 10, 15, 30} nonempty
 L2_2        y (y^R)*5, y over {1, 2, 3, 6} nonempty
 L2_prime    w x y with |w| = |x|, 2|w| = |y|, blocks over {1,2}/{3,6}/{5,10,15,30}
@@ -24,8 +24,7 @@ from typing import Callable, Optional
 
 from .grammars import Cfg, cyk_filter, cyk_member, enumerate_language, to_cnf
 from .guards import CostGuardError, InvariantError
-from .swaplab import PositionMap
-from .words import SYMBOL_TABLE, Word, nest_l2
+from .words import SYMBOL_TABLE, PositionMap, Word
 
 HASH = SYMBOL_TABLE["#"]
 A, B, C = SYMBOL_TABLE["a"], SYMBOL_TABLE["b"], SYMBOL_TABLE["c"]
@@ -41,10 +40,10 @@ class CorpusLanguage:
     ``size(n)`` is the exact number of members of length ``n``, so the
     cost of generating them is known before it is paid; a language with a
     generator must give it.  ``pmap(n)``, where given, is the
-    :class:`~langlab.swaplab.PositionMap` whose choice words spell the
-    members of length ``n``, or None where there are none; a slice is read
-    off it already packed.  A language with a map keeps its generator,
-    which the map is checked against.
+    :class:`~langlab.words.PositionMap` whose choice words spell the
+    members of length ``n``, or None where there are none; the generator
+    reads its members off the map, and a slice is read off it already
+    packed.  The predicate stays map-free, an independent check of both.
     """
 
     name: str
@@ -66,12 +65,6 @@ def _products(alphabet, n):
     return itertools.product(sorted(alphabet), repeat=n)
 
 
-def _canonical(words) -> tuple[Word, ...]:
-    # a generator's members share one length, so their letters give the
-    # canonical order
-    return tuple(sorted(words, key=lambda w: w.letters))
-
-
 # -- L2 and its relatives ---------------------------------------------------
 
 def is_l2(w: Word) -> bool:
@@ -79,26 +72,24 @@ def is_l2(w: Word) -> bool:
     n = len(x)
     if n < 4 or n % 4:
         return False
-    head = x[: n // 4]
-    if any(a not in (1, 2) for a in head):
-        return False
-    return x == nest_l2(Word._trusted(head)).letters
+    t = n // 4
+    r = x[::-1]
+    # the head letter a at p recurs as 3a at 2t-1-p, 15a at 2t+p and 5a at n-1-p
+    return all(
+        a in (1, 2) and b == 3 * a and c == 15 * a and d == 5 * a
+        for a, b, c, d in zip(x[:t], r[2 * t :], x[2 * t :], r)
+    )
 
 
 def l2_members(n: int) -> tuple[Word, ...]:
     """All length-``n`` members: empty unless n is a positive multiple of 4,
     else one nesting per choice word, 2^(n/4) members in total."""
-    if n < 4 or n % 4:
-        return ()
-    return _canonical(nest_l2(Word._trusted(t)) for t in _products({1, 2}, n // 4))
+    pmap = PositionMap.l2(n)
+    return () if pmap is None else pmap.members()
 
 
 def l2_size(n: int) -> int:
     return 2 ** (n // 4) if n >= 4 and n % 4 == 0 else 0
-
-
-def l2_map(n: int) -> Optional[PositionMap]:
-    return PositionMap.l2(n) if n >= 4 and n % 4 == 0 else None
 
 
 def is_l2_1(w: Word) -> bool:
@@ -120,9 +111,9 @@ def l2_1_members(n: int) -> tuple[Word, ...]:
         r = n - 2 * t
         for head in _products({1, 2}, t):
             prefix = head + tuple(3 * a for a in reversed(head))
-            for tail in _products({5, 10, 15, 30}, r):
-                out.append(Word._trusted(prefix + tail))
-    return _canonical(out)
+            out.extend(prefix + tail for tail in _products({5, 10, 15, 30}, r))
+    # the head lengths interleave in canonical order, which sorting restores
+    return tuple(map(Word._trusted, sorted(out)))
 
 
 def l2_1_size(n: int) -> int:
@@ -140,12 +131,8 @@ def is_l2_2(w: Word) -> bool:
 
 
 def l2_2_members(n: int) -> tuple[Word, ...]:
-    if n < 2 or n % 2:
-        return ()
-    return _canonical(
-        Word._trusted(head + tuple(5 * a for a in reversed(head)))
-        for head in _products({1, 2, 3, 6}, n // 2)
-    )
+    pmap = PositionMap.l2_2(n)
+    return () if pmap is None else pmap.members()
 
 
 def l2_2_size(n: int) -> int:
@@ -174,7 +161,7 @@ def l2_prime_members(n: int) -> tuple[Word, ...]:
         for mid in _products({3, 6}, t):
             for tail in _products({5, 10, 15, 30}, 2 * t):
                 out.append(Word._trusted(head + mid + tail))
-    return _canonical(out)
+    return tuple(out)
 
 
 def l2_prime_size(n: int) -> int:
@@ -249,9 +236,7 @@ def is_pal_sharp(w: Word) -> bool:
 def pal_sharp_members(n: int) -> tuple[Word, ...]:
     if n % 2 == 0 or n < 1:
         return ()
-    return _canonical(
-        Word._trusted(u + (HASH,) + u[::-1]) for u in _products({0, 1}, n // 2)
-    )
+    return tuple(Word._trusted(u + (HASH,) + u[::-1]) for u in _products({0, 1}, n // 2))
 
 
 def pal_sharp_size(n: int) -> int:
@@ -313,9 +298,11 @@ LANGUAGES: dict[str, CorpusLanguage] = {
             grammar_pal_sharp(),
             pal_sharp_size,
         ),
-        CorpusLanguage("L2", L2_ALPHABET, is_l2, l2_members, size=l2_size, pmap=l2_map),
+        CorpusLanguage("L2", L2_ALPHABET, is_l2, l2_members, size=l2_size, pmap=PositionMap.l2),
         CorpusLanguage("L2_1", L2_ALPHABET, is_l2_1, l2_1_members, grammar_l2_1(), l2_1_size),
-        CorpusLanguage("L2_2", L2_ALPHABET, is_l2_2, l2_2_members, grammar_l2_2(), l2_2_size),
+        CorpusLanguage(
+            "L2_2", L2_ALPHABET, is_l2_2, l2_2_members, grammar_l2_2(), l2_2_size, PositionMap.l2_2
+        ),
         CorpusLanguage("L2_prime", L2_ALPHABET, is_l2_prime, l2_prime_members, size=l2_prime_size),
         CorpusLanguage(
             "L2_dprime", frozenset({A, B, C}), is_l2_dprime, l2pp_members, size=one_per_multiple(4)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
-from .corpus import LANGUAGES
 from .grammars import (
     Cfg,
     CnfGrammar,
@@ -130,8 +129,8 @@ def refute_subset(
     predicate: Callable[[Word], bool],
     search_len: int,
     *,
-    generator: Optional[Callable[[int], tuple[Word, ...]]] = None,
-    size: Optional[Callable[[int], int]] = None,
+    generator: Callable[[int], tuple[Word, ...]],
+    size: Callable[[int], int],
 ) -> RefuteOutcome:
     """Search for a pumping refutation of "L(g) is contained in the
     predicate".
@@ -139,8 +138,7 @@ def refute_subset(
     The candidates are the predicate's members of each length n from the
     pumping constant p up to ``search_len``, taken from ``generator(n)``,
     which must give every member of length n over g's terminals, in
-    canonical order; ``size(n)`` is how many words it gives.  Both default to
-    the corpus language whose predicate ``predicate`` is.  Each candidate
+    canonical order; ``size(n)`` is how many words it gives.  Each candidate
     costs one CYK chart, which also keeps only the members of L(g); every
     candidate's chart is charged against :data:`REFUTE_CELL_LIMIT` before
     any is generated.  A kept candidate is replayed through the predicate,
@@ -153,10 +151,6 @@ def refute_subset(
     p = pumping_constant(cnf)
     if search_len < p:
         raise ValueError(f"search_len must reach the pumping constant {p}")
-    if generator is None:
-        generator, size = _corpus_generator(predicate)
-    elif size is None:
-        raise ValueError("a generator needs its size")
     cells = sum(size(n) * n * (n + 1) // 2 for n in range(p, search_len + 1))
     check_budget(cells, REFUTE_CELL_LIMIT, "pumping refutation charts")
     examined = 0
@@ -185,10 +179,3 @@ def refute_subset(
                     z=z, u=u, v=v, w=w, x=x, y=y, pumped=tuple(pumped), violating=violating
                 )
     return Inconclusive(examined=examined)
-
-
-def _corpus_generator(predicate: Callable[[Word], bool]):
-    for lang in LANGUAGES.values():
-        if lang.predicate is predicate and lang.generator is not None:
-            return lang.generator, lang.size
-    raise ValueError("the predicate is no corpus language's; pass its generator and size")

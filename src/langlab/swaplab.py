@@ -13,10 +13,10 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, Optional
 
 from .guards import InvariantError, check_budget
-from .words import TrackedWord, Word
+from .words import PositionMap, TrackedWord, Word
 
 
 def ceil_log2(v: int) -> int:
@@ -187,13 +187,17 @@ def _factor_tables(s: Slice, j: int) -> Iterator[tuple[int, Counter]]:
         yield i, Counter(map((window << w * (n - i - j)).__and__, packed))
 
 
+#: The most words one slice, or one listing of a language, may hold.
+SLICE_LIMIT = 10_000_000
+
+
 def build_slice(
     language,
     n: int,
     advice=None,
     *,
     force: bool = False,
-    scan_limit: int = 10_000_000,
+    scan_limit: int = SLICE_LIMIT,
 ) -> Slice:
     """Collect every length-``n`` member of a language, fused with the
     advice word at ``n`` when advice is given.
@@ -229,7 +233,7 @@ def build_slice(
     return Slice(n, members, origin, complete=True)
 
 
-def _map_members(pmap: "PositionMap") -> tuple[tuple[int, ...], list[int]]:
+def _map_members(pmap: PositionMap) -> tuple[tuple[int, ...], list[int]]:
     """The letters of a position map's slice and its members, packed and
     sorted.  A member is the OR of one mask per choice index: the codes
     that index's chosen letter puts at the positions reading it.  The
@@ -313,108 +317,6 @@ def bound_report(stats: SliceStats) -> BoundReport:
         ok=violation is None,
         violation=violation,
     )
-
-
-class PositionMap(NamedTuple):
-    """A slice read off one choice word through a fixed position map.
-
-    The member for a choice word ``w`` (of length ``t`` over ``letters``)
-    is the concatenation of the blocks, each of length ``t``: block ``b``
-    with ``(scale, mirrored)`` reads ``scale * w[q]`` at offset ``o``,
-    where q is ``o``, or ``t - 1 - o`` in a mirrored block.  So every
-    position p reads one choice index ``index[p]``, and distinct choice
-    letters give distinct letters there.
-
-    The nesting slice of L2 at n = 4t is :meth:`l2`.
-    """
-
-    t: int
-    letters: tuple[int, ...]
-    blocks: tuple[tuple[int, bool], ...]
-
-    @classmethod
-    def l2(cls, n: int) -> "PositionMap":
-        """The map of ``nest_l2``: w, (w^R)*3, w*15, (w^R)*5."""
-        if n < 4 or n % 4:
-            raise ValueError("the nesting slice needs a positive multiple of 4")
-        return cls(n // 4, (1, 2), ((1, False), (3, True), (15, False), (5, True)))
-
-    @property
-    def n(self) -> int:
-        return self.t * len(self.blocks)
-
-    @property
-    def size(self) -> int:
-        return len(self.letters) ** self.t
-
-    @property
-    def index(self) -> tuple[int, ...]:
-        """The choice index that each position reads."""
-        t = self.t
-        out: list[int] = []
-        for _, mirrored in self.blocks:
-            out.extend(range(t - 1, -1, -1) if mirrored else range(t))
-        return tuple(out)
-
-    def word(self, choice: tuple[int, ...]) -> tuple[int, ...]:
-        """The letters of the member for the choice word ``choice``."""
-        out: list[int] = []
-        for scale, mirrored in self.blocks:
-            out.extend(scale * a for a in (choice[::-1] if mirrored else choice))
-        return tuple(out)
-
-    def distinct(self, j: int) -> list[int]:
-        """For every window start i, how many choice indices the positions
-        [i, i + j) read, by one sliding window.
-
-        The members that carry one factor at offset i agree on exactly
-        the indices that window reads, so every factor there occurs in
-        |letters|^(t - d) members, d being the window's entry.
-        """
-        index = self.index
-        held = [0] * self.t
-        d = 0
-        out: list[int] = []
-        for k, x in enumerate(index):
-            if not held[x]:
-                d += 1
-            held[x] += 1
-            if k >= j:
-                y = index[k - j]
-                held[y] -= 1
-                if not held[y]:
-                    d -= 1
-            if k >= j - 1:
-                out.append(d)
-        return out
-
-    def spot_witnesses(self) -> Iterator[tuple[int, int, int]]:
-        """``(i, j, w)`` for every swap spot, offset first, then length:
-        w ordered member pairs swap their distinct midsections at (i, j)
-        without leaving the slice.
-
-        Both splices are members exactly when the two choice words agree
-        on every index read both inside and outside the window, and the
-        middles differ exactly when they differ on an index read only
-        inside it.  With A letters, ``out`` indices read only outside and
-        ``inside`` indices read only inside, that makes
-        A^t * A^out * (A^inside - 1) ordered pairs.  The tallies grow one
-        position at a time as j grows.
-        """
-        t, n, index = self.t, self.n, self.index
-        per_index = Counter(index)
-        power = [len(self.letters) ** e for e in range(t + 1)]
-        for i in range(n):
-            held = [0] * t
-            out, inside = t, 0
-            for k in range(i, n):
-                x = index[k]
-                held[x] += 1
-                if held[x] == 1:
-                    out -= 1
-                if held[x] == per_index[x]:
-                    inside += 1
-                yield i, k - i + 1, power[t] * power[out] * (power[inside] - 1)
 
 
 #: The most windows or spots one closed-form count may visit.

@@ -1,4 +1,4 @@
-"""Words over natural-number letters, positionwise scaling, and track fusion.
+"""Words over natural-number letters, scaling, track fusion and position maps.
 
 A letter is a plain ``int >= 0``.  Ordinary language letters are >= 1;
 letter 0 is the reserved padding/filler letter of advice tracks (it also
@@ -9,10 +9,13 @@ map to numeric letters through :data:`SYMBOL_TABLE`.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
-from functools import total_ordering
+from functools import lru_cache, total_ordering
+from itertools import product
 from math import isqrt
-from typing import Iterable, Iterator, Mapping
+from operator import itemgetter, mul
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 
 class WordError(ValueError):
@@ -154,22 +157,139 @@ def reverse(w: Word) -> Word:
     return Word._trusted(w.letters[::-1])
 
 
+class PositionMap(NamedTuple):
+    """A slice read off one choice word through a fixed position map.
+
+    The member for a choice word ``w`` (of length ``t`` over ``letters``)
+    is the concatenation of the blocks, each of length ``t``: block ``b``
+    with ``(scale, mirrored)`` reads ``scale * w[q]`` at offset ``o``,
+    where q is ``o``, or ``t - 1 - o`` in a mirrored block.  So every
+    position p reads one choice index ``index[p]``, and distinct choice
+    letters give distinct letters there.
+
+    The maps of L2 and L2_2 are :meth:`l2` and :meth:`l2_2`; each starts
+    with a plain, unscaled block over sorted letters, so choice-word order
+    is canonical order.
+    """
+
+    t: int
+    letters: tuple[int, ...]
+    blocks: tuple[tuple[int, bool], ...]
+
+    @classmethod
+    def l2(cls, n: int) -> Optional[PositionMap]:
+        """L2 at n = 4t: w, (w^R)*3, w*15, (w^R)*5 over {1, 2}; None off that grid."""
+        if n < 4 or n % 4:
+            return None
+        return cls(n // 4, (1, 2), ((1, False), (3, True), (15, False), (5, True)))
+
+    @classmethod
+    def l2_2(cls, n: int) -> Optional[PositionMap]:
+        """L2_2 at n = 2t: y, (y^R)*5 over {1, 2, 3, 6}; None off that grid."""
+        if n < 2 or n % 2:
+            return None
+        return cls(n // 2, (1, 2, 3, 6), ((1, False), (5, True)))
+
+    @property
+    def n(self) -> int:
+        return self.t * len(self.blocks)
+
+    @property
+    def size(self) -> int:
+        return len(self.letters) ** self.t
+
+    @property
+    def index(self) -> tuple[int, ...]:
+        """The choice index that each position reads."""
+        t = self.t
+        out: list[int] = []
+        for _, mirrored in self.blocks:
+            out.extend(range(t - 1, -1, -1) if mirrored else range(t))
+        return tuple(out)
+
+    def word(self, choice: tuple[int, ...]) -> tuple[int, ...]:
+        """The letters of the member for the choice word ``choice``."""
+        return _reader(self)(choice)
+
+    def members(self) -> tuple[Word, ...]:
+        """Every member, in choice-word order over ``letters``: canonical order."""
+        return tuple(map(Word._trusted, map(_reader(self), product(self.letters, repeat=self.t))))
+
+    def distinct(self, j: int) -> list[int]:
+        """For every window start i, how many choice indices the positions
+        [i, i + j) read, by one sliding window.
+
+        The members that carry one factor at offset i agree on exactly
+        the indices that window reads, so every factor there occurs in
+        |letters|^(t - d) members, d being the window's entry.
+        """
+        index = self.index
+        held = [0] * self.t
+        d = 0
+        out: list[int] = []
+        for k, x in enumerate(index):
+            if not held[x]:
+                d += 1
+            held[x] += 1
+            if k >= j:
+                y = index[k - j]
+                held[y] -= 1
+                if not held[y]:
+                    d -= 1
+            if k >= j - 1:
+                out.append(d)
+        return out
+
+    def spot_witnesses(self) -> Iterator[tuple[int, int, int]]:
+        """``(i, j, w)`` for every swap spot, offset first, then length:
+        w ordered member pairs swap their distinct midsections at (i, j)
+        without leaving the slice.
+
+        Both splices are members exactly when the two choice words agree
+        on every index read both inside and outside the window, and the
+        middles differ exactly when they differ on an index read only
+        inside it.  With A letters, ``out`` indices read only outside and
+        ``inside`` indices read only inside, that makes
+        A^t * A^out * (A^inside - 1) ordered pairs.  The tallies grow one
+        position at a time as j grows.
+        """
+        t, n, index = self.t, self.n, self.index
+        per_index = Counter(index)
+        power = [len(self.letters) ** e for e in range(t + 1)]
+        for i in range(n):
+            held = [0] * t
+            out, inside = t, 0
+            for k in range(i, n):
+                x = index[k]
+                held[x] += 1
+                if held[x] == 1:
+                    out -= 1
+                if held[x] == per_index[x]:
+                    inside += 1
+                yield i, k - i + 1, power[t] * power[out] * (power[inside] - 1)
+
+
+@lru_cache(maxsize=64)
+def _reader(pmap: PositionMap) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    # the one reader, built once per map: position p reads index[p] times its
+    # block's scale (a map has two positions or more, so ``pick`` gives a tuple)
+    pick = itemgetter(*pmap.index)
+    scales = [k for k, _ in pmap.blocks for _ in range(pmap.t)]
+    return lambda choice: tuple(map(mul, scales, pick(choice)))
+
+
 def nest_l2(w: Word) -> Word:
     """Expand a nonempty word over {1, 2} into its four-block nesting.
 
-    The blocks are ``w``, ``reverse(w)`` scaled by 3, ``w`` scaled by 15 and
-    ``reverse(w)`` scaled by 5, giving a word of length ``4 * len(w)`` over
-    the letters {1, 2, 3, 6, 5, 10, 15, 30}.
+    The member of :meth:`PositionMap.l2` for the choice word ``w``: ``w``,
+    then ``reverse(w)``, ``w`` and ``reverse(w)`` scaled by 3, 15 and 5.
     """
     if len(w) == 0:
         raise WordError("nesting needs a nonempty word")
     t = w.letters
     if any(a not in (1, 2) for a in t):
         raise WordError("nesting is only defined over the letters {1, 2}")
-    r = t[::-1]
-    return Word._trusted(
-        t + tuple(3 * a for a in r) + tuple(15 * a for a in t) + tuple(5 * a for a in r)
-    )
+    return Word._trusted(PositionMap.l2(4 * len(t)).word(t))
 
 
 def fuse_letter(top: int, bottom: int) -> int:

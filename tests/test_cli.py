@@ -82,6 +82,18 @@ def test_enumerate_grammar_file(capsys, tmp_path):
     assert doc["payload"]["words"] == [[1], [1, 1], [1, 1, 1], [1, 1, 1, 1]]
 
 
+def test_enumerate_charges_the_language_size_before_generating(capsys, monkeypatch):
+    # L2_prime has 2^36 members of length 24
+    def refuse(n):
+        raise AssertionError("the generator ran past the guard")
+
+    lang = dataclasses.replace(corpus.LANGUAGES["L2_prime"], generator=refuse)
+    monkeypatch.setitem(corpus.LANGUAGES, "L2_prime", lang)
+    code, doc = run_json(capsys, "enumerate", "--lang", "L2_prime", "--length", "24")
+    assert code == 2 and "CostGuardError: language enumeration" in doc["error"]
+    assert str(2**36) in doc["error"]
+
+
 def test_slice_stats_json_and_csv(capsys):
     code, doc = run_json(capsys, "slice-stats", "--lang", "L2", "--n", "8", "--j", "2")
     assert code == 0

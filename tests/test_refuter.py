@@ -34,6 +34,14 @@ ABC_FREE_TAIL = parse_grammar(
     C -> 'c' C | 'c'
     """
 )
+L2_DPRIME = corpus.LANGUAGES["L2_dprime"]
+
+
+def refute_locked_tail():
+    """The pinned run: the free c-tail grammar against L2_dprime's locked tail."""
+    return refute_subset(
+        ABC_FREE_TAIL, is_l2_dprime, 132, generator=L2_DPRIME.generator, size=L2_DPRIME.size
+    )
 
 
 def test_decomposition_on_balanced_pairs():
@@ -90,7 +98,7 @@ def test_refutation_charts_each_word_once(monkeypatch):
     for module in (grammars, refuter):  # every binding of the chart builder
         if getattr(module, "cyk_chart", None) is chart:
             monkeypatch.setattr(module, "cyk_chart", lambda g, w: charted.append(w) or chart(g, w))
-    outcome = refute_subset(ABC_FREE_TAIL, is_l2_dprime, 132)
+    outcome = refute_locked_tail()
     assert isinstance(outcome, PumpWitness)
     # z, then its variants at exponents 0, 2, 3 (replayed by the
     # decomposition) and 4 (checked by the refutation): one chart each
@@ -106,7 +114,7 @@ def test_decomposition_is_deterministic():
 
 
 def test_refute_free_tail_against_locked_tail():
-    outcome = refute_subset(ABC_FREE_TAIL, is_l2_dprime, 132)
+    outcome = refute_locked_tail()
     assert isinstance(outcome, PumpWitness)
     cnf = to_cnf(ABC_FREE_TAIL)
     for _, pumped in outcome.pumped:
@@ -152,14 +160,6 @@ def test_refute_requires_search_room():
     generator, size = all_words(AB_BALANCED.terminals)
     with pytest.raises(ValueError):
         refute_subset(AB_BALANCED, lambda w: True, 2, generator=generator, size=size)
-
-
-def test_refute_needs_a_generator_with_its_size():
-    generator, _ = all_words(A_PLUS.terminals)
-    with pytest.raises(ValueError):
-        refute_subset(A_PLUS, lambda w: True, 8)  # no corpus language has this predicate
-    with pytest.raises(ValueError):
-        refute_subset(A_PLUS, lambda w: True, 8, generator=generator)
 
 
 def test_a_generator_member_the_predicate_rejects_is_an_invariant_failure():
@@ -226,13 +226,13 @@ def test_refutation_never_enumerates_the_grammar(monkeypatch):
     for module in (grammars, refuter, corpus):  # every binding of the enumerator
         if getattr(module, "enumerate_language", None) is enumerate_language:
             monkeypatch.setattr(module, "enumerate_language", refuse)
-    assert isinstance(refute_subset(ABC_FREE_TAIL, is_l2_dprime, 132), PumpWitness)
+    assert isinstance(refute_locked_tail(), PumpWitness)
 
 
 def test_the_pinned_run_charges_one_chart_per_candidate(monkeypatch):
     charged = []
     monkeypatch.setattr(refuter, "check_budget", lambda estimate, *rest: charged.append(estimate))
-    refute_subset(ABC_FREE_TAIL, is_l2_dprime, 132)
+    refute_locked_tail()
     # p = 128: one L2_dprime member at 128 and one at 132, each charted once
     assert charged == [8_256 + 8_778] == [17_034]
 

@@ -16,7 +16,6 @@ from langlab.corpus import LANGUAGES, CorpusLanguage, is_l2, is_pal_sharp, l2_me
 from langlab import corpus, swaplab
 from langlab.guards import CostGuardError, InvariantError
 from langlab.swaplab import (
-    PositionMap,
     Slice,
     SliceStats,
     SwapParams,
@@ -30,7 +29,7 @@ from langlab.swaplab import (
     slice_stats,
     swap_scan,
 )
-from langlab.words import TrackedWord, Word, nest_l2
+from langlab.words import PositionMap, TrackedWord, Word, nest_l2
 
 L2 = LANGUAGES["L2"]
 
@@ -101,12 +100,13 @@ def test_slice_validation():
 
 
 def test_a_slice_read_off_the_map_is_the_generated_slice():
-    # the packed map route against the tuple generator, in the same order
-    lang = LANGUAGES["L2"]
-    for n in (4, 8, 12, 16, 20, 24, 7):
-        s = build_slice(lang, n)
-        assert s.complete and s.members == lang.generator(n)
-        assert s.packed == sorted(set(s.packed))
+    # the packed map route against the generator, in the same order
+    for name, lengths in (("L2", (4, 8, 12, 16, 20, 24, 7)), ("L2_2", (2, 4, 6, 8, 10, 7))):
+        lang = LANGUAGES[name]
+        for n in lengths:
+            s = build_slice(lang, n)
+            assert s.complete and s.members == lang.generator(n), (name, n)
+            assert s.packed == sorted(set(s.packed))
 
 
 # (language, lengths, advice): slices whose members are packed from Words
@@ -322,12 +322,13 @@ def test_bound_report_agrees_with_its_decoded_counts():
 
 
 def test_bound_check_builds_no_slice(monkeypatch):
-    nestings, slices = [], []
-    monkeypatch.setattr(corpus, "nest_l2", lambda w: nestings.append(w) or nest_l2(w))
+    members, slices = [], []
+    read = PositionMap.members
+    monkeypatch.setattr(PositionMap, "members", lambda pmap: members.append(pmap) or read(pmap))
     monkeypatch.setattr(swaplab, "build_slice", lambda *a, **k: slices.append(a))
     report = l2_bound_check(40, 10)
     assert report.ok and report.size == 1024 and report.max_count == 2**5
-    assert nestings == [] and slices == []
+    assert members == [] and slices == []
 
 
 def test_bound_check_charges_its_windows(monkeypatch):
@@ -788,8 +789,7 @@ def test_the_l2_map_reads_the_nestings():
         for choice in product((1, 2), repeat=n // 4):
             assert pmap.word(choice) == nest_l2(Word(choice)).letters
     assert PositionMap.l2(12).index == (0, 1, 2, 2, 1, 0, 0, 1, 2, 2, 1, 0)
-    with pytest.raises(ValueError):
-        PositionMap.l2(6)
+    assert PositionMap.l2(6) is None and PositionMap.l2(0) is None
 
 
 @lru_cache(maxsize=None)
@@ -814,6 +814,17 @@ def test_map_counts_match_enumeration(n, data):
 def test_map_witness_totals_at_small_n():
     for n, total in ((8, 24), (12, 168), (16, 928)):
         assert sum(c for _, _, c in PositionMap.l2(n).spot_witnesses()) == total
+
+
+def test_the_l2_2_map_counts_every_enumerated_swap():
+    # the closed form's positive control: swaps abound on L2_2, and the map
+    # counts the scan's witnesses at every spot
+    for n, total in ((2, 12), (4, 528), (6, 14_784)):
+        s = build_slice(LANGUAGES["L2_2"], n)
+        scanned = Counter((w.i, w.j) for w in swap_scan(corpus.is_l2_2, s, (1, n)))
+        counted = {(i, j): c for i, j, c in PositionMap.l2_2(n).spot_witnesses() if c}
+        assert counted == dict(scanned)
+        assert sum(counted.values()) == total
 
 
 def test_paper_check_at_m_1():

@@ -1,4 +1,5 @@
-"""Letter and word primitives: scaling, reversal, nesting, track fusion."""
+"""Letter and word primitives: scaling, reversal, nesting, position maps,
+track fusion."""
 
 import itertools
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from langlab.words import (
     EMPTY_WORD,
     SYMBOL_TABLE,
+    PositionMap,
     TrackedWord,
     Word,
     WordError,
@@ -205,3 +207,21 @@ def test_parse_word_accepts_decimals_and_names():
 
 def test_symbol_table_published_values():
     assert SYMBOL_TABLE == {"0": 0, "1": 1, "2": 2, "a": 1, "b": 2, "c": 3, "#": 4}
+
+
+def test_the_l2_2_map_reads_y_then_its_mirror_times_5():
+    for n in (2, 4, 6, 8):
+        pmap = PositionMap.l2_2(n)
+        assert pmap.n == n and pmap.size == 4 ** (n // 2)
+        choices = list(itertools.product((1, 2, 3, 6), repeat=n // 2))
+        reference = [Word(y) + scale(reverse(Word(y)), 5) for y in choices]
+        assert [Word(pmap.word(y)) for y in choices] == reference
+        assert list(pmap.members()) == reference == sorted(reference)
+    assert PositionMap.l2_2(5) is None and PositionMap.l2_2(0) is None
+
+
+def test_the_l2_map_lists_its_nestings_in_canonical_order():
+    for n in (4, 8, 12):
+        choices = map(Word, itertools.product((1, 2), repeat=n // 4))
+        reference = [w + scale(reverse(w), 3) + scale(w, 15) + scale(reverse(w), 5) for w in choices]
+        assert list(PositionMap.l2(n).members()) == reference == sorted(reference)
