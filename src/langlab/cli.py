@@ -97,6 +97,8 @@ def cmd_enumerate(args) -> tuple[str, dict]:
         lang = _language(args.lang)
         if args.length is None:
             raise UsageError("--lang enumeration needs --length (exact length)")
+        if args.length < 0:
+            raise UsageError("--length must be >= 0")
         check_budget(lang.size(args.length), SLICE_LIMIT, "language enumeration")
         words = lang.generator(args.length)
         payload = {"lang": args.lang, "length": args.length}
@@ -108,7 +110,7 @@ def cmd_enumerate(args) -> tuple[str, dict]:
         if args.grammar is None or args.max_len is None:
             raise UsageError("grammar enumeration needs --grammar FILE and --max-len N")
         g = _load_grammar(args.grammar, _load_symtab(args.symtab))
-        words = enumerate_language(g, args.max_len)
+        words = enumerate_language(g, args.max_len, budget=SLICE_LIMIT)
         payload = {"grammar": args.grammar, "max_len": args.max_len}
     payload.update({"count": len(words), "words": [w.to_json() for w in words]})
     return "pass", payload

@@ -240,7 +240,7 @@ def pal_sharp_members(n: int) -> tuple[Word, ...]:
 
 
 def pal_sharp_size(n: int) -> int:
-    return 2 ** (n // 2) if n % 2 else 0
+    return 2 ** (n // 2) if n > 0 and n % 2 else 0
 
 
 # -- grammars for the context-free members ----------------------------------

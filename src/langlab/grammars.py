@@ -591,29 +591,33 @@ def cyk_derivation(g: CnfGrammar, w: Word) -> list[tuple[str, int, int]] | None:
 def _body_words(
     body: Body, length: int, table: Mapping[str, list[set[tuple[int, ...]]]]
 ) -> set[tuple[int, ...]]:
-    # all terminal tuples of exactly `length` derivable from the body,
-    # given the per-nonterminal, per-length sets computed so far
-    current: dict[int, set[tuple[int, ...]]] = {0: {()}}
-    for sym in body:
-        nxt: dict[int, set[tuple[int, ...]]] = defaultdict(set)
+    # all terminal tuples of exactly `length` derivable from the body, given
+    # the per-nonterminal, per-length sets computed so far, the current
+    # length's included (the looping bodies read it).  Walking back on
+    # lengths alone, each symbol gets its (length, words) factors and the
+    # totals `rest` that the symbols after it fill exactly; a partial then
+    # grows by a factor only if the rest can still make up `length`
+    steps = []
+    rest = {0}
+    for sym in reversed(body):
         if isinstance(sym, int):
-            for ln, ws in current.items():
-                if ln + 1 <= length:
-                    for t in ws:
-                        nxt[ln + 1].add(t + (sym,))
+            factors = [(1, ((sym,),))]
         else:
-            for ln, ws in current.items():
-                for l2 in range(length - ln + 1):
-                    sub = table[sym][l2]
-                    if not sub:
-                        continue
-                    for t in ws:
-                        for s in sub:
-                            nxt[ln + l2].add(t + s)
+            sets = table[sym]
+            factors = [(l, sets[l]) for l in range(length + 1) if sets[l]]
+        steps.append((factors, rest))
+        rest = {l + r for l, _ in factors for r in rest if l + r <= length}
+    if length not in rest:
+        return set()
+    current: dict[int, set[tuple[int, ...]]] = {0: {()}}
+    for factors, rest in reversed(steps):
+        nxt: dict[int, set[tuple[int, ...]]] = defaultdict(set)
+        for ln, ws in current.items():
+            for l, sub in factors:
+                if length - ln - l in rest:
+                    nxt[ln + l].update([t + s for t in ws for s in sub])
         current = nxt
-        if not current:
-            return set()
-    return current.get(length, set())
+    return current[length]
 
 
 def _reads_own_length(body: Body, nullable: set[str]) -> bool:
@@ -661,9 +665,10 @@ def enumerate_language(g: Cfg, max_len: int, *, budget: int | None = None) -> tu
                             f"enumeration stored more than {budget} factor words"
                         )
             pending = looping
+    # each length sorted on its own, shortest first: the canonical order;
     # the terminals were validated by Cfg, so the words are built trusted
-    found = sorted((t for sets in table[g.start] for t in sets), key=lambda t: (len(t), t))
-    return tuple(Word._trusted(t) for t in found)
+    found = itertools.chain.from_iterable(map(sorted, table[g.start]))
+    return tuple(map(Word._trusted, found))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ import json
 import time
 import tracemalloc
 
-from langlab import corpus
+from langlab import cli, corpus
 from langlab.cli import main
 from langlab.grammars import dfa_to_json, Dfa
 
@@ -92,6 +92,25 @@ def test_enumerate_charges_the_language_size_before_generating(capsys, monkeypat
     code, doc = run_json(capsys, "enumerate", "--lang", "L2_prime", "--length", "24")
     assert code == 2 and "CostGuardError: language enumeration" in doc["error"]
     assert str(2**36) in doc["error"]
+
+
+def test_enumerate_rejects_a_negative_length(capsys):
+    code, doc = run_json(capsys, "enumerate", "--lang", "Pal_sharp", "--length", "-1")
+    assert code == 2 and doc["error"] == "UsageError: --length must be >= 0"
+
+
+def test_enumerate_grammar_charges_the_stored_words(capsys, monkeypatch, tmp_path):
+    # a^m b^m c^t (30 words up to 12): with the limit lowered, a listing
+    # that outgrows it stops at the guard and prints one error document
+    path = tmp_path / "blocks.cfg"
+    path.write_text("S -> A C\nA -> 'a' A 'b' | 'a' 'b'\nC -> 'c' C | 'c'\n")
+    code, doc = run_json(capsys, "enumerate", "--grammar", str(path), "--max-len", "12")
+    assert code == 0 and doc["payload"]["count"] == 30
+    monkeypatch.setattr(cli, "SLICE_LIMIT", 100)
+    code, out = run(capsys, "enumerate", "--grammar", str(path), "--max-len", "132")
+    doc = json.loads(out)
+    assert code == 2 and out.count("\n") == 1
+    assert doc["error"] == "CostGuardError: enumeration stored more than 100 factor words"
 
 
 def test_slice_stats_json_and_csv(capsys):

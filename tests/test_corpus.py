@@ -42,6 +42,13 @@ def test_sizes_count_the_generated_members(name):
         assert lang.size(n) == len(lang.generator(n)), (name, n)
 
 
+@pytest.mark.parametrize("name", sorted(LANGUAGES))
+def test_sizes_are_zero_at_negative_lengths(name):
+    for n in range(-4, 0):
+        size = LANGUAGES[name].size(n)
+        assert size == 0 and type(size) is int, (name, n, size)
+
+
 def test_a_generator_needs_a_size():
     with pytest.raises(ValueError, match="size"):
         CorpusLanguage("sizeless", frozenset({1}), lambda w: True, lambda n: ())

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from langlab import grammars
-from langlab.corpus import L2_ALPHABET, grammar_l2_1, grammar_l2_2
+from langlab.corpus import L2_ALPHABET, grammar_l2_1, grammar_l2_2, l2_2_members
 from langlab.grammars import (
     AutomatonError,
     Cfg,
@@ -456,6 +456,61 @@ def reference_enumeration(g, max_len, budget=None):
     if budget is not None and stored > budget:
         raise CostGuardError(f"enumeration stored more than {budget} factor words")
     return tuple(Word(t) for t in sorted((t for ts in table[g.start] for t in ts), key=lambda t: (len(t), t)))
+
+
+WORD_LETTERS = st.sampled_from((0, 1))
+
+
+@st.composite
+def body_tables(draw):
+    # a few words of up to 8 letters for each of A, B and C, set out by
+    # length: most lengths stay empty, and a nullable owner has the empty word
+    table = {}
+    for a in ("A", "B", "C"):
+        words = draw(st.lists(st.lists(WORD_LETTERS, max_size=8).map(tuple), max_size=4))
+        if draw(st.booleans()):
+            words.append(())
+        table[a] = [{w for w in words if len(w) == l} for l in range(9)]
+    symbols = st.one_of(st.sampled_from(("A", "B", "C")), WORD_LETTERS)
+    return tuple(draw(st.lists(symbols, max_size=4))), draw(st.integers(0, 8)), table
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(body_tables())
+def test_body_walk_agrees_with_the_recursive_reference(case):
+    body, length, table = case
+    assert grammars._body_words(body, length, table) == reference_body_words(body, length, table)
+
+
+def test_body_walk_builds_only_partials_that_reach_the_length():
+    # the factor words record the length of every partial joined to them
+    built = []
+
+    class Factor(tuple):
+        def __add__(self, other):
+            built.append(len(self) + len(other))
+            return Factor(tuple(self) + tuple(other))
+
+        def __radd__(self, other):
+            built.append(len(other) + len(self))
+            return Factor(tuple(other) + tuple(self))
+
+    table = {"A": [{Factor((1,) * l)} if l in (1, 3) else set() for l in range(8)]}
+    # A '0' A fills 5 as 1 + 1 + 3 or 3 + 1 + 1; a walk that let the last
+    # A stop short would also build 2 + 1 = 3
+    assert grammars._body_words(("A", 0, "A"), 5, table) == {(1, 0, 1, 1, 1), (1, 1, 1, 0, 1)}
+    assert sorted(built) == [1, 2, 3, 4, 5, 5]
+    # no split fills 4 (or 6), so nothing at all is built
+    built.clear()
+    assert grammars._body_words(("A", 0, "A"), 4, table) == set()
+    assert grammars._body_words(("A", 0, "A"), 6, table) == set()
+    assert built == []
+
+
+def test_enumeration_of_l2_2_reads_the_position_map_length_by_length():
+    # the grammar's closure against the generator's position map, order included
+    want = tuple(itertools.chain.from_iterable(l2_2_members(n) for n in range(15)))
+    assert enumerate_language(grammar_l2_2(), 14) == want
 
 
 @st.composite

@@ -66,3 +66,18 @@ def test_importing_the_corpus_leaves_the_swap_lab_unloaded():
         check=True,
     )
     assert done.stdout.strip() == "False"
+
+
+def test_importing_the_package_leaves_the_front_end_unloaded():
+    # every fresh interpreter pays for what `import langlab` pulls in
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import langlab; "
+        "print(sorted({'argparse', 'json', 'langlab.cli'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe, str(PACKAGE.parent)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
