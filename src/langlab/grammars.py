@@ -247,14 +247,16 @@ class CnfGrammar:
     start: str
     empty: bool = False
     # The CYK encoding, read only by this module: the k-th nonterminal of
-    # ``_names`` (name order) has index ``k`` and bit ``1 << k``; ``_start``
-    # is the start symbol's bit; ``_lexicon`` maps a letter to the mask of its
-    # heads; ``_rules`` groups the binary bodies ``B C`` by left child, as
-    # ``(b, ((c, heads), ...))`` index groups sorted by ``(b, c)``.
+    # ``_names`` (name order) has index ``k``; ``_start`` is the start
+    # symbol's index; ``_lexicon`` maps a letter to the indices of its heads;
+    # ``_right[b]`` groups the binary bodies ``B C`` with left child ``b`` as
+    # ``(c, heads)`` pairs sorted by ``c``, ``heads`` the indices of the
+    # ``A`` with ``A -> B C``, so that walking ``b`` then ``c`` upward meets
+    # the bodies of one head in ``binary`` order.
     _names: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _start: int = field(init=False, repr=False, compare=False)
-    _lexicon: Mapping[int, int] = field(init=False, repr=False, compare=False)
-    _rules: tuple[tuple[int, tuple[tuple[int, int], ...]], ...] = field(
+    _lexicon: Mapping[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    _right: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...] = field(
         init=False, repr=False, compare=False
     )
 
@@ -278,17 +280,18 @@ class CnfGrammar:
                 raise GrammarError(f"undeclared terminal {t!r}")
         names = tuple(sorted(self.nonterminals))
         index = {a: k for k, a in enumerate(names)}
-        lexicon: dict[int, int] = defaultdict(int)
+        lexicon: dict[int, list[int]] = defaultdict(list)
         for a, t in self.lexical:
-            lexicon[t] |= 1 << index[a]
-        heads: dict[int, dict[int, int]] = defaultdict(lambda: defaultdict(int))
+            lexicon[t].append(index[a])
+        heads: list[dict[int, list[int]]] = [defaultdict(list) for _ in names]
         for a, b, c in self.binary:
-            heads[index[b]][index[c]] |= 1 << index[a]
-        rules = tuple((b, tuple(sorted(heads[b].items()))) for b in sorted(heads))
+            heads[index[b]][index[c]].append(index[a])
         object.__setattr__(self, "_names", names)
-        object.__setattr__(self, "_start", 1 << index[self.start])
-        object.__setattr__(self, "_lexicon", dict(lexicon))
-        object.__setattr__(self, "_rules", rules)
+        object.__setattr__(self, "_start", index[self.start])
+        object.__setattr__(self, "_lexicon", {t: tuple(ks) for t, ks in lexicon.items()})
+        object.__setattr__(
+            self, "_right", tuple(tuple((c, tuple(ks)) for c, ks in sorted(r.items())) for r in heads)
+        )
 
     def as_cfg(self) -> Cfg:
         prods: list[Production] = [(a, (b, c)) for a, b, c in self.binary]
@@ -409,72 +412,57 @@ def to_cnf(g: Cfg) -> CnfGrammar:
 
 
 def cyk_chart(g: CnfGrammar, w: Word) -> list[list[int]]:
-    """The CYK table as rows of nonterminal masks.
+    """The CYK table as end bitsets: ``ends[k][i]`` has bit ``e`` set when
+    the k-th nonterminal in name order derives ``w[i:e]``.  Each of the
+    ``len(w) + 1`` entries of a row has no bit at or below its offset and
+    none above ``len(w)``; the last entry, at offset ``len(w)``, is 0.
 
-    ``chart[l][i]`` is the mask of the nonterminals deriving the length-``l``
-    factor of ``w`` at 0-based offset ``i``, where the k-th nonterminal in
-    name order is the bit ``1 << k``.  Row ``l >= 1`` has ``len(w) - l + 1``
-    cells; row 0 is empty.
-
-    The rows are filled bit-parallel.  Two bitsets per nonterminal ``x``
-    grow with the rows: ``ends[x][i]`` has bit ``e`` set when ``x`` derives
-    ``w[i:e]``, and ``starts[x][e]`` has bit ``i`` set when it does.  A rule
-    ``A -> B C`` puts ``A`` in cell ``(i, e)`` exactly when
-    ``ends[B][i] & starts[C][e]`` is nonzero, so a cell costs one AND per
-    rule instead of one probe per split.  The rules are grouped by left
-    child, so a ``B`` that starts no shorter factor at ``i`` skips all its
-    right children at once, and an offset pair with no split at which both
-    sides derive something (``any_end[i] & any_start[e]``) is skipped whole.
+    The offsets are closed from the right, so that every entry at an offset
+    ``m > i`` is complete when offset ``i`` is filled.  Offset ``i`` starts
+    from the lexical heads of ``w[i]`` and keeps a worklist of pairs
+    ``(b, m)``, a left child ``b`` deriving ``w[i:m]``.  Popping one ORs,
+    for each right child ``c`` of ``b``, the whole bitset ``ends[c][m]``
+    into the entry at ``i`` of every head of the body ``b c``, and pushes
+    every end that this newly sets for a head that is itself a left
+    child.  Each
+    (nonterminal, start, end) triple is pushed at most once, so the work
+    follows the factors that derive something, not the n(n+1)/2 cells.
     """
-    rules, lexicon, letters = g._rules, g._lexicon, w.letters
+    right, lexicon, letters = g._right, g._lexicon, w.letters
     n = len(letters)
     ends = [[0] * (n + 1) for _ in g._names]
-    starts = [[0] * (n + 1) for _ in g._names]
-    any_end = [0] * (n + 1)
-    any_start = [0] * (n + 1)
-    chart: list[list[int]] = [[]]
-    row = [lexicon.get(a, 0) for a in letters]
-    for l in range(1, n + 1):
-        if l > 1:
-            row = []
-            for i in range(n - l + 1):
-                e = i + l
-                acc = 0
-                if any_end[i] & any_start[e]:
-                    for b, right in rules:
-                        left = ends[b][i]
-                        if left:
-                            for c, heads in right:
-                                if left & starts[c][e]:
-                                    acc |= heads
-                row.append(acc)
-        # index the row's factors for the longer rows
-        for i, mask in enumerate(row):
-            if mask:
-                e_bit, i_bit = 1 << (i + l), 1 << i
-                any_end[i] |= e_bit
-                any_start[i + l] |= i_bit
-                while mask:
-                    low = mask & -mask
-                    k = low.bit_length() - 1
-                    ends[k][i] |= e_bit
-                    starts[k][i + l] |= i_bit
-                    mask ^= low
-        chart.append(row)
-    return chart
+    for i in range(n - 1, -1, -1):
+        todo = []
+        for a in lexicon.get(letters[i], ()):
+            ends[a][i] = 1 << (i + 1)
+            if right[a]:
+                todo.append((a, i + 1))
+        while todo:
+            b, m = todo.pop()
+            for c, heads in right[b]:
+                more = ends[c][m]
+                if more:
+                    for a in heads:
+                        row = ends[a]
+                        new = more & ~row[i]
+                        if new:
+                            row[i] |= new
+                            if right[a]:
+                                while new:
+                                    low = new & -new
+                                    todo.append((a, low.bit_length() - 1))
+                                    new ^= low
+    return ends
 
 
 def cyk_member(g: CnfGrammar, w: Word) -> bool:
     """Decide membership; letters outside the terminal set simply fail."""
-    if len(w) == 0:
+    n = len(w)
+    if n == 0:
         return g.empty
     if any(a not in g.terminals for a in w.letters):
         return False
-    return bool(cyk_chart(g, w)[len(w)][0] & g._start)
-
-
-def _bit_indices(mask: int) -> tuple[int, ...]:
-    return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
+    return bool(cyk_chart(g, w)[g._start][0] >> n & 1)
 
 
 def cyk_filter(g: CnfGrammar, words: Sequence[Word]) -> list[Word]:
@@ -492,10 +480,8 @@ def cyk_filter(g: CnfGrammar, words: Sequence[Word]) -> list[Word]:
     all of its right children.  A length-n chart has n(n+1)/2 cells of at
     most |N| bitsets each.
     """
-    terminals = g.terminals
-    lexicon = {a: _bit_indices(g._lexicon.get(a, 0)) for a in terminals}
-    rules = [(b, tuple((c, _bit_indices(heads)) for c, heads in right)) for b, right in g._rules]
-    start = g._start.bit_length() - 1
+    terminals, start, lexicon = g.terminals, g._start, g._lexicon
+    rules = [(b, right) for b, right in enumerate(g._right) if right]
     derived = [False] * len(words)
     groups: dict[int, list[int]] = defaultdict(list)
     for pos, w in enumerate(words):
@@ -513,7 +499,7 @@ def cyk_filter(g: CnfGrammar, words: Sequence[Word]) -> list[Word]:
                 by_letter[letters[i]] |= 1 << k
             cell: dict[int, int] = defaultdict(int)
             for a, bits in by_letter.items():
-                for x in lexicon[a]:
+                for x in lexicon.get(a, ()):
                     cell[x] |= bits
             cells.append(cell)
         # chart[l][i] is the cell of the length-l factors at offset i
@@ -555,37 +541,45 @@ def cyk_derivation(g: CnfGrammar, w: Word) -> list[tuple[str, int, int]] | None:
     ``g.binary`` order that the chart admits, and descends into the wider
     child (ties to the left), so each step keeps at least half the factor.
     The path ends at a length-1 node; the empty word's path is its root.
+
+    A node's split is read off the end bitsets: for each rule in turn, the
+    set ends ``m`` of ``ends[B][i]`` are tried upward, below the best split
+    found so far, until ``C`` derives ``w[m:i+l]``.
     """
     n = len(w)
     if n == 0:
         return [(g.start, 0, 0)] if g.empty else None
     if any(a not in g.terminals for a in w.letters):
         return None
-    chart = cyk_chart(g, w)
-    if not chart[n][0] & g._start:
+    ends = cyk_chart(g, w)
+    if not ends[g._start][0] >> n & 1:
         return None
     names = g._names
     path = []
-    label, i, l = g._start.bit_length() - 1, 0, n
+    label, i, l = g._start, 0, n
     while True:
         path.append((names[label], i, l))
         if l == 1:
             return path
-        try:
-            s, b, c = next(
-                (s, b, c)
-                for s in range(1, l)
-                for b, right in g._rules
-                if chart[s][i] & 1 << b
-                for c, heads in right
-                if heads & 1 << label and chart[l - s][i + s] & 1 << c
-            )
-        except StopIteration:
-            raise InvariantError(f"the chart admits no split of the node {path[-1]}") from None
-        if l - s > s:
-            label, i, l = c, i + s, l - s
+        e = i + l
+        best = e
+        for b, by_right in enumerate(g._right):
+            for c, heads in by_right:
+                if label in heads:
+                    splits = ends[b][i] & ((1 << best) - 1)
+                    while splits:
+                        low = splits & -splits
+                        m = low.bit_length() - 1
+                        if ends[c][m] >> e & 1:
+                            best, left, right = m, b, c
+                            break
+                        splits ^= low
+        if best == e:
+            raise InvariantError(f"the chart admits no split of the node {path[-1]}")
+        if e - best > best - i:
+            label, i, l = right, best, e - best
         else:
-            label, l = b, s
+            label, l = left, best - i
 
 
 def _body_words(

@@ -74,8 +74,8 @@ RefuteOutcome = Union[PumpWitness, Inconclusive]
 PUMP_EXPONENTS = (0, 2, 3, 4)
 # the exponents find_decomposition replays through CYK before returning
 REPLAYED_EXPONENTS = (0, 2, 3)
-# the chart cells a refutation may charge: one n(n+1)/2-cell chart for
-# every candidate of length n
+# the chart cells a refutation may charge: n(n+1)/2 for every candidate of
+# length n, an upper bound on the (start, end) pairs its chart can fill
 REFUTE_CELL_LIMIT = 10_000_000
 
 
@@ -140,11 +140,13 @@ def refute_subset(
     which must give every member of length n over g's terminals, in
     canonical order; ``size(n)`` is how many words it gives.  Each candidate
     costs one CYK chart, which also keeps only the members of L(g); every
-    candidate's chart is charged against :data:`REFUTE_CELL_LIMIT` before
-    any is generated.  A kept candidate is replayed through the predicate,
-    decomposed and pumped until some variant (confirmed in L(g) by CYK, by
-    :func:`find_decomposition` for the exponents it replays) falsifies the
-    predicate.  A witness certifies the non-inclusion; running out of
+    candidate's chart is charged n(n+1)/2 cells against
+    :data:`REFUTE_CELL_LIMIT` before any is generated.  A chart fills only
+    the (start, end) pairs that some nonterminal derives, so the charge
+    bounds that work from above rather than counting it.  A kept candidate
+    is replayed through the predicate, decomposed and pumped until some
+    variant (confirmed in L(g) by CYK, by :func:`find_decomposition` for
+    the exponents it replays) falsifies the predicate.  A witness certifies the non-inclusion; running out of
     candidates is inconclusive, never an error.
     """
     cnf = to_cnf(g)

@@ -248,13 +248,18 @@ def cnf_grammars(draw):
 
 
 def assert_chart_matches_the_reference(g, w):
-    # every cell against the set chart, the path against the reference walk
+    # every cell against the set chart, no end bit at or below its offset or
+    # past the word, the path against the reference walk
     names = sorted(g.nonterminals)
-    chart = cyk_chart(g, w)
+    n = len(w)
+    ends = cyk_chart(g, w)
     ref = reference_chart(g, w.letters)
-    assert all(len(chart[l]) == len(w) - l + 1 for l in range(1, len(w) + 1))
+    assert len(ends) == len(names)
+    for row in ends:
+        for i, bits in enumerate(row):
+            assert bits & ((1 << (i + 1)) - 1) == 0 and bits >> (n + 1) == 0
     for (i, l), heads in ref.items():
-        assert {a for k, a in enumerate(names) if chart[l][i] >> k & 1} == heads
+        assert {a for k, a in enumerate(names) if ends[k][i] >> (i + l) & 1} == heads
     path = cyk_derivation(g, w)
     assert path == reference_walk(g, w)
     assert cyk_member(g, w) == (path is not None)
@@ -350,6 +355,21 @@ def test_word_parallel_filter_agrees_with_cyk_member(g, data):
     assert cyk_filter(g, words) == [w for w in words if cyk_member(g, w)]
 
 
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(cnf_grammars(), st.data())
+def test_member_agrees_with_the_word_parallel_filter_on_longer_words(g, data):
+    # 7-24 letters, drawn words beside members from drawn derivations: each
+    # word's own closure against the one chart per length of cyk_filter
+    lengths = derivable_lengths(g, 24)
+    alphabet = st.sampled_from(sorted({t for _, t in g.lexical} or g.terminals))
+    words = data.draw(st.lists(st.lists(alphabet, min_size=7, max_size=24).map(Word), max_size=6))
+    long = sorted(l for l in lengths[g.start] if l >= 7)
+    if long:
+        for l in data.draw(st.lists(st.sampled_from(long), max_size=4)):
+            words.append(Word(draw_member(data, g, lengths, g.start, l)))
+    assert cyk_filter(g, words) == [w for w in words if cyk_member(g, w)]
+
+
 @pytest.mark.parametrize("grammar", (grammar_l2_1, grammar_l2_2), ids=("L2_1", "L2_2"))
 def test_word_parallel_filter_on_the_covering_grammars(grammar):
     # enumerated members of both covering languages and seeded random words
@@ -377,6 +397,46 @@ def test_blocks_grammar_on_400_letter_words():
     assert not cyk_member(cnf, blocks_word(99, 100, 201))
     assert_chart_matches_the_reference(cnf, blocks_word(20, 20, 30))
     assert_chart_matches_the_reference(cnf, blocks_word(20, 19, 31))
+
+
+def in_blocks(w):
+    # a^m b^m c^t with m, t >= 1, read off the letters directly
+    m = w.letters.count(SYMBOL_TABLE["a"])
+    return m >= 1 and len(w) > 2 * m and w == blocks_word(m, m, len(w) - 2 * m)
+
+
+@st.composite
+def blocks_words(draw):
+    # a^m b^m' c^t with m, m', t <= 60 and m' mostly m or next to it; half
+    # get a near miss: one letter dropped, doubled or swapped with the next
+    m, t = draw(st.integers(0, 60)), draw(st.integers(0, 60))
+    m2 = draw(st.one_of(st.just(m), st.integers(max(m - 1, 0), min(m + 1, 60)), st.integers(0, 60)))
+    letters = list(blocks_word(m, m2, t).letters)
+    if letters and draw(st.booleans()):
+        p = draw(st.integers(0, len(letters) - 1))
+        edit = draw(st.sampled_from(("drop", "double", "swap")))
+        if edit == "drop":
+            del letters[p]
+        elif edit == "double":
+            letters.insert(p, letters[p])
+        else:
+            letters[p : p + 2] = letters[p : p + 2][::-1]
+    return Word(letters)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(blocks_words())
+def test_blocks_membership_matches_the_plain_predicate(w):
+    assert cyk_member(to_cnf(parse_grammar(BLOCKS_TEXT)), w) == in_blocks(w)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(blocks_words())
+def test_blocks_derivations_match_the_reference_walk(w):
+    cnf = to_cnf(parse_grammar(BLOCKS_TEXT))
+    path = cyk_derivation(cnf, w)
+    assert path == reference_walk(cnf, w)
+    assert (path is not None) == in_blocks(w)
 
 
 def test_foreign_letters_have_no_derivation():
