@@ -8,8 +8,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence, Union
 
-from .grammars import Cfg, Dfa, cyk_member, dfa_accepts, dfa_run, to_cnf
-from .words import EMPTY_WORD, TrackedWord, Word, fuse_letter, split_letter
+from .grammars import AutomatonError, Cfg, Dfa, cyk_member, dfa_accepts, dfa_run, to_cnf
+from .words import EMPTY_WORD, Word, fuse_letter, fuse_tracks, split_letter
 
 
 class AdviceError(ValueError):
@@ -50,14 +50,14 @@ def leq_advice() -> AdviceFunction:
 
     def fn(n: int) -> Word:
         if n % 2 == 0:
-            return Word((0,) * (n // 2) + (1,) * (n // 2))
-        return Word((2,) * n)
+            return Word._trusted((0,) * (n // 2) + (1,) * (n // 2))
+        return Word._trusted((2,) * n)
 
     return AdviceFunction(fn, "leq")
 
 
 def zero_advice() -> AdviceFunction:
-    return AdviceFunction(lambda n: Word((0,) * n), "zeros")
+    return AdviceFunction(lambda n: Word._trusted((0,) * n), "zeros")
 
 
 def table_advice(table: Mapping[int, Sequence[int]], name: str = "table") -> AdviceFunction:
@@ -92,7 +92,15 @@ def membership_oracle(inner: Inner) -> Callable[[Word], bool]:
     an error.
     """
     if isinstance(inner, Dfa):
-        return lambda w: all(a in inner.alphabet for a in w.letters) and dfa_accepts(inner, w)
+
+        def accepts(w: Word) -> bool:
+            # one run; the start state is valid, so only a foreign letter raises
+            try:
+                return dfa_accepts(inner, w)
+            except AutomatonError:
+                return False
+
+        return accepts
     if isinstance(inner, Cfg):
         cnf = to_cnf(inner)
         return lambda w: cyk_member(cnf, w)
@@ -120,8 +128,8 @@ def parallel_member(lang: AdvisedLanguage, x: Word) -> bool:
     inner language."""
     if lang.mode != "parallel":
         raise AdviceError("parallel_member needs a parallel advised language")
-    fused = TrackedWord(x, lang.advice(len(x))).fused()
-    return lang._oracle(fused)
+    fused = fuse_tracks(x.letters, lang.advice(len(x)).letters)
+    return lang._oracle(Word._trusted(fused))
 
 
 def serial_member(lang: AdvisedLanguage, x: Word) -> bool:
@@ -223,7 +231,7 @@ def prefix_pair_encode(u: Word, v: Word) -> Word:
                 raise PairCodeError(f"pair coding needs binary words, got letter {bit}")
             out += [bit, bit]
         out += [0, 1]
-    return Word(out)
+    return Word._trusted(tuple(out))
 
 
 def prefix_pair_decode(w: Word) -> tuple[Word, Word]:
@@ -238,17 +246,14 @@ def prefix_pair_decode(w: Word) -> tuple[Word, Word]:
         while True:
             if i + 2 > len(letters):
                 raise PairCodeError("truncated codeword")
-            pair = letters[i : i + 2]
+            a, b = letters[i], letters[i + 1]
             i += 2
-            if pair == (0, 1):
+            if a == 0 and b == 1:
                 break
-            if pair == (0, 0):
-                bits.append(0)
-            elif pair == (1, 1):
-                bits.append(1)
-            else:
-                raise PairCodeError(f"invalid letter pair {pair}")
-        parts.append(Word(bits))
+            if a != b or a > 1:
+                raise PairCodeError(f"invalid letter pair {(a, b)}")
+            bits.append(a)
+        parts.append(Word._trusted(tuple(bits)))
     if i != len(letters):
         raise PairCodeError("trailing letters after the second terminator")
     return parts[0], parts[1]

@@ -674,6 +674,8 @@ class Dfa:
     transitions: Mapping[tuple[str, int], str]
     start: str
     accepting: frozenset[str]
+    # the transition map by state, {state: {letter: next}}, read by dfa_run
+    _rows: Mapping[str, Mapping[int, str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "states", frozenset(self.states))
@@ -691,20 +693,27 @@ class Dfa:
             for a in self.alphabet:
                 if (q, a) not in self.transitions:
                     raise AutomatonError(f"transition map is not total: missing ({q!r}, {a!r})")
+        rows: dict[str, dict[int, str]] = {q: {} for q in self.states}
+        for (q, a), r in self.transitions.items():
+            rows[q][a] = r
+        object.__setattr__(self, "_rows", rows)
 
 
 def dfa_run(m: Dfa, state: str, w: Word) -> str:
-    """Fold the transition map over ``w`` starting in ``state``.
+    """Fold the automaton's rows over ``w`` starting in ``state``.
 
     A letter outside the alphabet is an error: totality is part of the
     automaton's contract, so a foreign letter signals a misbuilt machine.
     """
-    if state not in m.states:
+    rows = m._rows
+    if state not in rows:
         raise AutomatonError(f"unknown state {state!r}")
-    for a in w.letters:
-        if a not in m.alphabet:
-            raise AutomatonError(f"letter {a} is outside the automaton's alphabet")
-        state = m.transitions[(state, a)]
+    try:
+        for a in w.letters:
+            state = rows[state][a]
+    except KeyError:
+        # every row is total over the alphabet, so only the letter can miss
+        raise AutomatonError(f"letter {a} is outside the automaton's alphabet") from None
     return state
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .guards import InvariantError, check_budget
 from .words import PositionMap, TrackedWord, Word
@@ -475,12 +475,7 @@ def paper_check(m: int) -> dict:
     }
 
 
-@dataclass(frozen=True, slots=True)
-class SwapWitness:
-    """Two slice members whose distinct midsections swap without leaving
-    the language.  Offsets are 0-based; ``i_zero`` marks witnesses whose
-    midsection starts at the very front."""
-
+class _SwapFields(NamedTuple):
     i: int
     j: int
     x: Word
@@ -489,19 +484,33 @@ class SwapWitness:
     swapped_y: Word
     both_in_language: bool = True
 
-    def __post_init__(self) -> None:
-        x, y, i, k = self.x.letters, self.y.letters, self.i, self.i + self.j
-        if len(x) != len(y):
+
+class SwapWitness(_SwapFields):
+    """Two slice members whose distinct midsections swap without leaving
+    the language.  Offsets are 0-based; ``i_zero`` marks witnesses whose
+    midsection starts at the very front.
+
+    An immutable record: one tuple, its fields checked as it is built."""
+
+    __slots__ = ()
+
+    def __new__(cls, i, j, x, y, swapped_x, swapped_y, both_in_language=True):
+        xs, ys, k = x.letters, y.letters, i + j
+        if len(xs) != len(ys):
             raise ValueError("swap witnesses need equal-length words")
-        if not (0 <= i and k <= len(x) and self.j >= 1):
+        if not (0 <= i and k <= len(xs) and j >= 1):
             raise ValueError("inconsistent split offsets")
-        x2, y2 = x[i:k], y[i:k]
+        x2, y2 = xs[i:k], ys[i:k]
         if x2 == y2:
             raise ValueError("midsections must differ")
-        if self.swapped_x.letters != x[:i] + y2 + x[k:]:
+        if swapped_x.letters != xs[:i] + y2 + xs[k:]:
             raise ValueError("swapped_x is not the midsection splice")
-        if self.swapped_y.letters != y[:i] + x2 + y[k:]:
+        if swapped_y.letters != ys[:i] + x2 + ys[k:]:
             raise ValueError("swapped_y is not the midsection splice")
+        return tuple.__new__(cls, (i, j, x, y, swapped_x, swapped_y, both_in_language))
+
+    # _replace builds through _make, so it is checked too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def i_zero(self) -> bool:
@@ -521,6 +530,10 @@ class SwapWitness:
 
 
 SCAN_ROUTE = "swap scan by context index"
+
+#: Letters a scan may hold in its witnesses: each one spells 4n letters
+#: (x, y and both splices), charged spot by spot before any is built.
+WITNESS_LETTER_LIMIT = 10**7
 
 
 def swap_scan(
@@ -563,7 +576,9 @@ def swap_scan(
     oracle calls of every spot, and all of them are charged before the
     first oracle call.  Every spot's tried pairs are charged, one step
     each, as the spot is indexed and before any witness is built.  All of
-    it shares ``call_limit``.
+    it shares ``call_limit``.  The witnesses found are charged 4n letters
+    each against :data:`WITNESS_LETTER_LIMIT`, spot by spot, before any
+    record is built; ``force`` overrides both limits.
     """
     n = s.n
     j_lo, j_hi = j_range
@@ -643,6 +658,7 @@ def swap_scan(
                     for cy in holders.get(b, ()):
                         if a in acc[cy]:
                             found.append((xi, mids[cy][b], i, j))
+        check_budget(4 * n * len(found), WITNESS_LETTER_LIMIT, "swap witness letters", force=force)
     found.sort()
     out: list[SwapWitness] = []
     for xi, yi, i, j in found:
@@ -650,12 +666,7 @@ def swap_scan(
         x, y = packed[xi], packed[yi]
         out.append(
             SwapWitness(
-                i=i,
-                j=j,
-                x=word(x),
-                y=word(y),
-                swapped_x=splice(x & keep | y & mid),
-                swapped_y=splice(y & keep | x & mid),
+                i, j, word(x), word(y), splice(x & keep | y & mid), splice(y & keep | x & mid)
             )
         )
     return out

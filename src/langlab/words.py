@@ -292,12 +292,21 @@ def nest_l2(w: Word) -> Word:
     return Word._trusted(PositionMap.l2(4 * len(t)).word(t))
 
 
+def fuse_tracks(top: tuple[int, ...], bottom: tuple[int, ...]) -> tuple[int, ...]:
+    """Cantor-pair two equal-length tuples of letters >= 0 positionwise.
+
+    The one statement of the pairing: letter pair (t, b) becomes
+    (t + b)(t + b + 1)/2 + b.  The letters are trusted; tracks of
+    different lengths raise ``ValueError``.
+    """
+    return tuple([(t + b) * (t + b + 1) // 2 + b for t, b in zip(top, bottom, strict=True)])
+
+
 def fuse_letter(top: int, bottom: int) -> int:
     """Encode a two-track letter pair as one letter (Cantor pairing)."""
     if top < 0 or bottom < 0:
         raise WordError("track letters must be >= 0")
-    s = top + bottom
-    return s * (s + 1) // 2 + bottom
+    return fuse_tracks((top,), (bottom,))[0]
 
 
 def split_letter(code: int) -> tuple[int, int]:
@@ -327,9 +336,7 @@ class TrackedWord:
 
     def fused(self) -> Word:
         """The single-track view: one paired letter per position."""
-        return Word._trusted(
-            tuple(fuse_letter(t, b) for t, b in zip(self.top.letters, self.bottom.letters))
-        )
+        return Word._trusted(fuse_tracks(self.top.letters, self.bottom.letters))
 
     @classmethod
     def from_fused(cls, w: Word) -> "TrackedWord":

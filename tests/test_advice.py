@@ -1,6 +1,7 @@
 """Advised membership, the serial-to-parallel conversion, pair coding."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -14,6 +15,7 @@ from langlab.advice import (
     advice_from_json,
     leq_advice,
     leq_parallel,
+    membership_oracle,
     parallel_member,
     prefix_pair_decode,
     prefix_pair_encode,
@@ -24,7 +26,7 @@ from langlab.advice import (
 )
 from langlab.corpus import is_leq
 from langlab.grammars import Dfa, dfa_accepts
-from langlab.words import EMPTY_WORD, Word
+from langlab.words import EMPTY_WORD, TrackedWord, Word
 
 binary_words = st.builds(Word, st.lists(st.sampled_from((0, 1)), max_size=10))
 
@@ -218,6 +220,17 @@ def test_decode_rejects_malformed_inputs():
         prefix_pair_encode(Word.of(2), EMPTY_WORD)
 
 
+def test_decode_names_the_bad_pair():
+    with pytest.raises(PairCodeError, match=r"invalid letter pair \(1, 0\)"):
+        prefix_pair_decode(Word.of(1, 0, 0, 1, 0, 1))
+    with pytest.raises(PairCodeError, match=r"invalid letter pair \(2, 2\)"):
+        prefix_pair_decode(Word.of(0, 0, 2, 2, 0, 1, 0, 1))
+    with pytest.raises(PairCodeError, match=r"invalid letter pair \(0, 2\)"):
+        prefix_pair_decode(Word.of(0, 2, 0, 1))
+    with pytest.raises(PairCodeError, match="truncated"):
+        prefix_pair_decode(Word.of(0, 0, 1))
+
+
 def test_codewords_up_to_5_are_prefix_free():
     words = [Word(t) for k in range(6) for t in itertools.product((0, 1), repeat=k)]
     codes = {prefix_pair_encode(u, v).letters for u in words for v in words}
@@ -225,3 +238,75 @@ def test_codewords_up_to_5_are_prefix_free():
     for letters in codes:
         for cut in range(1, len(letters)):
             assert letters[:cut] not in codes
+
+
+# -- the advice path against independent folds -------------------------------------
+
+
+def random_dfa(rng):
+    # built the way acceptance._random_dfa builds the suite's automata
+    states = [f"q{i}" for i in range(rng.randint(2, 4))]
+    return Dfa(
+        states=frozenset(states),
+        alphabet=frozenset((0, 1)),
+        transitions={(q, a): rng.choice(states) for q in states for a in (0, 1)},
+        start="q0",
+        accepting=frozenset(q for q in states if rng.random() < 0.5),
+    )
+
+
+def reference_accepts(m, letters):
+    # a foreign letter rejects; otherwise fold the transition map
+    q = m.start
+    for a in letters:
+        if (q, a) not in m.transitions:
+            return False
+        q = m.transitions[(q, a)]
+    return q in m.accepting
+
+
+def test_dfa_oracle_matches_a_fold_and_rejects_foreign_letters():
+    rng = random.Random(18)
+    for _ in range(20):
+        m = random_dfa(rng)
+        oracle = membership_oracle(m)
+        for n in range(6):
+            for t in itertools.product((0, 1, 2), repeat=n):
+                assert oracle(Word(t)) == reference_accepts(m, t), t
+                if 2 in t:
+                    assert not oracle(Word(t))
+
+
+def binary_words_up_to(max_len):
+    return [Word(t) for n in range(max_len + 1) for t in itertools.product((0, 1), repeat=n)]
+
+
+def assert_parallel_member_matches_tracked_fusion(lang, max_len=8):
+    for x in binary_words_up_to(max_len):
+        fused = TrackedWord(x, lang.advice(len(x))).fused()
+        assert parallel_member(lang, x) == reference_accepts(lang.inner, fused.letters), x
+
+
+def test_parallel_member_matches_tracked_fusion_on_leq():
+    assert_parallel_member_matches_tracked_fusion(leq_parallel())
+
+
+def test_parallel_member_matches_tracked_fusion_on_converted_setups():
+    rng = random.Random(9)
+    for _ in range(5):
+        m = random_dfa(rng)
+        table = {n: [rng.choice((0, 1)) for _ in range(n)] for n in range(9)}
+        h, m2 = serial_to_parallel_reg(m, table_advice(table, "random-table"))
+        assert_parallel_member_matches_tracked_fusion(AdvisedLanguage("parallel", m2, h))
+
+
+def test_parallel_member_rejects_advice_of_the_wrong_length():
+    long = AdviceFunction(lambda n: Word((0,) * (n + 1)), "long")
+    with pytest.raises(AdviceError, match="length 4 at n=3"):
+        parallel_member(AdvisedLanguage("parallel", constant_dfa(True), long), Word.of(0, 1, 1))
+    # a bare callable skips the length law, and the track fusion still refuses it
+    bare = AdvisedLanguage("parallel", constant_dfa(True), lambda n: Word((0,) * (n + 1)))
+    with pytest.raises(ValueError):
+        parallel_member(bare, Word.of(0, 1, 1))
+    with pytest.raises(ValueError):
+        parallel_member(bare, EMPTY_WORD)

@@ -231,6 +231,17 @@ def test_swap_scan_of_a_witness_heavy_slice_trips_the_default_limit(capsys):
     assert peak < 64 * 2**20
 
 
+def test_swap_scan_witness_output_is_bounded(capsys):
+    # at default limits this scan would print over 8e7 witness letters, some
+    # 800 MB of JSON; the letters are charged spot by spot before any
+    # witness is built, so it exits 2 with one document
+    code, doc = run_json(
+        capsys, "swap-scan", "--lang", "L2_1", "--n", "6", "--j-min", "1", "--j-max", "6"
+    )
+    assert code == 2
+    assert "swap witness letters" in doc["error"] and "limit 10000000" in doc["error"]
+
+
 def test_consecutive_runs_in_one_process_leak_no_arguments(capsys):
     # the parser is built once per process and shared by every main call
     scan = ("swap-scan", "--lang", "L2", "--n", "8", "--j-min", "1", "--j-max", "2")

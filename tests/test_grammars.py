@@ -717,3 +717,52 @@ def test_dfa_json_roundtrip():
     assert dfa_accepts(dfa_from_json(dfa_to_json(m)), Word.of(1, 1, 1))
     with pytest.raises(AutomatonError):
         dfa_from_json({"states": ["a"], "alphabet": [0]})
+
+
+def random_dfa(rng, alphabet=(0, 1)):
+    # built the way acceptance._random_dfa builds the suite's automata
+    states = [f"q{i}" for i in range(rng.randint(2, 4))]
+    return Dfa(
+        states=frozenset(states),
+        alphabet=frozenset(alphabet),
+        transitions={(q, a): rng.choice(states) for q in states for a in alphabet},
+        start="q0",
+        accepting=frozenset(q for q in states if rng.random() < 0.5),
+    )
+
+
+def reference_run(m, q, letters):
+    for a in letters:
+        q = m.transitions[(q, a)]
+    return q
+
+
+def test_dfa_run_matches_a_fold_over_the_transition_map():
+    rng = random.Random(18)
+    for alphabet in ((0, 1), (0, 1, 2), (3, 7)):
+        for _ in range(10):
+            m = random_dfa(rng, alphabet)
+            for n in range(6):
+                for t in itertools.product(alphabet, repeat=n):
+                    for q in sorted(m.states):
+                        assert dfa_run(m, q, Word(t)) == reference_run(m, q, t)
+                    assert dfa_accepts(m, Word(t)) == (reference_run(m, m.start, t) in m.accepting)
+
+
+def test_dfa_run_rejects_foreign_letters_and_unknown_states():
+    rng = random.Random(19)
+    for _ in range(10):
+        m = random_dfa(rng)
+        for t in ((5,), (0, 1, 5), (1, 1, 0, 2)):
+            with pytest.raises(AutomatonError, match="outside the automaton's alphabet"):
+                dfa_run(m, m.start, Word(t))
+        with pytest.raises(AutomatonError, match="unknown state"):
+            dfa_run(m, "nowhere", EMPTY_WORD)
+        with pytest.raises(AutomatonError, match="unknown state"):
+            dfa_run(m, "nowhere", Word.of(0, 1))
+
+
+def test_dfa_row_table_stays_out_of_equality_and_repr():
+    m = parity_dfa()
+    assert m == parity_dfa()
+    assert "_rows" not in repr(m)

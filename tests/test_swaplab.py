@@ -734,6 +734,84 @@ def test_swap_witness_validation():
         )
 
 
+def witness(**changes):
+    # a valid witness at (1, 1): x = 0 1, y = 0 2
+    fields = dict(
+        i=1, j=1, x=Word.of(0, 1), y=Word.of(0, 2), swapped_x=Word.of(0, 2), swapped_y=Word.of(0, 1)
+    )
+    fields.update(changes)
+    return SwapWitness(**fields)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"y": Word.of(0, 2, 2)}, "equal-length"),
+        ({"i": -1}, "inconsistent split offsets"),
+        ({"i": 1, "j": 2}, "inconsistent split offsets"),
+        ({"j": 0}, "inconsistent split offsets"),
+        ({"y": Word.of(0, 1)}, "midsections must differ"),
+        ({"swapped_x": Word.of(9, 2)}, "swapped_x is not the midsection splice"),
+        ({"swapped_y": Word.of(0, 2)}, "swapped_y is not the midsection splice"),
+    ],
+)
+def test_swap_witness_checks_every_field(changes, message):
+    with pytest.raises(ValueError, match=message):
+        witness(**changes)
+    # positional construction makes the same checks
+    fields = {**witness()._asdict(), **changes}
+    with pytest.raises(ValueError, match=message):
+        SwapWitness(*fields.values())
+    with pytest.raises(ValueError, match=message):
+        witness()._replace(**changes)
+
+
+def test_swap_witness_is_an_immutable_value():
+    w = witness()
+    with pytest.raises(AttributeError):
+        w.i = 0
+    with pytest.raises(AttributeError):
+        w.extra = 1
+    twin = SwapWitness(1, 1, Word.of(0, 1), Word.of(0, 2), Word.of(0, 2), Word.of(0, 1))
+    assert w == twin and hash(w) == hash(twin)
+    assert w != witness(both_in_language=False)
+    assert (w.i, w.j, w.both_in_language, w.i_zero) == (1, 1, True, False)
+    assert witness(i=0, y=Word.of(2, 1), swapped_x=Word.of(2, 1), swapped_y=Word.of(0, 1)).i_zero
+    assert w.to_json() == {
+        "i": 1,
+        "j": 1,
+        "i_zero": False,
+        "x": [0, 1],
+        "y": [0, 2],
+        "swapped_x": [0, 2],
+        "swapped_y": [0, 1],
+        "both_in_language": True,
+    }
+
+
+def test_swap_scan_charges_witness_letters_spot_by_spot(monkeypatch):
+    s = build_slice(EVEN_PALINDROMES, 6)
+    witnesses = swap_scan(is_even_palindrome, s, (1, 6))
+    letters = 4 * 6 * len(witnesses)
+    monkeypatch.setattr(swaplab, "WITNESS_LETTER_LIMIT", letters)
+    assert swap_scan(is_even_palindrome, s, (1, 6)) == witnesses
+    monkeypatch.setattr(swaplab, "WITNESS_LETTER_LIMIT", letters - 1)
+    with pytest.raises(CostGuardError, match=f"swap witness letters would touch about {letters} "):
+        swap_scan(is_even_palindrome, s, (1, 6))
+    assert swap_scan(is_even_palindrome, s, (1, 6), force=True) == witnesses
+    # the first spot that finds witnesses trips a zero limit, holding only its own
+    monkeypatch.setattr(swaplab, "WITNESS_LETTER_LIMIT", 0)
+    with pytest.raises(CostGuardError) as err:
+        swap_scan(is_even_palindrome, s, (1, 6))
+    first = int(str(err.value).split("about ")[1].split()[0])
+    assert 0 < first < letters and first % 24 == 0
+
+
+def test_witness_letters_of_the_pinned_scans_stay_under_the_limit():
+    s = build_slice(LANGUAGES["Pal_sharp"], 11)
+    assert 4 * 11 * len(swap_scan(is_pal_sharp, s, (1, 11))) == 384_384 < swaplab.WITNESS_LETTER_LIMIT
+
+
 # -- the parameter chain ------------------------------------------------------------
 
 

@@ -15,6 +15,7 @@ from langlab.words import (
     Word,
     WordError,
     fuse_letter,
+    fuse_tracks,
     nest_l2,
     parse_word,
     reverse,
@@ -117,6 +118,8 @@ def test_zip_roundtrip_and_empty():
 def test_zip_rejects_unequal_lengths():
     with pytest.raises(WordError):
         TrackedWord(Word.of(1, 2), Word.of(3, 6, 3))
+    with pytest.raises(ValueError):
+        fuse_tracks((1, 2), (3, 6, 3))
 
 
 @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), max_size=12))
@@ -225,3 +228,9 @@ def test_the_l2_map_lists_its_nestings_in_canonical_order():
         choices = map(Word, itertools.product((1, 2), repeat=n // 4))
         reference = [w + scale(reverse(w), 3) + scale(w, 15) + scale(reverse(w), 5) for w in choices]
         assert list(PositionMap.l2(n).members()) == reference == sorted(reference)
+
+
+@given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), max_size=12))
+def test_fuse_tracks_fuses_letter_by_letter(pairs):
+    top, bottom = tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)
+    assert fuse_tracks(top, bottom) == tuple(fuse_letter(t, b) for t, b in pairs)
