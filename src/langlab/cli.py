@@ -317,12 +317,8 @@ def build_parser() -> "argparse.ArgumentParser":
         "--limit",
         type=int,
         default=100_000_000,
-        help="cost budget: the scanned slice holds every member at --n, so the scan is "
-        "charged |S| grouping steps at every spot it visits, as it reaches the spot (an "
-        "offset whose longest spot has no shared context is visited once), plus one step "
-        "per member pair it tries (a scan of an incomplete slice would visit every spot "
-        "twice and also be charged |contexts|*|middles| oracle calls at every spot); the "
-        "witnesses are capped separately at 10^7 letters, 4*n each",
+        help="most steps the scan may take grouping members and trying pairs; "
+        "swaplab.swap_scan gives the charge model",
     )
 
     p = add("params", cmd_params, "exact swap parameter chain for a constant m")

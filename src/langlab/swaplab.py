@@ -191,19 +191,12 @@ def _factor_tables(s: Slice, j: int) -> Iterator[tuple[int, Counter]]:
 SLICE_LIMIT = 10_000_000
 
 
-def build_slice(
-    language,
-    n: int,
-    advice=None,
-    *,
-    force: bool = False,
-    scan_limit: int = SLICE_LIMIT,
-) -> Slice:
+def build_slice(language, n: int, advice=None, *, force: bool = False) -> Slice:
     """Collect every length-``n`` member of a language, fused with the
     advice word at ``n`` when advice is given.
 
     Languages with a generator are queried directly, which trips the cost
-    guard once the language's exact ``size(n)`` exceeds ``scan_limit``;
+    guard once the language's exact ``size(n)`` exceeds :data:`SLICE_LIMIT`;
     one with a position map at ``n`` (and no advice) has its members read
     off the map already packed, by :func:`_map_members`.  Otherwise all
     words over the language's alphabet are filtered through its predicate,
@@ -215,7 +208,7 @@ def build_slice(
     origin = f"{getattr(language, 'name', 'language')}[n={n}]"
     generator = getattr(language, "generator", None)
     if generator is not None:
-        check_budget(language.size(n), scan_limit, "generated slice", force=force)
+        check_budget(language.size(n), SLICE_LIMIT, "generated slice", force=force)
         if advice is None and getattr(language, "pmap", None) is not None:
             pmap = language.pmap(n)
             if pmap is not None:
@@ -223,7 +216,7 @@ def build_slice(
         members = generator(n)
     else:
         alphabet = sorted(language.alphabet)
-        check_budget(len(alphabet) ** n, scan_limit, "brute-force slice scan", force=force)
+        check_budget(len(alphabet) ** n, SLICE_LIMIT, "brute-force slice scan", force=force)
         predicate = language.predicate
         members = [w for w in map(Word, itertools.product(alphabet, repeat=n)) if predicate(w)]
     if advice is not None:
@@ -532,7 +525,7 @@ class SwapWitness(_SwapFields):
 SCAN_ROUTE = "swap scan by context index"
 
 #: Letters a scan may hold in its witnesses: each one spells 4n letters
-#: (x, y and both splices), charged spot by spot before any is built.
+#: (x, y and both splices), charged as each is found, before any is built.
 WITNESS_LETTER_LIMIT = 10**7
 
 
@@ -563,22 +556,27 @@ def swap_scan(
     length-n word that ``member`` accepts) those are the middles the context
     holds, read off the slice: a spot whose contexts are all distinct has no
     swap, and neither has any shorter middle at its offset, which the scan
-    then skips, longest middle first.  Each distinct splice of a witness is
-    replayed through ``member`` once, and a rejected one raises
-    ``InvariantError``, since the slice and the oracle disagree.  On any
-    other slice ``member`` is asked about every context with every middle
-    of the spot, each distinct splice once, except a context's own middle
-    when it holds no other.
+    then skips, longest middle first.  On any other slice ``member`` is
+    asked about every context with every middle of the spot, except a
+    context's own middle when it holds no other.
+
+    One memo maps each packed splice to its Word when ``member`` accepts
+    it and to None when it rejects it, so ``member`` is asked about each
+    distinct splice once.  On an incomplete slice the search fills it; on
+    a complete slice the witness records fill it as they replay their
+    splices, and a rejected one raises ``InvariantError``, since the slice
+    and the oracle disagree.  The records take their splices from it.
 
     The scan is charged |S| steps for grouping the members at every spot
     it visits, as it reaches the spot; on an incomplete slice a first pass
     over the spots, charged the same way, counts the |contexts|·|middles|
     oracle calls of every spot, and all of them are charged before the
     first oracle call.  Every spot's tried pairs are charged, one step
-    each, as the spot is indexed and before any witness is built.  All of
-    it shares ``call_limit``.  The witnesses found are charged 4n letters
-    each against :data:`WITNESS_LETTER_LIMIT`, spot by spot, before any
-    record is built; ``force`` overrides both limits.
+    each, as the spot is indexed and before any witness is found.  All of
+    it shares ``call_limit``.  The witnesses are charged 4n letters each
+    against :data:`WITNESS_LETTER_LIMIT` as they are found, so the scan
+    stops at the one that crosses it, before any record is built;
+    ``force`` overrides both limits.
     """
     n = s.n
     j_lo, j_hi = j_range
@@ -608,8 +606,15 @@ def swap_scan(
             words[v] = s.word(v)
         return words[v]
 
+    # packed splice -> its Word if member accepts it, None if it rejects it
+    memo: dict[int, Optional[Word]] = {}
+
     if s.complete:
-        accepted, splice = _slice_route(member, s.origin, word)
+
+        def accepted(mids):
+            # a context with one middle can swap it for no other
+            return {c: held for c, held in mids.items() if len(held) > 1}
+
     else:
         calls = 0
         for i, j in spots:
@@ -617,7 +622,43 @@ def swap_scan(
             keep, mid = masks(i, j)
             calls += len(set(map(keep.__and__, packed))) * len(set(map(mid.__and__, packed)))
         charge(calls)
-        accepted, splice = _oracle_route(member, s)
+
+        def accepted(mids):
+            middles = {u: None for held in mids.values() for u in held}
+            acc = {}
+            for c, held in mids.items():
+                # a context's own middle matters only beside another one
+                lone = next(iter(held)) if len(held) == 1 else None
+                ok = set()
+                for b in middles:
+                    if b == lone:
+                        continue
+                    t = c | b
+                    if t in memo:
+                        w = memo[t]
+                    else:
+                        w = s.word(t)
+                        if not member(w):
+                            w = None
+                        memo[t] = w
+                    if w is not None:
+                        ok.add(b)
+                if ok:
+                    acc[c] = ok
+            return acc
+
+    def splice(v: int) -> Word:
+        w = memo.get(v)
+        if w is None:
+            # a complete slice's splice is a member, replayed here once
+            w = memo[v] = word(v) if member(word(v)) else None
+            if w is None:
+                raise InvariantError(
+                    f"complete slice {s.origin!r} holds {word(v).to_json()}, "
+                    "which the oracle rejects"
+                )
+        return w
+
     indexed = []
     settled = None
     for i, j in reversed(spots):
@@ -647,6 +688,8 @@ def swap_scan(
         )
         indexed.append((i, j, mids, acc, holders))
     found: list[tuple[int, int, int, int]] = []
+    limit, what = WITNESS_LETTER_LIMIT, "swap witness letters"
+    cap = limit // (4 * n)
     for i, j, mids, acc, holders in indexed:
         # x with middle a swaps with y with middle b != a when x's context
         # accepts b and y's accepts a
@@ -658,7 +701,8 @@ def swap_scan(
                     for cy in holders.get(b, ()):
                         if a in acc[cy]:
                             found.append((xi, mids[cy][b], i, j))
-        check_budget(4 * n * len(found), WITNESS_LETTER_LIMIT, "swap witness letters", force=force)
+                            if len(found) > cap:
+                                check_budget(4 * n * len(found), limit, what, force=force)
     found.sort()
     out: list[SwapWitness] = []
     for xi, yi, i, j in found:
@@ -682,59 +726,3 @@ def _spot_classes(packed: list[int], keep: int, mid: int, accepted):
         mids.setdefault(v & keep, {})[v & mid] = pos
     acc = accepted(mids)
     return {c: mids[c] for c in acc}, acc
-
-
-def _slice_route(member: Callable[[Word], bool], origin: str, word: Callable[[int], Word]):
-    """On a complete slice a context accepts the middles it holds, and a
-    splice is the member it spells (decoded by ``word``), replayed through
-    the oracle once."""
-
-    def accepted(mids):
-        # a context with one middle can swap it for no other
-        return {c: held for c, held in mids.items() if len(held) > 1}
-
-    replayed: set[int] = set()
-
-    def splice(v: int) -> Word:
-        w = word(v)
-        if v not in replayed:
-            if not member(w):
-                raise InvariantError(
-                    f"complete slice {origin!r} holds {w.to_json()}, which the oracle rejects"
-                )
-            replayed.add(v)
-        return w
-
-    return accepted, splice
-
-
-def _oracle_route(member: Callable[[Word], bool], s: Slice):
-    """On any other slice the oracle decides every splice, once: the memo
-    keeps the Word of each accepted splice and None for a rejected one."""
-    words: dict[int, Optional[Word]] = {}
-
-    def accepted(mids):
-        middles = {u: None for held in mids.values() for u in held}
-        acc = {}
-        for c, held in mids.items():
-            # a context's own middle matters only beside another one
-            lone = next(iter(held)) if len(held) == 1 else None
-            ok = set()
-            for b in middles:
-                if b == lone:
-                    continue
-                t = c | b
-                if t in words:
-                    w = words[t]
-                else:
-                    w = s.word(t)
-                    if not member(w):
-                        w = None
-                    words[t] = w
-                if w is not None:
-                    ok.add(b)
-            if ok:
-                acc[c] = ok
-        return acc
-
-    return accepted, words.__getitem__

@@ -1,6 +1,7 @@
-"""The witness-battery outputs pinned in ``bench/expected.json``, recomputed
-here by an independent digest: the acceptance suite, the scan of a sampled
-L2_2 slice and the Pal_sharp witness listing keep their exact bytes."""
+"""Outputs pinned in ``bench/expected.json``, recomputed here by an
+independent digest: the acceptance suite, the scan of a sampled L2_2 slice
+and the Pal_sharp witness listing of the witness battery, and the two
+complete-slice CLI scans of the nesting scan, keep their exact bytes."""
 
 import hashlib
 import json
@@ -12,7 +13,8 @@ import pytest
 from langlab import acceptance, cli, corpus, swaplab
 
 EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
-PINS = json.loads(EXPECTED.read_text())["witness-battery"]
+ALL_PINS = json.loads(EXPECTED.read_text())
+PINS = ALL_PINS["witness-battery"]
 SEEDS = (1729, 1)
 
 
@@ -41,11 +43,28 @@ def test_sampled_l2_2_scan_digest(seed):
     assert sha256_json(rows) == pin["sha256"]
 
 
-def test_pal_sharp_listing_bytes(capsys):
-    pin = PINS["*"]["cli swap-scan Pal_sharp n=11"]
-    code = cli.main(["swap-scan", "--lang", "Pal_sharp", "--n", "11", "--j-min", "1", "--j-max", "11"])
+def check_cli_pin(capsys, pin, argv):
+    code = cli.main(argv)
     doc = json.loads(capsys.readouterr().out)
     del doc["elapsed_ms"]
     canonical = json.dumps(doc, sort_keys=True).encode()
     assert (code, len(canonical)) == (pin["exit"], pin["bytes"])
     assert hashlib.sha256(canonical).hexdigest() == pin["sha256"]
+
+
+def test_pal_sharp_listing_bytes(capsys):
+    argv = ["swap-scan", "--lang", "Pal_sharp", "--n", "11", "--j-min", "1", "--j-max", "11"]
+    check_cli_pin(capsys, PINS["*"]["cli swap-scan Pal_sharp n=11"], argv)
+
+
+@pytest.mark.parametrize(
+    "name,argv",
+    [
+        ("cli swap-scan L2 n=24", ["--n", "24", "--j-min", "1", "--j-max", "6"]),
+        ("cli swap-scan L2 n=16 advice leq", ["--n", "16", "--j-min", "1", "--j-max", "4", "--advice", "leq"]),
+    ],
+)
+def test_nesting_scan_listing_bytes(capsys, name, argv):
+    # complete slices, plain and fused with advice: the scan reads them off the slice
+    pin = ALL_PINS["nesting-scan"]["*"][name]
+    check_cli_pin(capsys, pin, ["swap-scan", "--lang", "L2", *argv])

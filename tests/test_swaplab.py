@@ -77,21 +77,25 @@ def test_brute_force_slice_of_palindromes():
     ]
 
 
-def test_brute_force_slice_cost_guard():
+def test_brute_force_slice_cost_guard(monkeypatch):
     big = CorpusLanguage("big", frozenset(range(10)), lambda w: True, None)
     with pytest.raises(CostGuardError):
         build_slice(big, 8)
-    assert len(build_slice(EVEN_PALINDROMES, 4, scan_limit=1, force=True)) == 4
+    monkeypatch.setattr(swaplab, "SLICE_LIMIT", 1)
+    assert len(build_slice(EVEN_PALINDROMES, 4, force=True)) == 4
 
 
-def test_a_generated_slice_is_charged_its_exact_size():
+def test_a_generated_slice_is_charged_its_exact_size(monkeypatch):
     # 2^100 members at n = 400: the guard trips before any is generated
     with pytest.raises(CostGuardError, match=str(2**100)):
         build_slice(L2, 400)
+    monkeypatch.setattr(swaplab, "SLICE_LIMIT", 1023)
     with pytest.raises(CostGuardError, match="1024"):
-        build_slice(L2, 40, scan_limit=1023)
-    assert len(build_slice(L2, 40, scan_limit=1024)) == 1024
-    assert len(build_slice(L2, 8, scan_limit=1, force=True)) == 4
+        build_slice(L2, 40)
+    monkeypatch.setattr(swaplab, "SLICE_LIMIT", 1024)
+    assert len(build_slice(L2, 40)) == 1024
+    monkeypatch.setattr(swaplab, "SLICE_LIMIT", 1)
+    assert len(build_slice(L2, 8, force=True)) == 4
 
 
 def test_slice_validation():
@@ -799,12 +803,22 @@ def test_swap_scan_charges_witness_letters_spot_by_spot(monkeypatch):
     with pytest.raises(CostGuardError, match=f"swap witness letters would touch about {letters} "):
         swap_scan(is_even_palindrome, s, (1, 6))
     assert swap_scan(is_even_palindrome, s, (1, 6), force=True) == witnesses
-    # the first spot that finds witnesses trips a zero limit, holding only its own
+    # a zero limit trips at the first witness found
     monkeypatch.setattr(swaplab, "WITNESS_LETTER_LIMIT", 0)
     with pytest.raises(CostGuardError) as err:
         swap_scan(is_even_palindrome, s, (1, 6))
     first = int(str(err.value).split("about ")[1].split()[0])
     assert 0 < first < letters and first % 24 == 0
+
+
+def test_the_witness_cap_stops_at_the_witness_that_crosses_it(monkeypatch):
+    # the first spot with witnesses holds 8 of them, 192 letters; a limit of
+    # 100 letters admits 4 (96 letters) and trips at the fifth, mid-spot
+    s = build_slice(EVEN_PALINDROMES, 6)
+    monkeypatch.setattr(swaplab, "WITNESS_LETTER_LIMIT", 100)
+    with pytest.raises(CostGuardError, match="about 120 items"):
+        swap_scan(is_even_palindrome, s, (1, 6))
+    assert len(swap_scan(is_even_palindrome, s, (1, 6), force=True)) == 232
 
 
 def test_witness_letters_of_the_pinned_scans_stay_under_the_limit():
