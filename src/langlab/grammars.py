@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .guards import CostGuardError, InvariantError
 from .words import SYMBOL_TABLE, Word
@@ -465,6 +465,27 @@ def cyk_member(g: CnfGrammar, w: Word) -> bool:
     return bool(cyk_chart(g, w)[g._start][0] >> n & 1)
 
 
+def _packing(
+    terminals: Iterable[int],
+) -> tuple[Callable[[Iterable[int]], bytes | str], Callable[[bytes | str], tuple[int, ...]]]:
+    # (pack, unpack) for words over `terminals` stored one code unit a
+    # letter, so that a packed word caches its hash and packed words of one
+    # length sort by memcmp in the canonical letter order: bytes of the
+    # letters themselves when all are below 256, else bytes of their ranks
+    # for at most 256 terminals, else str code points of their ranks
+    letters = sorted(terminals)
+    if not letters or letters[-1] < 256:
+        return bytes, tuple
+    rank = {a: r for r, a in enumerate(letters)}
+    if len(letters) <= 256:
+        return (lambda ws: bytes(map(rank.__getitem__, ws))), (
+            lambda p: tuple(map(letters.__getitem__, p))
+        )
+    return (lambda ws: "".join(map(chr, map(rank.__getitem__, ws)))), (
+        lambda p: tuple(map(letters.__getitem__, map(ord, p)))
+    )
+
+
 def cyk_filter(g: CnfGrammar, words: Sequence[Word]) -> list[Word]:
     """The words of ``words`` that ``g`` derives, in input order, each one
     decided as :func:`cyk_member` decides it: the empty word is kept when
@@ -479,9 +500,25 @@ def cyk_filter(g: CnfGrammar, words: Sequence[Word]) -> list[Word]:
     are grouped by left child, so a ``B`` absent from the left cell skips
     all of its right children.  A length-n chart has n(n+1)/2 cells of at
     most |N| bitsets each.
+
+    The length-1 cells are built in time linear in the group: its words
+    are packed one code unit a letter into one row-major string, so that
+    column ``i`` is the stride slice ``text[i::n]``, taken backwards so
+    that the k-th word lands on bit k.  A letter's bitset is that column
+    translated to ``0``/``1`` (its own code to ``1``) and read with
+    ``int(·, 2)``, one pass per column and letter that has lexical heads
+    and occurs in the column.
     """
-    terminals, start, lexicon = g.terminals, g._start, g._lexicon
+    terminals, start = g.terminals, g._start
     rules = [(b, right) for b, right in enumerate(g._right) if right]
+    pack = _packing(terminals)[0]
+    unit = {a: pack((a,)) for a in terminals}
+    lexicon = [(unit[a], ord(unit[a]), heads) for a, heads in g._lexicon.items()]
+    # every code reads as "0" but the one whose bitset is being taken
+    if isinstance(pack(()), bytes):
+        zeros = bytearray(b"0" * 256)
+    else:
+        zeros = dict.fromkeys(map(ord, unit.values()), 48)
     derived = [False] * len(words)
     groups: dict[int, list[int]] = defaultdict(list)
     for pos, w in enumerate(words):
@@ -491,16 +528,19 @@ def cyk_filter(g: CnfGrammar, words: Sequence[Word]) -> list[Word]:
         elif terminals.issuperset(letters):
             groups[len(letters)].append(pos)
     for n, group in groups.items():
-        rows = [words[pos].letters for pos in group]
+        text = pack(itertools.chain.from_iterable(words[pos].letters for pos in group))
+        last = len(text) - n
         cells = []
         for i in range(n):
-            by_letter: dict[int, int] = defaultdict(int)
-            for k, letters in enumerate(rows):
-                by_letter[letters[i]] |= 1 << k
+            column = text[last + i :: -n]
             cell: dict[int, int] = defaultdict(int)
-            for a, bits in by_letter.items():
-                for x in lexicon.get(a, ()):
-                    cell[x] |= bits
+            for u, c, heads in lexicon:
+                if u in column:
+                    zeros[c] = 49
+                    bits = int(column.translate(zeros), 2)
+                    zeros[c] = 48
+                    for x in heads:
+                        cell[x] |= bits
             cells.append(cell)
         # chart[l][i] is the cell of the length-l factors at offset i
         chart = [[], cells]
@@ -583,19 +623,23 @@ def cyk_derivation(g: CnfGrammar, w: Word) -> list[tuple[str, int, int]] | None:
 
 
 def _body_words(
-    body: Body, length: int, table: Mapping[str, list[set[tuple[int, ...]]]]
-) -> set[tuple[int, ...]]:
-    # all terminal tuples of exactly `length` derivable from the body, given
-    # the per-nonterminal, per-length sets computed so far, the current
-    # length's included (the looping bodies read it).  Walking back on
-    # lengths alone, each symbol gets its (length, words) factors and the
-    # totals `rest` that the symbols after it fill exactly; a partial then
-    # grows by a factor only if the rest can still make up `length`
+    body: Body,
+    length: int,
+    table: Mapping[str, list[set[bytes | str]]],
+    pack: Callable[[Iterable[int]], bytes | str],
+) -> set[bytes | str]:
+    # all packed terminal words of exactly `length` derivable from the body,
+    # given the per-nonterminal, per-length sets computed so far, the current
+    # length's included (the looping bodies read it), and the `pack` of
+    # their encoding.  Walking back on lengths alone, each symbol gets its
+    # (length, words) factors and the totals `rest` that the symbols after
+    # it fill exactly; a partial then grows by a factor only if the rest can
+    # still make up `length`
     steps = []
     rest = {0}
     for sym in reversed(body):
         if isinstance(sym, int):
-            factors = [(1, ((sym,),))]
+            factors = [(1, (pack((sym,)),))]
         else:
             sets = table[sym]
             factors = [(l, sets[l]) for l in range(length + 1) if sets[l]]
@@ -603,9 +647,9 @@ def _body_words(
         rest = {l + r for l, _ in factors for r in rest if l + r <= length}
     if length not in rest:
         return set()
-    current: dict[int, set[tuple[int, ...]]] = {0: {()}}
+    current: dict[int, set[bytes | str]] = {0: {pack(())}}
     for factors, rest in reversed(steps):
-        nxt: dict[int, set[tuple[int, ...]]] = defaultdict(set)
+        nxt: dict[int, set[bytes | str]] = defaultdict(set)
         for ln, ws in current.items():
             for l, sub in factors:
                 if length - ln - l in rest:
@@ -633,10 +677,14 @@ def enumerate_language(g: Cfg, max_len: int, *, budget: int | None = None) -> tu
     length every production runs once, and only the looping ones repeat
     until nothing changes.  The optional ``budget`` caps the number of
     stored factor words.
+
+    The closure stores factor words packed (see :func:`_packing`); only
+    the start symbol's become Words, one length at a time at the end.
     """
     if max_len < 0:
         raise GrammarError("max_len must be >= 0")
-    table: dict[str, list[set[tuple[int, ...]]]] = {
+    pack, unpack = _packing(g.terminals)
+    table: dict[str, list[set[bytes | str]]] = {
         a: [set() for _ in range(max_len + 1)] for a in g.nonterminals
     }
     nullable = _nullable_set(g.productions)
@@ -649,7 +697,7 @@ def enumerate_language(g: Cfg, max_len: int, *, budget: int | None = None) -> tu
         while changed:
             changed = False
             for head, body in pending:
-                fresh = _body_words(body, length, table) - table[head][length]
+                fresh = _body_words(body, length, table, pack) - table[head][length]
                 if fresh:
                     table[head][length] |= fresh
                     stored += len(fresh)
@@ -660,9 +708,19 @@ def enumerate_language(g: Cfg, max_len: int, *, budget: int | None = None) -> tu
                         )
             pending = looping
     # each length sorted on its own, shortest first: the canonical order;
-    # the terminals were validated by Cfg, so the words are built trusted
-    found = itertools.chain.from_iterable(map(sorted, table[g.start]))
-    return tuple(map(Word._trusted, found))
+    # the other rows go first, and each length's set before its words are
+    # built; the terminals were validated by Cfg, so the words are trusted
+    rows = table.pop(g.start)
+    del table
+    found: list[Word] = []
+    for length in range(max_len + 1):
+        # popped from the end of a descending list above a None stop, each
+        # packed word is freed as it is unpacked, so that its Word (of the
+        # same allocator size class up to 15 letters) can take its place
+        packed = [None] + sorted(rows[length], reverse=True)
+        rows[length] = None
+        found += map(Word._trusted, map(unpack, iter(packed.pop, None)))
+    return tuple(found)
 
 
 @dataclass(frozen=True)

@@ -210,6 +210,11 @@ def test_intersection_check_small_levels():
     report = intersection_check(3)
     assert report.ok and all(lv.count == 0 for lv in report.levels)
 
+    # past the length-12 guard: 2, 4 and 8 nestings at lengths 4, 8 and 12
+    report = intersection_check(14, force=True)
+    assert report.ok and report.counterexample is None
+    assert [lv.count for lv in report.levels] == [0, 0, 0, 2, 0, 0, 0, 4, 0, 0, 0, 8, 0, 0]
+
 
 def test_intersection_check_cost_guard():
     with pytest.raises(CostGuardError):

@@ -233,12 +233,15 @@ def reference_walk(g, w):
 
 
 NAMES = ("A", "B", "S", "S0", "T1")
+# small letters pack as bytes of themselves, letters of 256 or more as bytes
+# of their ranks; 0 and 4 stay foreign to both
+TERMINAL_POOLS = ((1, 2, 3), (1, 300, 70000))
 
 
 @st.composite
 def cnf_grammars(draw):
     names = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=4, unique=True))
-    terminals = frozenset(range(1, draw(st.integers(1, 3)) + 1))
+    terminals = frozenset(draw(st.sampled_from(TERMINAL_POOLS))[: draw(st.integers(1, 3))])
     symbol = st.sampled_from(names)
     binary = draw(st.lists(st.tuples(symbol, symbol, symbol), max_size=8))
     lexical = draw(st.lists(st.tuples(symbol, st.sampled_from(sorted(terminals))), max_size=5))
@@ -518,52 +521,63 @@ def reference_enumeration(g, max_len, budget=None):
     return tuple(Word(t) for t in sorted((t for ts in table[g.start] for t in ts), key=lambda t: (len(t), t)))
 
 
-WORD_LETTERS = st.sampled_from((0, 1))
+# terminal sets for the three packings: bytes of the letters themselves,
+# bytes of the ranks of letters of 256 or more, str code points of the ranks
+# of more than 256 terminals; words use the first and the last letter
+ALPHABETS = ((0, 1), (300, 70000), tuple(range(0, 600, 2)))
 
 
 @st.composite
 def body_tables(draw):
     # a few words of up to 8 letters for each of A, B and C, set out by
     # length: most lengths stay empty, and a nullable owner has the empty word
+    alphabet = draw(st.sampled_from(ALPHABETS))
+    letters = st.sampled_from((alphabet[0], alphabet[-1]))
     table = {}
     for a in ("A", "B", "C"):
-        words = draw(st.lists(st.lists(WORD_LETTERS, max_size=8).map(tuple), max_size=4))
+        words = draw(st.lists(st.lists(letters, max_size=8).map(tuple), max_size=4))
         if draw(st.booleans()):
             words.append(())
         table[a] = [{w for w in words if len(w) == l} for l in range(9)]
-    symbols = st.one_of(st.sampled_from(("A", "B", "C")), WORD_LETTERS)
-    return tuple(draw(st.lists(symbols, max_size=4))), draw(st.integers(0, 8)), table
+    symbols = st.one_of(st.sampled_from(("A", "B", "C")), letters)
+    return alphabet, tuple(draw(st.lists(symbols, max_size=4))), draw(st.integers(0, 8)), table
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(body_tables())
 def test_body_walk_agrees_with_the_recursive_reference(case):
-    body, length, table = case
-    assert grammars._body_words(body, length, table) == reference_body_words(body, length, table)
+    # the walk over packed tables, unpacked, against the tuple reference
+    alphabet, body, length, table = case
+    pack, unpack = grammars._packing(alphabet)
+    packed = {a: [set(map(pack, ws)) for ws in rows] for a, rows in table.items()}
+    got = grammars._body_words(body, length, packed, pack)
+    assert {type(p) for p in got} <= {type(pack(()))}
+    assert set(map(unpack, got)) == reference_body_words(body, length, table)
 
 
 def test_body_walk_builds_only_partials_that_reach_the_length():
-    # the factor words record the length of every partial joined to them
+    # the packed factor words record the length of every partial joined to them
     built = []
 
-    class Factor(tuple):
+    class Factor(bytes):
         def __add__(self, other):
             built.append(len(self) + len(other))
-            return Factor(tuple(self) + tuple(other))
+            return Factor(bytes(self) + bytes(other))
 
         def __radd__(self, other):
             built.append(len(other) + len(self))
-            return Factor(tuple(other) + tuple(self))
+            return Factor(bytes(other) + bytes(self))
 
-    table = {"A": [{Factor((1,) * l)} if l in (1, 3) else set() for l in range(8)]}
+    table = {"A": [{Factor(b"\x01" * l)} if l in (1, 3) else set() for l in range(8)]}
     # A '0' A fills 5 as 1 + 1 + 3 or 3 + 1 + 1; a walk that let the last
     # A stop short would also build 2 + 1 = 3
-    assert grammars._body_words(("A", 0, "A"), 5, table) == {(1, 0, 1, 1, 1), (1, 1, 1, 0, 1)}
+    got = grammars._body_words(("A", 0, "A"), 5, table, bytes)
+    assert got == {bytes((1, 0, 1, 1, 1)), bytes((1, 1, 1, 0, 1))}
     assert sorted(built) == [1, 2, 3, 4, 5, 5]
     # no split fills 4 (or 6), so nothing at all is built
     built.clear()
-    assert grammars._body_words(("A", 0, "A"), 4, table) == set()
-    assert grammars._body_words(("A", 0, "A"), 6, table) == set()
+    assert grammars._body_words(("A", 0, "A"), 4, table, bytes) == set()
+    assert grammars._body_words(("A", 0, "A"), 6, table, bytes) == set()
     assert built == []
 
 
@@ -575,9 +589,11 @@ def test_enumeration_of_l2_2_reads_the_position_map_length_by_length():
 
 @st.composite
 def cfgs(draw):
-    # empty productions, unit chains and unit cycles are all likely
+    # empty productions, unit chains and unit cycles are all likely; the
+    # letters are 0 and 1, or 300 and 70000 (a few terminals, packed as ranks)
     names = draw(st.lists(st.sampled_from(("S", "A", "B", "C")), min_size=1, max_size=4, unique=True))
-    symbol = st.one_of(st.sampled_from(names), st.sampled_from((0, 1)))
+    letters = draw(st.sampled_from(ALPHABETS[:2]))
+    symbol = st.one_of(st.sampled_from(names), st.sampled_from(letters))
     body = st.one_of(
         st.just(()),
         st.sampled_from(names).map(lambda a: (a,)),
@@ -647,6 +663,43 @@ def test_enumeration_agrees_with_cyk_oracle(text):
     enumerated = set(enumerate_language(g, 8))
     filtered = {w for w in brute_words(g.terminals, 8) if cyk_member(cnf, w)}
     assert enumerated == filtered
+
+
+# letters of 256 or more (bytes of ranks), and 300 terminals (str code points
+# of ranks); the unreachable U leaves a terminal with no lexical head in CNF
+WIDE_GRAMMARS = {
+    "wide letters": {
+        "S": [(300, "S", 70000), (300, 70000), ("A",)],
+        "A": [(), (256, "A")],
+        "U": [(9,)],
+    },
+    "300 terminals": {
+        "S": [(k, k) for k in range(300)] + [(0, "S", 299), (299, "S", 0)],
+        "U": [(5000,)],
+    },
+}
+
+
+@pytest.mark.parametrize("rules", WIDE_GRAMMARS.values(), ids=WIDE_GRAMMARS)
+def test_packed_routes_on_wide_alphabets(rules):
+    g = Cfg.from_rules("S", rules)
+    # the two grammars store 29 and 2,101 factor words: each trips below that
+    for budget in (None, 0, 28, 29, 299, 2100, 2101):
+        got = outcome(enumerate_language, g, 7, budget)
+        assert got == outcome(reference_enumeration, g, 7, budget)
+    members = enumerate_language(g, 7)
+    assert len(members) > 10
+    # members, near misses with foreign letters, repeats and the empty word
+    rng = random.Random(1729)
+    alphabet = sorted(g.terminals | {1, 4, 70001})
+    words = list(members) + [Word(rng.choices(alphabet, k=rng.randint(0, 8))) for _ in range(300)]
+    words += [w[:-1] + Word.of(70001) for w in members if w]
+    words += list(members[:20]) + [EMPTY_WORD]
+    rng.shuffle(words)
+    cnf = to_cnf(g)
+    kept = cyk_filter(cnf, words)
+    assert kept == [w for w in words if cyk_member(cnf, w)]
+    assert set(kept) == set(members)
 
 
 def test_pumping_constant_is_two_to_nonterminal_count():
