@@ -471,16 +471,12 @@ def _packing(
     # (pack, unpack) for words over `terminals` stored one code unit a
     # letter, so that a packed word caches its hash and packed words of one
     # length sort by memcmp in the canonical letter order: bytes of the
-    # letters themselves when all are below 256, else bytes of their ranks
-    # for at most 256 terminals, else str code points of their ranks
+    # letters themselves when all are below 256, else str code points of
+    # their ranks.  Either way every code is below max(256, |terminals|).
     letters = sorted(terminals)
     if not letters or letters[-1] < 256:
         return bytes, tuple
     rank = {a: r for r, a in enumerate(letters)}
-    if len(letters) <= 256:
-        return (lambda ws: bytes(map(rank.__getitem__, ws))), (
-            lambda p: tuple(map(letters.__getitem__, p))
-        )
     return (lambda ws: "".join(map(chr, map(rank.__getitem__, ws)))), (
         lambda p: tuple(map(letters.__getitem__, map(ord, p)))
     )
@@ -514,11 +510,10 @@ def cyk_filter(g: CnfGrammar, words: Sequence[Word]) -> list[Word]:
     pack = _packing(terminals)[0]
     unit = {a: pack((a,)) for a in terminals}
     lexicon = [(unit[a], ord(unit[a]), heads) for a, heads in g._lexicon.items()]
-    # every code reads as "0" but the one whose bitset is being taken
-    if isinstance(pack(()), bytes):
-        zeros = bytearray(b"0" * 256)
-    else:
-        zeros = dict.fromkeys(map(ord, unit.values()), 48)
+    # indexed by code: every code reads as "0" but the one whose bitset is
+    # being taken; bytes.translate wants exactly 256 entries, and str codes
+    # are ranks, all below len(terminals)
+    zeros = bytearray(b"0" * max(256, len(terminals)))
     derived = [False] * len(words)
     groups: dict[int, list[int]] = defaultdict(list)
     for pos, w in enumerate(words):

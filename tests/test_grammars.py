@@ -233,8 +233,8 @@ def reference_walk(g, w):
 
 
 NAMES = ("A", "B", "S", "S0", "T1")
-# small letters pack as bytes of themselves, letters of 256 or more as bytes
-# of their ranks; 0 and 4 stay foreign to both
+# small letters pack as bytes of themselves, letters of 256 or more as str
+# code points of their ranks; 0 and 4 stay foreign to both
 TERMINAL_POOLS = ((1, 2, 3), (1, 300, 70000))
 
 
@@ -521,9 +521,9 @@ def reference_enumeration(g, max_len, budget=None):
     return tuple(Word(t) for t in sorted((t for ts in table[g.start] for t in ts), key=lambda t: (len(t), t)))
 
 
-# terminal sets for the three packings: bytes of the letters themselves,
-# bytes of the ranks of letters of 256 or more, str code points of the ranks
-# of more than 256 terminals; words use the first and the last letter
+# terminal sets for the two packings: bytes of the letters themselves, and
+# str code points of the ranks, for a few letters of 256 or more and for 300
+# terminals whose ranks pass 255; words use the first and the last letter
 ALPHABETS = ((0, 1), (300, 70000), tuple(range(0, 600, 2)))
 
 
@@ -665,8 +665,9 @@ def test_enumeration_agrees_with_cyk_oracle(text):
     assert enumerated == filtered
 
 
-# letters of 256 or more (bytes of ranks), and 300 terminals (str code points
-# of ranks); the unreachable U leaves a terminal with no lexical head in CNF
+# letters of 256 or more, and 300 terminals whose ranks pass 255, both packed
+# as str code points of ranks; the unreachable U leaves a terminal with no
+# lexical head in CNF
 WIDE_GRAMMARS = {
     "wide letters": {
         "S": [(300, "S", 70000), (300, 70000), ("A",)],
