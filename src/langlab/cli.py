@@ -44,6 +44,7 @@ from .swaplab import (
     paper_check,
     slice_stats,
     swap_scan,
+    witness_listing,
 )
 from .words import SYMBOL_TABLE, TrackedWord, Word, WordError, parse_word
 
@@ -196,7 +197,7 @@ def cmd_swap_scan(args) -> tuple[str, dict]:
         "slice_size": len(s),
         "j_range": [args.j_min, args.j_max],
         "count": len(witnesses),
-        "witnesses": [w.to_json() for w in witnesses],
+        "witnesses": _Encoded(witness_listing(witnesses)),
     }
     return "pass", payload
 
@@ -350,8 +351,50 @@ def build_parser() -> "argparse.ArgumentParser":
     return parser
 
 
+class _Encoded:
+    """A JSON value whose text an encoder of its own has written, exactly
+    as ``json.dumps(value, sort_keys=True)`` would."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+
+def _dumps(doc: dict) -> str:
+    """``json.dumps(doc, sort_keys=True)``, with the text of the one
+    :class:`_Encoded` value a document may hold written in its place.  The
+    document is encoded twice, with ``[]`` and with ``[0]`` standing in for
+    that value, and its place is where the two texts first differ, so no
+    marker text has to be kept out of the rest of the document."""
+    held: list[_Encoded] = []
+
+    def encoded(stand_in: list):
+        def default(o):
+            if not isinstance(o, _Encoded):
+                raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+            held.append(o)
+            return stand_in
+
+        return json.dumps(doc, sort_keys=True, default=default)
+
+    text = encoded([])
+    if len(held) > 1:
+        raise TypeError("a document may hold one encoded value at most")
+    if not held:
+        return text
+    # the texts agree up to the stand-in's "[" and differ right after it:
+    # bisect for the length of the prefix they share
+    other = encoded([0])
+    lo, hi = 0, len(text)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if other.startswith(text[:mid]) else (lo, mid - 1)
+    return text[: lo - 1] + held[0].text + text[lo + 1 :]
+
+
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, sort_keys=True))
+    print(_dumps(doc))
 
 
 def _emit_csv(payload: dict) -> None:

@@ -509,17 +509,32 @@ class SwapWitness(_SwapFields):
     def i_zero(self) -> bool:
         return self.i == 0
 
-    def to_json(self) -> dict:
-        return {
-            "i": self.i,
-            "j": self.j,
-            "i_zero": self.i_zero,
-            "x": self.x.to_json(),
-            "y": self.y.to_json(),
-            "swapped_x": self.swapped_x.to_json(),
-            "swapped_y": self.swapped_y.to_json(),
-            "both_in_language": self.both_in_language,
-        }
+
+class _WordTexts(dict):
+    """The JSON text of a word's letters, keyed by the letters, each one
+    made on first use."""
+
+    def __missing__(self, letters: tuple[int, ...]) -> str:
+        text = self[letters] = "[" + ", ".join(map(str, letters)) + "]"
+        return text
+
+
+def witness_listing(witnesses) -> str:
+    """The JSON array text of a witness list, byte for byte what
+    ``json.dumps(rows, sort_keys=True)`` writes for the rows with keys
+    ``both_in_language, i, i_zero, j, swapped_x, swapped_y, x, y`` and
+    each word as its list of letters.  The text of each distinct word is
+    made once per call, so a listing costs per distinct word, not per
+    letter of every occurrence."""
+    texts = _WordTexts()
+    flag = ("false", "true")
+    rows = [
+        f'{{"both_in_language": {flag[both]}, "i": {i}, "i_zero": {flag[i == 0]}, "j": {j}, '
+        f'"swapped_x": {texts[sx.letters]}, "swapped_y": {texts[sy.letters]}, '
+        f'"x": {texts[x.letters]}, "y": {texts[y.letters]}}}'
+        for i, j, x, y, sx, sy, both in witnesses
+    ]
+    return "[" + ", ".join(rows) + "]"
 
 
 SCAN_ROUTE = "swap scan by context index"
@@ -565,7 +580,14 @@ def swap_scan(
     distinct splice once.  On an incomplete slice the search fills it; on
     a complete slice the witness records fill it as they replay their
     splices, and a rejected one raises ``InvariantError``, since the slice
-    and the oracle disagree.  The records take their splices from it.
+    and the oracle disagree.
+
+    The pair loop notes each witness as the slice positions of x and y,
+    the spot, and its two packed splices, which it holds already.  The
+    records are built from those: x and y are the slice's ``members`` at
+    those positions, and the splices come from the memo.  ``members`` is
+    decoded only when the scan finds a witness, so a scan that finds none
+    decodes no Word on a complete slice.
 
     The scan is charged |S| steps for grouping the members at every spot
     it visits, as it reaches the spot; on an incomplete slice a first pass
@@ -598,13 +620,6 @@ def swap_scan(
     def masks(i: int, j: int) -> tuple[int, int]:
         mid = ((1 << width * j) - 1) << width * (n - i - j)
         return full ^ mid, mid
-
-    words: dict[int, Word] = {}
-
-    def word(v: int) -> Word:
-        if v not in words:
-            words[v] = s.word(v)
-        return words[v]
 
     # packed splice -> its Word if member accepts it, None if it rejects it
     memo: dict[int, Optional[Word]] = {}
@@ -651,12 +666,12 @@ def swap_scan(
         w = memo.get(v)
         if w is None:
             # a complete slice's splice is a member, replayed here once
-            w = memo[v] = word(v) if member(word(v)) else None
-            if w is None:
+            w = s.word(v)
+            if not member(w):
                 raise InvariantError(
-                    f"complete slice {s.origin!r} holds {word(v).to_json()}, "
-                    "which the oracle rejects"
+                    f"complete slice {s.origin!r} holds {w.to_json()}, which the oracle rejects"
                 )
+            memo[v] = w
         return w
 
     indexed = []
@@ -687,7 +702,7 @@ def swap_scan(
             )
         )
         indexed.append((i, j, mids, acc, holders))
-    found: list[tuple[int, int, int, int]] = []
+    found: list[tuple[int, int, int, int, int, int]] = []
     limit, what = WITNESS_LETTER_LIMIT, "swap witness letters"
     cap = limit // (4 * n)
     for i, j, mids, acc, holders in indexed:
@@ -700,20 +715,18 @@ def swap_scan(
                         continue
                     for cy in holders.get(b, ()):
                         if a in acc[cy]:
-                            found.append((xi, mids[cy][b], i, j))
+                            found.append((xi, mids[cy][b], i, j, c | b, cy | a))
                             if len(found) > cap:
                                 check_budget(4 * n * len(found), limit, what, force=force)
+    if not found:
+        return []
+    # (xi, yi, i, j) is unique, so the sort never compares the splices
     found.sort()
-    out: list[SwapWitness] = []
-    for xi, yi, i, j in found:
-        keep, mid = masks(i, j)
-        x, y = packed[xi], packed[yi]
-        out.append(
-            SwapWitness(
-                i, j, word(x), word(y), splice(x & keep | y & mid), splice(y & keep | x & mid)
-            )
-        )
-    return out
+    members = s.members
+    return [
+        SwapWitness(i, j, members[xi], members[yi], splice(sx), splice(sy))
+        for xi, yi, i, j, sx, sy in found
+    ]
 
 
 def _spot_classes(packed: list[int], keep: int, mid: int, accepted):

@@ -157,7 +157,17 @@ def reverse(w: Word) -> Word:
     return Word._trusted(w.letters[::-1])
 
 
-class PositionMap(NamedTuple):
+class _MapFields(NamedTuple):
+    t: int
+    letters: tuple[int, ...]
+    blocks: tuple[tuple[int, bool], ...]
+
+
+def _natural(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+class PositionMap(_MapFields):
     """A slice read off one choice word through a fixed position map.
 
     The member for a choice word ``w`` (of length ``t`` over ``letters``)
@@ -170,25 +180,58 @@ class PositionMap(NamedTuple):
     The maps of L2 and L2_2 are :meth:`l2` and :meth:`l2_2`; each starts
     with a plain, unscaled block over sorted letters, so choice-word order
     is canonical order.
+
+    The map is checked as it is built: t >= 1, the letters sorted,
+    distinct and >= 1, and at least one block, each a (scale >= 1,
+    mirrored) pair; a bad map raises ``WordError``.
     """
 
-    t: int
-    letters: tuple[int, ...]
-    blocks: tuple[tuple[int, bool], ...]
+    __slots__ = ()
+
+    def __new__(cls, t, letters, blocks):
+        if not _natural(t) or t < 1:
+            raise WordError(f"a position map needs an int t >= 1, got {t!r}")
+        try:
+            letters = tuple(letters)
+            blocks = tuple((scale, mirrored) for scale, mirrored in blocks)
+        except (TypeError, ValueError):
+            raise WordError(
+                f"a position map needs letters and (scale, mirrored) blocks, got {letters!r}, {blocks!r}"
+            ) from None
+        if not letters or not all(_natural(a) and a >= 1 for a in letters):
+            raise WordError(f"a position map needs letters that are ints >= 1, got {letters!r}")
+        if any(a >= b for a, b in zip(letters, letters[1:])):
+            raise WordError(f"a position map needs sorted, distinct letters, got {letters!r}")
+        if not blocks:
+            raise WordError("a position map needs at least one block")
+        for scale, mirrored in blocks:
+            if not _natural(scale) or scale < 1 or not isinstance(mirrored, bool):
+                raise WordError(
+                    f"a block needs an int scale >= 1 and a bool mirror flag, got {(scale, mirrored)!r}"
+                )
+        return tuple.__new__(cls, (t, letters, blocks))
+
+    # _replace builds through _make, so it is checked too
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    @classmethod
+    def _trusted(cls, t: int, letters: tuple[int, ...], blocks: tuple[tuple[int, bool], ...]):
+        """The internal constructor, for maps already known to be valid."""
+        return tuple.__new__(cls, (t, letters, blocks))
 
     @classmethod
     def l2(cls, n: int) -> Optional[PositionMap]:
         """L2 at n = 4t: w, (w^R)*3, w*15, (w^R)*5 over {1, 2}; None off that grid."""
         if n < 4 or n % 4:
             return None
-        return cls(n // 4, (1, 2), ((1, False), (3, True), (15, False), (5, True)))
+        return cls._trusted(n // 4, (1, 2), ((1, False), (3, True), (15, False), (5, True)))
 
     @classmethod
     def l2_2(cls, n: int) -> Optional[PositionMap]:
         """L2_2 at n = 2t: y, (y^R)*5 over {1, 2, 3, 6}; None off that grid."""
         if n < 2 or n % 2:
             return None
-        return cls(n // 2, (1, 2, 3, 6), ((1, False), (5, True)))
+        return cls._trusted(n // 2, (1, 2, 3, 6), ((1, False), (5, True)))
 
     @property
     def n(self) -> int:
@@ -272,8 +315,9 @@ class PositionMap(NamedTuple):
 @lru_cache(maxsize=64)
 def _reader(pmap: PositionMap) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
     # the one reader, built once per map: position p reads index[p] times its
-    # block's scale (a map has two positions or more, so ``pick`` gives a tuple)
-    pick = itemgetter(*pmap.index)
+    # block's scale; itemgetter of one index gives the bare letter, not a tuple
+    index = pmap.index
+    pick = itemgetter(*index) if len(index) > 1 else lambda choice: (choice[index[0]],)
     scales = [k for k, _ in pmap.blocks for _ in range(pmap.t)]
     return lambda choice: tuple(map(mul, scales, pick(choice)))
 

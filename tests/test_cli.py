@@ -5,9 +5,13 @@ import json
 import time
 import tracemalloc
 
+import pytest
+
 from langlab import cli, corpus
-from langlab.cli import main
+from langlab.cli import advised_oracle, main
 from langlab.grammars import dfa_to_json, Dfa
+from langlab.swaplab import build_slice, swap_scan
+from test_swaplab import reference_row
 
 
 def run(capsys, *argv):
@@ -240,6 +244,53 @@ def test_swap_scan_witness_output_is_bounded(capsys):
     )
     assert code == 2
     assert "swap witness letters" in doc["error"] and "limit 10000000" in doc["error"]
+
+
+@pytest.mark.parametrize("advice", [None, "leq"])
+def test_swap_scan_document_is_the_json_of_the_reference_rows(capsys, advice):
+    argv = ["swap-scan", "--lang", "Pal_sharp", "--n", "7", "--j-min", "1", "--j-max", "7"]
+    if advice:
+        argv += ["--advice", advice]
+    code, out = run(capsys, *argv)
+    assert code == 0 and out.count("\n") == 1
+    doc = json.loads(out)
+    lang = corpus.LANGUAGES["Pal_sharp"]
+    fuse = cli._advice_spec(advice) if advice else None
+    s = build_slice(lang, 7, fuse)
+    oracle = lang.predicate if fuse is None else advised_oracle(lang.predicate, fuse, 7)
+    rows = [reference_row(w) for w in swap_scan(oracle, s, (1, 7))]
+    inputs = {"lang": "Pal_sharp", "n": 7, "j_min": 1, "j_max": 7, "force": False}
+    inputs.update({"limit": 100_000_000, **({"advice": advice} if advice else {})})
+    payload = {
+        "origin": s.origin,
+        "n": 7,
+        "slice_size": len(s),
+        "j_range": [1, 7],
+        "count": len(rows),
+        "witnesses": rows,
+    }
+    expected = {"command": "swap-scan", "inputs": inputs, "verdict": "pass", "payload": payload}
+    assert rows and doc == {**expected, "elapsed_ms": doc["elapsed_ms"]}
+    # the keys come out sorted at every level, the listing's too
+    assert out.strip() == json.dumps(doc, sort_keys=True)
+
+
+def test_a_swap_scan_usage_error_prints_one_document(capsys):
+    code, out = run(capsys, "swap-scan", "--lang", "Pal_sharp", "--n", "0", "--j-min", "1", "--j-max", "7")
+    assert code == 2 and out.count("\n") == 1
+    assert json.loads(out) == {"command": "swap-scan", "error": "ValueError: slices need n >= 1"}
+
+
+def test_an_encoded_value_is_written_in_its_place():
+    doc = {"b": [1, {"z": cli._Encoded('[{"k": 1}]'), "a": "[]"}], "a": "[0]", "c": None}
+    assert cli._dumps(doc) == json.dumps(
+        {"b": [1, {"z": [{"k": 1}], "a": "[]"}], "a": "[0]", "c": None}, sort_keys=True
+    )
+    assert cli._dumps({"a": 1}) == '{"a": 1}'
+    with pytest.raises(TypeError):
+        cli._dumps({"a": object()})
+    with pytest.raises(TypeError):
+        cli._dumps({"a": cli._Encoded("[]"), "b": cli._Encoded("[]")})
 
 
 def test_consecutive_runs_in_one_process_leak_no_arguments(capsys):

@@ -1,5 +1,6 @@
 """Slices, midsection statistics, the swap scan, and the parameter chain."""
 
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -7,7 +8,7 @@ from functools import lru_cache
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from langlab.advice import AdviceFunction, leq_advice
@@ -28,8 +29,9 @@ from langlab.swaplab import (
     l2_bound_check,
     slice_stats,
     swap_scan,
+    witness_listing,
 )
-from langlab.words import PositionMap, TrackedWord, Word, nest_l2
+from langlab.words import PositionMap, TrackedWord, Word, fuse_letter, nest_l2
 
 L2 = LANGUAGES["L2"]
 
@@ -323,6 +325,23 @@ def test_bound_report_agrees_with_its_decoded_counts():
         decoded = SliceStats(stats.n, stats.j, stats.size, stats.counts)
         assert bound_report(stats) == bound_report(decoded)
         assert stats.max_entry() == decoded.max_entry()
+
+
+def test_a_one_position_map_gives_a_slice_of_one_letter_words():
+    lang = CorpusLanguage(
+        "letters",
+        frozenset({3, 6}),
+        lambda w: w.letters in ((3,), (6,)),
+        lambda n: PositionMap(1, (1, 2), ((3, False),)).members() if n == 1 else (),
+        size=lambda n: 2 if n == 1 else 0,
+        pmap=lambda n: PositionMap(1, (1, 2), ((3, False),)) if n == 1 else None,
+    )
+    s = build_slice(lang, 1)
+    assert s.members == (Word.of(3), Word.of(6)) and s.complete
+    assert swap_scan(lang.predicate, s, (1, 1)) == [
+        SwapWitness(0, 1, Word.of(3), Word.of(6), Word.of(6), Word.of(3)),
+        SwapWitness(0, 1, Word.of(6), Word.of(3), Word.of(3), Word.of(6)),
+    ]
 
 
 def test_bound_check_builds_no_slice(monkeypatch):
@@ -781,7 +800,7 @@ def test_swap_witness_is_an_immutable_value():
     assert w != witness(both_in_language=False)
     assert (w.i, w.j, w.both_in_language, w.i_zero) == (1, 1, True, False)
     assert witness(i=0, y=Word.of(2, 1), swapped_x=Word.of(2, 1), swapped_y=Word.of(0, 1)).i_zero
-    assert w.to_json() == {
+    assert reference_row(w) == {
         "i": 1,
         "j": 1,
         "i_zero": False,
@@ -791,6 +810,95 @@ def test_swap_witness_is_an_immutable_value():
         "swapped_y": [0, 1],
         "both_in_language": True,
     }
+    assert json.loads(witness_listing([w])) == [reference_row(w)]
+
+
+# -- the witness listing ------------------------------------------------------------
+
+
+def reference_row(w: SwapWitness) -> dict:
+    """The dict form of one witness in a listing, which ``json.dumps``
+    encodes independently of :func:`witness_listing`."""
+    return {
+        "i": w.i,
+        "j": w.j,
+        "i_zero": w.i_zero,
+        "x": w.x.to_json(),
+        "y": w.y.to_json(),
+        "swapped_x": w.swapped_x.to_json(),
+        "swapped_y": w.swapped_y.to_json(),
+        "both_in_language": w.both_in_language,
+    }
+
+
+# one-digit letters, multi-digit ones, and Cantor-fused letters above 255 as
+# ``--advice leq`` makes them (input letters of L2 over advice bits)
+LISTING_ALPHABETS = (
+    tuple(range(10)),
+    (7, 10, 99, 100, 4567, 123456789),
+    tuple(sorted(fuse_letter(a, b) for a in (1, 2, 3, 5, 6, 10, 15, 30) for b in (0, 1))),
+)
+
+
+@st.composite
+def witness_lists(draw):
+    alphabet = draw(st.sampled_from(LISTING_ALPHABETS))
+    n = draw(st.integers(1, 7))
+    # a small pool of words, so that words recur across rows and fields
+    pool = draw(st.lists(st.tuples(*[st.sampled_from(alphabet)] * n), min_size=1, max_size=4))
+    out = []
+    for _ in range(draw(st.integers(0, 8))):
+        x, y = draw(st.sampled_from(pool)), list(draw(st.sampled_from(pool)))
+        j = draw(st.integers(1, n))
+        i = draw(st.integers(0, n - j))
+        if x[i : i + j] == tuple(y[i : i + j]):
+            y[i] = next(a for a in alphabet if a != x[i])
+        y = tuple(y)
+        sx, sy = x[:i] + y[i : i + j] + x[i + j :], y[:i] + x[i : i + j] + y[i + j :]
+        both = draw(st.booleans())
+        out.append(SwapWitness(i, j, Word(x), Word(y), Word(sx), Word(sy), both))
+    return out
+
+
+LEQ_LETTER = LISTING_ALPHABETS[2][-1]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(witness_lists())
+@example([])
+@example([witness(i=0, y=Word.of(2, 1), swapped_x=Word.of(2, 1), swapped_y=Word.of(0, 1))])
+@example([witness(both_in_language=False), witness()])
+@example(
+    [
+        SwapWitness(
+            0, 2, Word.of(LEQ_LETTER, 300, 12), Word.of(9, 10, 12), Word.of(9, 10, 12),
+            Word.of(LEQ_LETTER, 300, 12), False,
+        )
+    ]
+)
+def test_witness_listing_is_the_json_of_the_reference_rows(witnesses):
+    assert witness_listing(witnesses) == json.dumps(
+        [reference_row(w) for w in witnesses], sort_keys=True
+    )
+
+
+def test_witness_listing_of_the_positive_control():
+    witnesses = swap_scan(is_pal_sharp, build_slice(LANGUAGES["Pal_sharp"], 11), (1, 11))
+    assert witness_listing(witnesses) == json.dumps(
+        [reference_row(w) for w in witnesses], sort_keys=True
+    )
+
+
+def test_a_scan_with_no_witness_decodes_no_member(monkeypatch):
+    decoded = []
+    word = Slice.word
+    monkeypatch.setattr(Slice, "word", lambda s, v: decoded.append(v) or word(s, v))
+    s = build_slice(L2, 24)
+    assert swap_scan(is_l2, s, (1, 6)) == []
+    assert decoded == []
+    # a scan that finds witnesses decodes the members it builds them from
+    assert len(swap_scan(is_even_palindrome, build_slice(EVEN_PALINDROMES, 4), (1, 4))) > 0
+    assert decoded
 
 
 def test_swap_scan_charges_witness_letters_spot_by_spot(monkeypatch):

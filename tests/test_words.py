@@ -230,6 +230,63 @@ def test_the_l2_map_lists_its_nestings_in_canonical_order():
         assert list(PositionMap.l2(n).members()) == reference == sorted(reference)
 
 
+def test_a_one_position_map_gives_its_one_letter_words():
+    pmap = PositionMap(1, (1, 2), ((1, False),))
+    assert pmap.n == 1 and pmap.size == 2 and pmap.index == (0,)
+    assert pmap.members() == (Word.of(1), Word.of(2))
+    assert pmap.word((2,)) == (2,)
+    assert pmap.distinct(1) == [1]
+    assert list(pmap.spot_witnesses()) == [(0, 1, 2)]
+    scaled = PositionMap(1, (1, 2, 3), ((5, True),))
+    assert scaled.members() == (Word.of(5), Word.of(10), Word.of(15))
+    # one choice letter read twice
+    assert PositionMap(1, (1, 2), ((1, False), (3, True))).members() == (Word.of(1, 3), Word.of(2, 6))
+
+
+@pytest.mark.parametrize(
+    "t, letters, blocks",
+    [
+        (0, (1, 2), ((1, False),)),
+        (-1, (1, 2), ((1, False),)),
+        (True, (1, 2), ((1, False),)),
+        (1.0, (1, 2), ((1, False),)),
+        (2, (), ((1, False),)),
+        (2, (2, 1), ((1, False),)),
+        (2, (1, 1), ((1, False),)),
+        (2, (0, 1), ((1, False),)),
+        (2, (1, "2"), ((1, False),)),
+        (2, 3, ((1, False),)),
+        (2, (1, 2), ()),
+        (2, (1, 2), ((0, False),)),
+        (2, (1, 2), ((-3, True),)),
+        (2, (1, 2), ((1, 0),)),
+        (2, (1, 2), ((1,),)),
+        (2, (1, 2), (1, 2)),
+        (2, (1, 2), None),
+    ],
+)
+def test_a_bad_position_map_is_a_word_error(t, letters, blocks):
+    with pytest.raises(WordError):
+        PositionMap(t, letters, blocks)
+
+
+def test_the_built_in_maps_pass_the_constructor_checks():
+    for n in range(1, 41):
+        for pmap in (PositionMap.l2(n), PositionMap.l2_2(n)):
+            if pmap is not None:
+                assert PositionMap(*pmap) == pmap
+
+
+def test_a_position_map_is_checked_however_it_is_built():
+    pmap = PositionMap(2, [1, 2], [[1, False], (3, True)])
+    assert pmap == PositionMap(2, (1, 2), ((1, False), (3, True)))
+    assert PositionMap._make((2, (1, 2), ((1, False),))).members()[0] == Word.of(1, 1)
+    with pytest.raises(WordError):
+        PositionMap.l2(8)._replace(letters=(2, 1))
+    with pytest.raises(WordError):
+        PositionMap.l2(8)._replace(t=0)
+
+
 @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), max_size=12))
 def test_fuse_tracks_fuses_letter_by_letter(pairs):
     top, bottom = tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)
