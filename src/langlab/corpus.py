@@ -1,5 +1,6 @@
-"""The concrete language family: predicates, exact-length generators, and
-grammars where the language is context-free.
+"""The concrete language family: map-free predicates, the position maps
+that spell each language's members, with the sizes and generators read
+off them, and grammars where the language is context-free.
 
 Registry names and their members (letters per :data:`langlab.words.SYMBOL_TABLE`):
 
@@ -17,9 +18,10 @@ L2_dprime   a^m b^m c^(2m), m >= 1  (letters a=1, b=2, c=3)
 
 from __future__ import annotations
 
-import itertools
+import heapq
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from operator import attrgetter
 from typing import Callable, Optional
 
 from .grammars import Cfg, cyk_filter, cyk_member, enumerate_language, to_cnf
@@ -34,35 +36,49 @@ L2_ALPHABET = frozenset({1, 2, 3, 6, 5, 10, 15, 30})
 
 @dataclass(frozen=True)
 class CorpusLanguage:
-    """A language given by a predicate, an exact-length generator, and an
-    optional grammar (present exactly for the context-free members).
+    """A language given by a predicate, position maps, and an optional
+    grammar (present exactly for the context-free members).
 
-    ``size(n)`` is the exact number of members of length ``n``, so the
-    cost of generating them is known before it is paid; a language with a
-    generator must give it.  ``pmap(n)``, where given, is the
-    :class:`~langlab.words.PositionMap` whose choice words spell the
-    members of length ``n``, or None where there are none; the generator
-    reads its members off the map, and a slice is read off it already
-    packed.  The predicate stays map-free, an independent check of both.
+    ``maps(n)``, where given, is a tuple of disjoint
+    :class:`~langlab.words.PositionMap` whose members are the members of
+    length ``n``, empty where there are none.  ``size(n)`` adds up their
+    sizes, so the cost of generating the members is known before it is
+    paid; ``generator(n)`` merges their members into canonical order; and
+    a slice is read off them already packed.  ``generator`` stays a field
+    so that a wrapper can replace it with a callable listing the same
+    members.  The predicate stays map-free, an independent check of the maps.
     """
 
     name: str
     alphabet: frozenset[int]
     predicate: Callable[[Word], bool]
-    generator: Optional[Callable[[int], tuple[Word, ...]]]
+    generator: Optional[Callable[[int], tuple[Word, ...]]] = None
     grammar: Optional[Cfg] = None
-    size: Optional[Callable[[int], int]] = None
-    pmap: Optional[Callable[[int], Optional[PositionMap]]] = None
+    maps: Optional[Callable[[int], tuple[PositionMap, ...]]] = None
 
     def __post_init__(self) -> None:
-        if self.generator is not None and self.size is None:
-            raise ValueError(f"language {self.name!r} has a generator but no size")
-        if self.pmap is not None and self.generator is None:
-            raise ValueError(f"language {self.name!r} has a position map but no generator")
+        if self.maps is None:
+            if self.generator is not None:
+                raise ValueError(f"language {self.name!r} has a generator but no maps to size it")
+        elif self.generator is None:
+            object.__setattr__(self, "generator", partial(_merged_members, self.maps))
+
+    def size(self, n: int) -> int:
+        """The exact number of members of length ``n``."""
+        return sum(pmap.size for pmap in self.maps(n))
 
 
-def _products(alphabet, n):
-    return itertools.product(sorted(alphabet), repeat=n)
+def _merged_members(maps: Callable[[int], tuple[PositionMap, ...]], n: int) -> tuple[Word, ...]:
+    # the maps are disjoint and each lists its members in canonical order
+    return tuple(heapq.merge(*(pmap.members() for pmap in maps(n)), key=attrgetter("letters")))
+
+
+@lru_cache(maxsize=64)
+def _constant(*runs: tuple[int, int]) -> tuple[PositionMap, ...]:
+    # the one member that spells each (letter, count) run in turn: one
+    # one-letter index per run, read count times
+    reads = [(x, 1) for x, (_, count) in enumerate(runs) for _ in range(count)]
+    return (PositionMap(reads, tuple((letter,) for letter, _ in runs)),)
 
 
 # -- L2 and its relatives ---------------------------------------------------
@@ -81,15 +97,11 @@ def is_l2(w: Word) -> bool:
     )
 
 
-def l2_members(n: int) -> tuple[Word, ...]:
-    """All length-``n`` members: empty unless n is a positive multiple of 4,
-    else one nesting per choice word, 2^(n/4) members in total."""
+def l2_maps(n: int) -> tuple[PositionMap, ...]:
+    """One nesting per choice word over {1, 2} at every positive multiple
+    of 4, 2^(n/4) members in total."""
     pmap = PositionMap.l2(n)
-    return () if pmap is None else pmap.members()
-
-
-def l2_size(n: int) -> int:
-    return 2 ** (n // 4) if n >= 4 and n % 4 == 0 else 0
+    return () if pmap is None else (pmap,)
 
 
 def is_l2_1(w: Word) -> bool:
@@ -105,20 +117,18 @@ def is_l2_1(w: Word) -> bool:
     return all(a in (5, 10, 15, 30) for a in x[2 * t :])
 
 
-def l2_1_members(n: int) -> tuple[Word, ...]:
-    out = []
-    for t in range(1, (n - 1) // 2 + 1):
-        r = n - 2 * t
-        for head in _products({1, 2}, t):
-            prefix = head + tuple(3 * a for a in reversed(head))
-            out.extend(prefix + tail for tail in _products({5, 10, 15, 30}, r))
-    # the head lengths interleave in canonical order, which sorting restores
-    return tuple(map(Word._trusted, sorted(out)))
-
-
-def l2_1_size(n: int) -> int:
-    # a head of t letters and a tail of n - 2t letters, for every t
-    return sum(2**t * 4 ** (n - 2 * t) for t in range(1, (n - 1) // 2 + 1))
+@lru_cache(maxsize=64)
+def l2_1_maps(n: int) -> tuple[PositionMap, ...]:
+    """One map per head length h with 2h < n: a head w over {1, 2}, then
+    (w^R)*3, then a free tail over 5*{1, 2, 3, 6} on its own indices.  The
+    maps are disjoint, since h is the member's longest prefix over {1, 2}."""
+    maps = []
+    for h in range(1, (n - 1) // 2 + 1):
+        head = range(h)
+        reads = [(x, 1) for x in head] + [(x, 3) for x in reversed(head)]
+        reads += [(x, 5) for x in range(h, n - h)]
+        maps.append(PositionMap(reads, ((1, 2),) * h + ((1, 2, 3, 6),) * (n - 2 * h)))
+    return tuple(maps)
 
 
 def is_l2_2(w: Word) -> bool:
@@ -130,13 +140,9 @@ def is_l2_2(w: Word) -> bool:
     return all(a in (1, 2, 3, 6) and b == 5 * a for a, b in zip(x[: n // 2], reversed(x)))
 
 
-def l2_2_members(n: int) -> tuple[Word, ...]:
+def l2_2_maps(n: int) -> tuple[PositionMap, ...]:
     pmap = PositionMap.l2_2(n)
-    return () if pmap is None else pmap.members()
-
-
-def l2_2_size(n: int) -> int:
-    return 4 ** (n // 2) if n >= 2 and n % 2 == 0 else 0
+    return () if pmap is None else (pmap,)
 
 
 def is_l2_prime(w: Word) -> bool:
@@ -152,21 +158,15 @@ def is_l2_prime(w: Word) -> bool:
     )
 
 
-def l2_prime_members(n: int) -> tuple[Word, ...]:
+@lru_cache(maxsize=64)
+def l2_prime_maps(n: int) -> tuple[PositionMap, ...]:
+    """A head over {1, 2}, a middle over 3*{1, 2} and a tail of twice the
+    length over 5*{1, 2, 3, 6}, every position on its own index."""
     if n < 4 or n % 4:
         return ()
     t = n // 4
-    out = []
-    for head in _products({1, 2}, t):
-        for mid in _products({3, 6}, t):
-            for tail in _products({5, 10, 15, 30}, 2 * t):
-                out.append(Word._trusted(head + mid + tail))
-    return tuple(out)
-
-
-def l2_prime_size(n: int) -> int:
-    # 2^t heads, 2^t middles and 4^(2t) tails
-    return 2 ** (6 * (n // 4)) if n >= 4 and n % 4 == 0 else 0
+    reads = [(x, 1 if x < t else 3 if x < 2 * t else 5) for x in range(n)]
+    return (PositionMap(reads, ((1, 2),) * (2 * t) + ((1, 2, 3, 6),) * (2 * t)),)
 
 
 def is_l2_dprime(w: Word) -> bool:
@@ -177,12 +177,10 @@ def is_l2_dprime(w: Word) -> bool:
     return w.letters == (A,) * m + (B,) * m + (C,) * 2 * m
 
 
-def l2pp_members(n: int) -> tuple[Word, ...]:
+def l2_dprime_maps(n: int) -> tuple[PositionMap, ...]:
     """The single a^m b^m c^(2m) member at each positive multiple of 4."""
-    if n < 4 or n % 4:
-        return ()
     m = n // 4
-    return (Word._trusted((A,) * m + (B,) * m + (C,) * 2 * m),)
+    return _constant((A, m), (B, m), (C, 2 * m)) if n >= 4 and n % 4 == 0 else ()
 
 
 # -- the motivating small languages -----------------------------------------
@@ -195,11 +193,9 @@ def is_leq(w: Word) -> bool:
     return w.letters == (0,) * m + (1,) * m
 
 
-def leq_members(n: int) -> tuple[Word, ...]:
-    if n < 2 or n % 2:
-        return ()
+def leq_maps(n: int) -> tuple[PositionMap, ...]:
     m = n // 2
-    return (Word._trusted((0,) * m + (1,) * m),)
+    return _constant((0, m), (1, m)) if n >= 2 and n % 2 == 0 else ()
 
 
 def is_l3eq(w: Word) -> bool:
@@ -210,17 +206,9 @@ def is_l3eq(w: Word) -> bool:
     return w.letters == (0,) * m + (1,) * m + (2,) * m
 
 
-def l3eq_members(n: int) -> tuple[Word, ...]:
-    if n < 3 or n % 3:
-        return ()
+def l3eq_maps(n: int) -> tuple[PositionMap, ...]:
     m = n // 3
-    return (Word._trusted((0,) * m + (1,) * m + (2,) * m),)
-
-
-def one_per_multiple(step: int) -> Callable[[int], int]:
-    """The size of a language with one member at each positive multiple of
-    ``step``."""
-    return lambda n: 1 if n >= step and n % step == 0 else 0
+    return _constant((0, m), (1, m), (2, m)) if n >= 3 and n % 3 == 0 else ()
 
 
 def is_pal_sharp(w: Word) -> bool:
@@ -233,14 +221,14 @@ def is_pal_sharp(w: Word) -> bool:
     return w.letters == u + (HASH,) + u[::-1]
 
 
-def pal_sharp_members(n: int) -> tuple[Word, ...]:
-    if n % 2 == 0 or n < 1:
+@lru_cache(maxsize=64)
+def pal_sharp_maps(n: int) -> tuple[PositionMap, ...]:
+    """u over {0, 1}, the one-letter index #, then u reversed."""
+    if n < 1 or n % 2 == 0:
         return ()
-    return tuple(Word._trusted(u + (HASH,) + u[::-1]) for u in _products({0, 1}, n // 2))
-
-
-def pal_sharp_size(n: int) -> int:
-    return 2 ** (n // 2) if n > 0 and n % 2 else 0
+    u = range(n // 2)
+    reads = [(x, 1) for x in u] + [(len(u), 1)] + [(x, 1) for x in reversed(u)]
+    return (PositionMap(reads, ((0, 1),) * len(u) + ((HASH,),)),)
 
 
 # -- grammars for the context-free members ----------------------------------
@@ -284,31 +272,26 @@ def grammar_l2_2() -> Cfg:
 LANGUAGES: dict[str, CorpusLanguage] = {
     lang.name: lang
     for lang in (
-        CorpusLanguage(
-            "L_eq", frozenset({0, 1}), is_leq, leq_members, grammar_leq(), one_per_multiple(2)
-        ),
-        CorpusLanguage(
-            "L_3eq", frozenset({0, 1, 2}), is_l3eq, l3eq_members, size=one_per_multiple(3)
-        ),
+        CorpusLanguage("L_eq", frozenset({0, 1}), is_leq, grammar=grammar_leq(), maps=leq_maps),
+        CorpusLanguage("L_3eq", frozenset({0, 1, 2}), is_l3eq, maps=l3eq_maps),
         CorpusLanguage(
             "Pal_sharp",
             frozenset({0, 1, HASH}),
             is_pal_sharp,
-            pal_sharp_members,
-            grammar_pal_sharp(),
-            pal_sharp_size,
+            grammar=grammar_pal_sharp(),
+            maps=pal_sharp_maps,
         ),
-        CorpusLanguage("L2", L2_ALPHABET, is_l2, l2_members, size=l2_size, pmap=PositionMap.l2),
-        CorpusLanguage("L2_1", L2_ALPHABET, is_l2_1, l2_1_members, grammar_l2_1(), l2_1_size),
-        CorpusLanguage(
-            "L2_2", L2_ALPHABET, is_l2_2, l2_2_members, grammar_l2_2(), l2_2_size, PositionMap.l2_2
-        ),
-        CorpusLanguage("L2_prime", L2_ALPHABET, is_l2_prime, l2_prime_members, size=l2_prime_size),
-        CorpusLanguage(
-            "L2_dprime", frozenset({A, B, C}), is_l2_dprime, l2pp_members, size=one_per_multiple(4)
-        ),
+        CorpusLanguage("L2", L2_ALPHABET, is_l2, maps=l2_maps),
+        CorpusLanguage("L2_1", L2_ALPHABET, is_l2_1, grammar=grammar_l2_1(), maps=l2_1_maps),
+        CorpusLanguage("L2_2", L2_ALPHABET, is_l2_2, grammar=grammar_l2_2(), maps=l2_2_maps),
+        CorpusLanguage("L2_prime", L2_ALPHABET, is_l2_prime, maps=l2_prime_maps),
+        CorpusLanguage("L2_dprime", frozenset({A, B, C}), is_l2_dprime, maps=l2_dprime_maps),
     )
 }
+
+#: The L2 and L2_2 generators under their own names.
+l2_members = LANGUAGES["L2"].generator
+l2_2_members = LANGUAGES["L2_2"].generator
 
 
 @dataclass(frozen=True)

@@ -195,25 +195,23 @@ def build_slice(language, n: int, advice=None, *, force: bool = False) -> Slice:
     """Collect every length-``n`` member of a language, fused with the
     advice word at ``n`` when advice is given.
 
-    Languages with a generator are queried directly, which trips the cost
-    guard once the language's exact ``size(n)`` exceeds :data:`SLICE_LIMIT`;
-    one with a position map at ``n`` (and no advice) has its members read
-    off the map already packed, by :func:`_map_members`.  Otherwise all
-    words over the language's alphabet are filtered through its predicate,
-    which trips the guard once the alphabet power does.  Either way the
-    slice holds every member at ``n`` and is marked complete.
+    A language with position maps is charged its exact ``size(n)``
+    against :data:`SLICE_LIMIT` before any member is built; without advice
+    its members are read off the maps already packed, by
+    :func:`_map_members`, and with advice its generator's members are
+    fused.  Otherwise all words over the language's alphabet are filtered
+    through its predicate, which trips the guard once the alphabet power
+    does.  Either way the slice holds every member at ``n`` and is marked
+    complete.
     """
     if n < 1:
         raise ValueError("slices need n >= 1")
     origin = f"{getattr(language, 'name', 'language')}[n={n}]"
-    generator = getattr(language, "generator", None)
-    if generator is not None:
+    if getattr(language, "maps", None) is not None:
         check_budget(language.size(n), SLICE_LIMIT, "generated slice", force=force)
-        if advice is None and getattr(language, "pmap", None) is not None:
-            pmap = language.pmap(n)
-            if pmap is not None:
-                return Slice._of_packed(n, *_map_members(pmap), origin)
-        members = generator(n)
+        if advice is None:
+            return Slice._of_packed(n, *_map_members(language.maps(n)), origin)
+        members = language.generator(n)
     else:
         alphabet = sorted(language.alphabet)
         check_budget(len(alphabet) ** n, SLICE_LIMIT, "brute-force slice scan", force=force)
@@ -226,24 +224,28 @@ def build_slice(language, n: int, advice=None, *, force: bool = False) -> Slice:
     return Slice(n, members, origin, complete=True)
 
 
-def _map_members(pmap: PositionMap) -> tuple[tuple[int, ...], list[int]]:
-    """The letters of a position map's slice and its members, packed and
-    sorted.  A member is the OR of one mask per choice index: the codes
-    that index's chosen letter puts at the positions reading it.  The
-    members are built by doubling, the first choice index last, so they
-    come out in choice-word order."""
-    t, n = pmap.t, pmap.n
-    scales = [scale for scale, _ in pmap.blocks for _ in range(t)]
-    letters = tuple(sorted({scale * a for scale, _ in pmap.blocks for a in pmap.letters}))
+def _map_members(maps: tuple[PositionMap, ...]) -> tuple[tuple[int, ...], list[int]]:
+    """The letters of the slice that disjoint position maps spell, and its
+    members, packed and sorted.  A member is the OR of one mask per choice
+    index: the codes that index's chosen letter puts at the positions
+    reading it.  Each map's members are built by doubling, the first
+    choice index last, so they come out in choice-word order."""
+    letters = tuple(
+        sorted({scale * a for pmap in maps for x, scale in pmap.reads for a in pmap.alphabets[x]})
+    )
     code = {a: c for c, a in enumerate(letters)}
     w = _width(len(letters))
-    masks = [[0] * len(pmap.letters) for _ in range(t)]
-    for p, (x, scale) in enumerate(zip(pmap.index, scales)):
-        for c, a in enumerate(pmap.letters):
-            masks[x][c] |= code[scale * a] << w * (n - 1 - p)
-    packed = [0]
-    for q in reversed(range(t)):
-        packed = [v | m for m in masks[q] for v in packed]
+    packed: list[int] = []
+    for pmap in maps:
+        n = pmap.n
+        masks = [[0] * len(alphabet) for alphabet in pmap.alphabets]
+        for p, (x, scale) in enumerate(pmap.reads):
+            for c, a in enumerate(pmap.alphabets[x]):
+                masks[x][c] |= code[scale * a] << w * (n - 1 - p)
+        part = [0]
+        for row in reversed(masks):
+            part = [v | m for m in row for v in part]
+        packed += part
     packed.sort()
     return letters, packed
 
@@ -325,10 +327,12 @@ def l2_bound_check(n: int, j: int) -> BoundReport:
     (the worst case straddles a block border with the window centred on
     it), so no occurrence count may exceed 2^(n/4 - ceil(j/2)).  Each
     factor at offset i occurs 2^(n/4 - d(i)) times, d(i) being the number
-    of choice indices the window reads; the smallest factor there, which
-    the report names, is the window of the all-1 member.  The report is
-    the one :func:`bound_report` gives on the enumerated slice.  The
-    n - j + 1 windows are charged against :data:`CLOSED_FORM_LIMIT`.
+    of choice indices the window reads: the size over the 2^d(i) distinct
+    factors that :meth:`PositionMap.distinct` counts there.  The smallest
+    factor there, which the report names, is the window of the all-1
+    member.  The report is the one :func:`bound_report` gives on the
+    enumerated slice.  The n - j + 1 windows are charged against
+    :data:`CLOSED_FORM_LIMIT`.
     """
     if n < 4 or n % 4:
         raise ValueError("the nesting slice needs a positive multiple of 4")
@@ -336,13 +340,13 @@ def l2_bound_check(n: int, j: int) -> BoundReport:
         raise ValueError(f"j must be in 1..{n // 4}, got {j}")
     check_budget(n - j + 1, CLOSED_FORM_LIMIT, "closed-form bound check")
     pmap = PositionMap.l2(n)
-    t, fixed = pmap.t, (j + 1) // 2
+    size, bound = pmap.size, 2 ** (n // 4 - (j + 1) // 2)
     distinct = pmap.distinct(j)
     fewest = min(distinct)
     i_max = distinct.index(fewest)
-    # a count above the bound is a window that reads fewer than ceil(j/2) indices
-    over = next((i for i, d in enumerate(distinct) if d < fixed), None)
-    smallest = pmap.word((pmap.letters[0],) * t)
+    # a count above the bound is a window with fewer than size / bound factors
+    over = next((i for i, d in enumerate(distinct) if d * bound < size), None)
+    smallest = pmap.word(tuple(alphabet[0] for alphabet in pmap.alphabets))
 
     def factor(i: int) -> Word:
         return Word._trusted(smallest[i : i + j])
@@ -350,12 +354,12 @@ def l2_bound_check(n: int, j: int) -> BoundReport:
     return BoundReport(
         n=n,
         j=j,
-        size=pmap.size,
-        bound=2 ** (t - fixed),
-        max_count=2 ** (t - fewest),
+        size=size,
+        bound=bound,
+        max_count=size // fewest,
         max_at=(i_max, factor(i_max)),
         ok=over is None,
-        violation=None if over is None else (over, factor(over), 2 ** (t - distinct[over])),
+        violation=None if over is None else (over, factor(over), size // distinct[over]),
     )
 
 

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, total_ordering
 from itertools import product
-from math import isqrt
+from math import isqrt, prod
 from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
@@ -158,127 +158,137 @@ def reverse(w: Word) -> Word:
 
 
 class _MapFields(NamedTuple):
-    t: int
-    letters: tuple[int, ...]
-    blocks: tuple[tuple[int, bool], ...]
-
-
-def _natural(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+    reads: tuple[tuple[int, int], ...]
+    alphabets: tuple[tuple[int, ...], ...]
 
 
 class PositionMap(_MapFields):
-    """A slice read off one choice word through a fixed position map.
+    """A slice read off choice words through a fixed position map.
 
-    The member for a choice word ``w`` (of length ``t`` over ``letters``)
-    is the concatenation of the blocks, each of length ``t``: block ``b``
-    with ``(scale, mirrored)`` reads ``scale * w[q]`` at offset ``o``,
-    where q is ``o``, or ``t - 1 - o`` in a mirrored block.  So every
-    position p reads one choice index ``index[p]``, and distinct choice
-    letters give distinct letters there.
+    A choice word picks one letter from each index's sorted alphabet
+    ``alphabets[x]``, and position p, which reads ``reads[p] = (x, scale)``,
+    spells ``scale * choice[x]``, so distinct choice words spell distinct
+    members.  A constant letter is an index with a one-letter alphabet.
+    The indices are first read in the order 0, 1, 2, ..., so two members
+    first differ where the first index on which their choice words differ
+    is first read, and choice-word order is canonical order.
 
-    The maps of L2 and L2_2 are :meth:`l2` and :meth:`l2_2`; each starts
-    with a plain, unscaled block over sorted letters, so choice-word order
-    is canonical order.
-
-    The map is checked as it is built: t >= 1, the letters sorted,
-    distinct and >= 1, and at least one block, each a (scale >= 1,
-    mirrored) pair; a bad map raises ``WordError``.
+    The map is checked as it is built: at least one read, each an int
+    index and an int scale >= 1; each alphabet nonempty, sorted, distinct
+    and >= 0; the indices first read in the order 0, 1, 2, ..., each
+    alphabet's index at least once.  A bad map raises ``WordError``.
     """
 
     __slots__ = ()
 
-    def __new__(cls, t, letters, blocks):
-        if not _natural(t) or t < 1:
-            raise WordError(f"a position map needs an int t >= 1, got {t!r}")
+    def __new__(cls, reads, alphabets):
         try:
-            letters = tuple(letters)
-            blocks = tuple((scale, mirrored) for scale, mirrored in blocks)
+            reads = tuple((x, scale) for x, scale in reads)
+            alphabets = tuple(map(tuple, alphabets))
         except (TypeError, ValueError):
             raise WordError(
-                f"a position map needs letters and (scale, mirrored) blocks, got {letters!r}, {blocks!r}"
+                f"a position map needs (index, scale) reads and alphabets, got {reads!r}, {alphabets!r}"
             ) from None
-        if not letters or not all(_natural(a) and a >= 1 for a in letters):
-            raise WordError(f"a position map needs letters that are ints >= 1, got {letters!r}")
-        if any(a >= b for a, b in zip(letters, letters[1:])):
-            raise WordError(f"a position map needs sorted, distinct letters, got {letters!r}")
-        if not blocks:
-            raise WordError("a position map needs at least one block")
-        for scale, mirrored in blocks:
-            if not _natural(scale) or scale < 1 or not isinstance(mirrored, bool):
-                raise WordError(
-                    f"a block needs an int scale >= 1 and a bool mirror flag, got {(scale, mirrored)!r}"
-                )
-        return tuple.__new__(cls, (t, letters, blocks))
+        if not reads:
+            raise WordError("a position map needs at least one read")
+        # types in bulk, so that True or 1.0 cannot pass as an equal int
+        if not {type(v) for read in reads for v in read} <= {int} or min(s for _, s in reads) < 1:
+            bad = next(r for r in reads if {type(r[0]), type(r[1])} != {int} or r[1] < 1)
+            raise WordError(f"a read needs an int index and an int scale >= 1, got {bad!r}")
+        if not {type(a) for letters in alphabets for a in letters} <= {int}:
+            raise WordError(f"an alphabet needs letters that are ints >= 0, got {alphabets!r}")
+        for letters in set(alphabets):
+            if not letters or letters[0] < 0 or any(a >= b for a, b in zip(letters, letters[1:])):
+                raise WordError(f"an alphabet needs sorted, distinct letters >= 0, got {letters!r}")
+        first = list(dict.fromkeys(x for x, _ in reads))
+        if first != list(range(len(alphabets))):
+            raise WordError(
+                f"the {len(alphabets)} choice indices must each be read, first in the order "
+                f"0, 1, 2, ...; they are first read in the order {first}"
+            )
+        return tuple.__new__(cls, (reads, alphabets))
 
     # _replace builds through _make, so it is checked too
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
-    def _trusted(cls, t: int, letters: tuple[int, ...], blocks: tuple[tuple[int, bool], ...]):
-        """The internal constructor, for maps already known to be valid."""
-        return tuple.__new__(cls, (t, letters, blocks))
+    def of_blocks(cls, t: int, letters, blocks) -> PositionMap:
+        """The block map of one choice word: t indices over the one
+        alphabet ``letters``, and per ``(scale, mirrored)`` block t
+        positions that read them in order, or reversed when mirrored, at
+        that scale.  Beyond the constructor's checks, t is an int >= 1,
+        each mirror flag a bool, and letter 0 is kept out, as :func:`scale`
+        keeps it out of scaling."""
+        if type(t) is not int or t < 1:
+            raise WordError(f"a block map needs an int t >= 1, got {t!r}")
+        try:
+            letters = tuple(letters)
+            reads = [(t - 1 - o if mirrored else o, k) for k, mirrored in blocks for o in range(t)]
+            ok = 0 not in letters and all(type(mirrored) is bool for _, mirrored in blocks)
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise WordError(
+                f"a block map needs letters >= 1 and (scale, bool) blocks, got {letters!r}, {blocks!r}"
+            )
+        return cls(reads, (letters,) * t)
 
     @classmethod
+    @lru_cache(maxsize=64)
     def l2(cls, n: int) -> Optional[PositionMap]:
         """L2 at n = 4t: w, (w^R)*3, w*15, (w^R)*5 over {1, 2}; None off that grid."""
         if n < 4 or n % 4:
             return None
-        return cls._trusted(n // 4, (1, 2), ((1, False), (3, True), (15, False), (5, True)))
+        return cls.of_blocks(n // 4, (1, 2), ((1, False), (3, True), (15, False), (5, True)))
 
     @classmethod
+    @lru_cache(maxsize=64)
     def l2_2(cls, n: int) -> Optional[PositionMap]:
         """L2_2 at n = 2t: y, (y^R)*5 over {1, 2, 3, 6}; None off that grid."""
         if n < 2 or n % 2:
             return None
-        return cls._trusted(n // 2, (1, 2, 3, 6), ((1, False), (5, True)))
+        return cls.of_blocks(n // 2, (1, 2, 3, 6), ((1, False), (5, True)))
 
     @property
     def n(self) -> int:
-        return self.t * len(self.blocks)
+        return len(self.reads)
 
     @property
     def size(self) -> int:
-        return len(self.letters) ** self.t
-
-    @property
-    def index(self) -> tuple[int, ...]:
-        """The choice index that each position reads."""
-        t = self.t
-        out: list[int] = []
-        for _, mirrored in self.blocks:
-            out.extend(range(t - 1, -1, -1) if mirrored else range(t))
-        return tuple(out)
+        return prod(map(len, self.alphabets))
 
     def word(self, choice: tuple[int, ...]) -> tuple[int, ...]:
         """The letters of the member for the choice word ``choice``."""
         return _reader(self)(choice)
 
     def members(self) -> tuple[Word, ...]:
-        """Every member, in choice-word order over ``letters``: canonical order."""
-        return tuple(map(Word._trusted, map(_reader(self), product(self.letters, repeat=self.t))))
+        """Every member, in choice-word order: canonical order."""
+        return tuple(map(Word._trusted, map(_reader(self), product(*self.alphabets))))
 
     def distinct(self, j: int) -> list[int]:
-        """For every window start i, how many choice indices the positions
-        [i, i + j) read, by one sliding window.
+        """For every window start i, how many distinct factors the
+        positions [i, i + j) spell across the members, by one sliding
+        window: the product of the alphabet sizes of the indices the
+        window reads.
 
         The members that carry one factor at offset i agree on exactly
         the indices that window reads, so every factor there occurs in
-        |letters|^(t - d) members, d being the window's entry.
+        ``size`` over that many members.
         """
-        index = self.index
-        held = [0] * self.t
-        d = 0
+        sizes = list(map(len, self.alphabets))
+        index = [x for x, _ in self.reads]
+        held = [0] * len(sizes)
+        d = 1
         out: list[int] = []
         for k, x in enumerate(index):
             if not held[x]:
-                d += 1
+                d *= sizes[x]
             held[x] += 1
             if k >= j:
                 y = index[k - j]
                 held[y] -= 1
                 if not held[y]:
-                    d -= 1
+                    d //= sizes[y]
             if k >= j - 1:
                 out.append(d)
         return out
@@ -291,34 +301,35 @@ class PositionMap(_MapFields):
         Both splices are members exactly when the two choice words agree
         on every index read both inside and outside the window, and the
         middles differ exactly when they differ on an index read only
-        inside it.  With A letters, ``out`` indices read only outside and
-        ``inside`` indices read only inside, that makes
-        A^t * A^out * (A^inside - 1) ordered pairs.  The tallies grow one
-        position at a time as j grows.
+        inside it.  With ``out`` the product of the alphabet sizes of the
+        indices read only outside, and ``inside`` that of the indices read
+        only inside, that makes size * out * (inside - 1) ordered pairs.
+        Both products change one position at a time as j grows.
         """
-        t, n, index = self.t, self.n, self.index
+        sizes = list(map(len, self.alphabets))
+        index = [x for x, _ in self.reads]
         per_index = Counter(index)
-        power = [len(self.letters) ** e for e in range(t + 1)]
+        size, n = self.size, self.n
         for i in range(n):
-            held = [0] * t
-            out, inside = t, 0
+            held = [0] * len(sizes)
+            out, inside = size, 1
             for k in range(i, n):
                 x = index[k]
                 held[x] += 1
                 if held[x] == 1:
-                    out -= 1
+                    out //= sizes[x]
                 if held[x] == per_index[x]:
-                    inside += 1
-                yield i, k - i + 1, power[t] * power[out] * (power[inside] - 1)
+                    inside *= sizes[x]
+                yield i, k - i + 1, size * out * (inside - 1)
 
 
 @lru_cache(maxsize=64)
 def _reader(pmap: PositionMap) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
-    # the one reader, built once per map: position p reads index[p] times its
-    # block's scale; itemgetter of one index gives the bare letter, not a tuple
-    index = pmap.index
+    # the one reader, built once per map: position p reads its index's choice
+    # letter times its scale; itemgetter of one index gives the bare letter
+    index = [x for x, _ in pmap.reads]
     pick = itemgetter(*index) if len(index) > 1 else lambda choice: (choice[index[0]],)
-    scales = [k for k, _ in pmap.blocks for _ in range(pmap.t)]
+    scales = [scale for _, scale in pmap.reads]
     return lambda choice: tuple(map(mul, scales, pick(choice)))
 
 

@@ -58,7 +58,7 @@ def test_advice_equivalences_build_each_table_word_once(monkeypatch):
 
 def test_partition_identity_generates_each_slice_once(monkeypatch):
     # 200 draws over 37 distinct (name, n): regenerating a slice per draw
-    # built l2_1_members(8), 9,344 words, every time it was drawn
+    # built L2_1's slice at n = 8, 9,344 words, every time it was drawn
     calls = Counter()
     for name, lang in list(corpus.LANGUAGES.items()):
 

@@ -1,7 +1,9 @@
 """The language family: predicates against brute force, generators,
 grammars, and the intersection identity."""
 
+import hashlib
 import itertools
+import json
 from functools import lru_cache
 
 import pytest
@@ -21,10 +23,10 @@ from langlab.corpus import (
     is_l2_dprime,
     is_l2_prime,
     l2_members,
-    l2pp_members,
 )
 from langlab.grammars import cyk_member, enumerate_language, to_cnf
 from langlab.guards import CostGuardError
+from langlab.swaplab import Slice, build_slice
 from langlab.words import Word, parse_word
 
 
@@ -34,12 +36,52 @@ def brute_members(alphabet, n, predicate):
     )
 
 
+# sizes at n = 0..16, and a sha256 over the generated members of every
+# length up to 16 with at most 10^5 of them, recorded when each language
+# still had a hand-written generator and size
+SIZES = {
+    "L2": [0, 0, 0, 0, 2, 0, 0, 0, 4, 0, 0, 0, 8, 0, 0, 0, 16],
+    "L2_1": [
+        0, 0, 0, 8, 32, 144, 576, 2336, 9344, 37440, 149760, 599168, 2396672,
+        9586944, 38347776, 153391616, 613566464,
+    ],
+    "L2_2": [0, 0, 4, 0, 16, 0, 64, 0, 256, 0, 1024, 0, 4096, 0, 16384, 0, 65536],
+    "L2_dprime": [0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1],
+    "L2_prime": [0, 0, 0, 0, 64, 0, 0, 0, 4096, 0, 0, 0, 262144, 0, 0, 0, 16777216],
+    "L_3eq": [0, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0],
+    "L_eq": [0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1],
+    "Pal_sharp": [0, 1, 0, 2, 0, 4, 0, 8, 0, 16, 0, 32, 0, 64, 0, 128, 0],
+}
+MEMBER_DIGESTS = {
+    "L2": "2427e831f0c684cf9786e119c2e0f9c39e9c13bd7ef00d7302645126ac805bfa",
+    "L2_1": "1b633868d44e52c9aa447ae00af87eb6d308e245f639cd759a89f300d63a8668",
+    "L2_2": "5cd3eb3c07757382cd0d3478ded7c4c20a615a1fad1222b1fdeabd8d299eee4f",
+    "L2_dprime": "7175b3ba55c8df6f93d8a9a0ce7ef8c03ba6fb96cf1baf9dc467ad74df335c44",
+    "L2_prime": "b0c08e2db9518ec286b2947419fa345b5ca80a3981fb724dfb27aa53f87ab64a",
+    "L_3eq": "f65beb7fb43cb6b218518d50b9eddfb88976030908fdd487b6a0e45616a3cdde",
+    "L_eq": "8e479d4d49ec04b79c6ffd3b9edcb7e1b19bb7ed46d0ec244d96b8c4e5c87900",
+    "Pal_sharp": "695121532aeaab62d575879d04b1938940f511dfff5b592c239d8a1c87f77c3c",
+}
+
+
 @pytest.mark.parametrize("name", sorted(LANGUAGES))
 def test_sizes_count_the_generated_members(name):
+    # every size up to 16 as recorded, and the members of every length
+    # with at most 10^5 of them: as recorded, as many as the size says,
+    # and the slice read off the maps packs them as a slice of the words
     lang = LANGUAGES[name]
-    max_n = 8 if len(lang.alphabet) > 3 else 13
-    for n in range(0, max_n + 1):
-        assert lang.size(n) == len(lang.generator(n)), (name, n)
+    assert [lang.size(n) for n in range(17)] == SIZES[name]
+    digest = hashlib.sha256()
+    for n in range(17):
+        if lang.size(n) > 10**5:
+            continue
+        members = lang.generator(n)
+        assert lang.size(n) == len(members), (name, n)
+        digest.update(json.dumps([n, [w.letters for w in members]], separators=(",", ":")).encode())
+        if n:
+            s, words = build_slice(lang, n), Slice(n, members)
+            assert (s.letters, s.packed) == (words.letters, words.packed), (name, n)
+    assert digest.hexdigest() == MEMBER_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(LANGUAGES))
@@ -187,6 +229,7 @@ def test_l2_is_contained_in_its_covers_up_to_length_32():
 def test_l2pp_members_and_predicate():
     assert is_l2_dprime(parse_word("a,b,c,c"))
     assert not is_l2_dprime(parse_word("a,b,c"))
+    l2pp_members = LANGUAGES["L2_dprime"].generator
     assert [w.letters for w in l2pp_members(8)] == [(1, 1, 2, 2, 3, 3, 3, 3)]
     assert l2pp_members(6) == ()
     assert l2pp_members(0) == ()  # the empty word is kept out, as for L_eq

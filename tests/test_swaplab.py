@@ -32,6 +32,7 @@ from langlab.swaplab import (
     witness_listing,
 )
 from langlab.words import PositionMap, TrackedWord, Word, fuse_letter, nest_l2
+from test_words import position_maps
 
 L2 = LANGUAGES["L2"]
 
@@ -332,10 +333,9 @@ def test_a_one_position_map_gives_a_slice_of_one_letter_words():
         "letters",
         frozenset({3, 6}),
         lambda w: w.letters in ((3,), (6,)),
-        lambda n: PositionMap(1, (1, 2), ((3, False),)).members() if n == 1 else (),
-        size=lambda n: 2 if n == 1 else 0,
-        pmap=lambda n: PositionMap(1, (1, 2), ((3, False),)) if n == 1 else None,
+        maps=lambda n: (PositionMap(((0, 3),), ((1, 2),)),) if n == 1 else (),
     )
+    assert lang.size(1) == 2 and lang.size(2) == 0
     s = build_slice(lang, 1)
     assert s.members == (Word.of(3), Word.of(6)) and s.complete
     assert swap_scan(lang.predicate, s, (1, 1)) == [
@@ -988,7 +988,7 @@ def test_the_l2_map_reads_the_nestings():
         assert pmap.n == n and pmap.size == 2 ** (n // 4)
         for choice in product((1, 2), repeat=n // 4):
             assert pmap.word(choice) == nest_l2(Word(choice)).letters
-    assert PositionMap.l2(12).index == (0, 1, 2, 2, 1, 0, 0, 1, 2, 2, 1, 0)
+    assert [x for x, _ in PositionMap.l2(12).reads] == [0, 1, 2, 2, 1, 0, 0, 1, 2, 2, 1, 0]
     assert PositionMap.l2(6) is None and PositionMap.l2(0) is None
 
 
@@ -1017,14 +1017,39 @@ def test_map_witness_totals_at_small_n():
 
 
 def test_the_l2_2_map_counts_every_enumerated_swap():
-    # the closed form's positive control: swaps abound on L2_2, and the map
-    # counts the scan's witnesses at every spot
-    for n, total in ((2, 12), (4, 528), (6, 14_784)):
-        s = build_slice(LANGUAGES["L2_2"], n)
-        scanned = Counter((w.i, w.j) for w in swap_scan(corpus.is_l2_2, s, (1, n)))
-        counted = {(i, j): c for i, j, c in PositionMap.l2_2(n).spot_witnesses() if c}
-        assert counted == dict(scanned)
-        assert sum(counted.values()) == total
+    # the closed form's positive controls: swaps abound on L2_2, Pal_sharp
+    # and L2_prime, and each one's map counts the scan's witnesses at every
+    # spot (L2_prime at n = 8 would hold 4,096 members, past this scan)
+    cases = [("L2_2", 2, 12), ("L2_2", 4, 528), ("L2_2", 6, 14_784)]
+    cases += [("Pal_sharp", n, total) for n, total in ((3, 2), (5, 28), (7, 232), (9, 1_520), (11, 8_736))]
+    cases += [("L2_prime", 4, 32_576)]
+    for name, n, total in cases:
+        lang = LANGUAGES[name]
+        s = build_slice(lang, n)
+        scanned = Counter((w.i, w.j) for w in swap_scan(lang.predicate, s, (1, n)))
+        (pmap,) = lang.maps(n)
+        counted = {(i, j): c for i, j, c in pmap.spot_witnesses() if c}
+        assert counted == dict(scanned), (name, n)
+        assert sum(counted.values()) == total, (name, n)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(position_maps())
+def test_map_closed_forms_match_the_exhaustive_scan_on_drawn_maps(pmap):
+    # the drawn maps' letter classes overlap (2 * 3 = 3 * 2, and 0 at every
+    # scale); the closed forms still give the scan's exact counts, because
+    # each position reads one index at one scale in every member
+    members = pmap.members()
+    words = set(members)
+    n = pmap.n
+    s = build_slice(CorpusLanguage("drawn", frozenset(), words.__contains__, maps=lambda _: (pmap,)), n)
+    assert s.members == members
+    scanned = Counter((w.i, w.j) for w in swap_scan(words.__contains__, s, (1, n)))
+    assert {(i, j): c for i, j, c in pmap.spot_witnesses() if c} == dict(scanned)
+    for j in range(1, n + 1):
+        for i, d in enumerate(pmap.distinct(j)):
+            factors = Counter(w.letters[i : i + j] for w in members)
+            assert len(factors) == d and set(factors.values()) == {pmap.size // d}, (i, j)
 
 
 def test_paper_check_at_m_1():

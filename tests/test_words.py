@@ -231,16 +231,23 @@ def test_the_l2_map_lists_its_nestings_in_canonical_order():
 
 
 def test_a_one_position_map_gives_its_one_letter_words():
-    pmap = PositionMap(1, (1, 2), ((1, False),))
-    assert pmap.n == 1 and pmap.size == 2 and pmap.index == (0,)
+    pmap = PositionMap(((0, 1),), ((1, 2),))
+    assert pmap.n == 1 and pmap.size == 2 and pmap.reads == ((0, 1),)
     assert pmap.members() == (Word.of(1), Word.of(2))
     assert pmap.word((2,)) == (2,)
-    assert pmap.distinct(1) == [1]
+    # the one window spells two distinct factors
+    assert pmap.distinct(1) == [2]
     assert list(pmap.spot_witnesses()) == [(0, 1, 2)]
-    scaled = PositionMap(1, (1, 2, 3), ((5, True),))
+    scaled = PositionMap(((0, 5),), ((1, 2, 3),))
     assert scaled.members() == (Word.of(5), Word.of(10), Word.of(15))
     # one choice letter read twice
-    assert PositionMap(1, (1, 2), ((1, False), (3, True))).members() == (Word.of(1, 3), Word.of(2, 6))
+    twice = PositionMap(((0, 1), (0, 3)), ((1, 2),))
+    assert twice.members() == (Word.of(1, 3), Word.of(2, 6))
+    assert PositionMap.of_blocks(1, (1, 2), ((1, False), (3, True))) == twice
+    # a constant letter is an index with a one-letter alphabet, letter 0 included
+    constant = PositionMap(((0, 1), (1, 1), (0, 1)), ((0, 1), (4,)))
+    assert constant.members() == (Word.of(0, 4, 0), Word.of(1, 4, 1))
+    assert constant.distinct(2) == [2, 2] and constant.size == 2
 
 
 @pytest.mark.parametrize(
@@ -266,8 +273,81 @@ def test_a_one_position_map_gives_its_one_letter_words():
     ],
 )
 def test_a_bad_position_map_is_a_word_error(t, letters, blocks):
+    # the block form: t-letter blocks of one choice word over letters >= 1
     with pytest.raises(WordError):
-        PositionMap(t, letters, blocks)
+        PositionMap.of_blocks(t, letters, blocks)
+
+
+@pytest.mark.parametrize(
+    "reads, alphabets",
+    [
+        # the choice indices are not first read in the order 0, 1, 2, ...
+        (((1, 1), (0, 1)), ((1, 2), (1, 2))),
+        (((0, 1), (2, 1), (1, 1)), ((1,), (1,), (1,))),
+        # an index that is never read, or a read of an index with no alphabet
+        (((0, 1),), ((1, 2), (1, 2))),
+        (((0, 1), (1, 1)), ((1, 2),)),
+        (((-1, 1),), ((1, 2),)),
+        # malformed reads
+        ((), ((1, 2),)),
+        ((), ()),
+        (((0, 0),), ((1, 2),)),
+        (((0, -3),), ((1, 2),)),
+        (((0, True),), ((1, 2),)),
+        (((True, 1),), ((1, 2),)),
+        (((0.0, 1),), ((1, 2),)),
+        (((0,),), ((1, 2),)),
+        ((0, 1), ((1, 2),)),
+        (None, ((1, 2),)),
+        # malformed alphabets
+        (((0, 1),), ((),)),
+        (((0, 1),), ((2, 1),)),
+        (((0, 1),), ((1, 1),)),
+        (((0, 1),), ((-1, 0),)),
+        (((0, 1),), ((1, "2"),)),
+        (((0, 1),), ((1, 2.0),)),
+        (((0, 1),), (3,)),
+        (((0, 1),), None),
+    ],
+)
+def test_a_malformed_map_is_a_word_error(reads, alphabets):
+    with pytest.raises(WordError):
+        PositionMap(reads, alphabets)
+
+
+def test_the_map_that_listed_its_members_out_of_order_is_rejected():
+    # one mirrored block over two indices reads index 1 first: its choice
+    # words spelled (1, 1), (2, 1), (1, 2), (2, 2), which is not canonical
+    with pytest.raises(WordError, match="first read in the order"):
+        PositionMap(((1, 1), (0, 1)), ((1, 2), (1, 2)))
+    assert PositionMap(((0, 1), (1, 1)), ((1, 2), (1, 2))).members() == tuple(
+        Word(w) for w in ((1, 1), (1, 2), (2, 1), (2, 2))
+    )
+
+
+@st.composite
+def position_maps(draw):
+    """Maps of up to 4 indices, each read 1 to 4 times at scales from
+    {1, 2, 3, 5}, over 1- to 3-letter alphabets drawn from 0..4, the reads
+    in any order: the indices are renumbered by their first read."""
+    k = draw(st.integers(1, 4))
+    reads = []
+    for x in range(k):
+        reads += [(x, draw(st.sampled_from((1, 2, 3, 5)))) for _ in range(draw(st.integers(1, 4)))]
+    reads = draw(st.permutations(reads))
+    sizes = [draw(st.sampled_from((3, 2, 1))) for _ in range(k)]
+    alphabets = [tuple(sorted(draw(st.sets(st.integers(0, 4), min_size=c, max_size=c)))) for c in sizes]
+    order = list(dict.fromkeys(x for x, _ in reads))
+    rank = {x: r for r, x in enumerate(order)}
+    return PositionMap([(rank[x], scale) for x, scale in reads], [alphabets[x] for x in order])
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(position_maps())
+def test_every_map_lists_its_members_in_canonical_order(pmap):
+    members = pmap.members()
+    assert list(members) == sorted(set(members)) and len(members) == pmap.size
+    assert all(len(w) == pmap.n for w in members)
 
 
 def test_the_built_in_maps_pass_the_constructor_checks():
@@ -278,13 +358,14 @@ def test_the_built_in_maps_pass_the_constructor_checks():
 
 
 def test_a_position_map_is_checked_however_it_is_built():
-    pmap = PositionMap(2, [1, 2], [[1, False], (3, True)])
-    assert pmap == PositionMap(2, (1, 2), ((1, False), (3, True)))
-    assert PositionMap._make((2, (1, 2), ((1, False),))).members()[0] == Word.of(1, 1)
+    pmap = PositionMap([[0, 1], (1, 1), [1, 3], (0, 3)], [[1, 2], (1, 2)])
+    assert pmap == PositionMap(((0, 1), (1, 1), (1, 3), (0, 3)), ((1, 2), (1, 2)))
+    assert pmap == PositionMap.of_blocks(2, [1, 2], [[1, False], (3, True)])
+    assert PositionMap._make((((0, 1), (1, 1)), ((1, 2), (1, 2)))).members()[0] == Word.of(1, 1)
     with pytest.raises(WordError):
-        PositionMap.l2(8)._replace(letters=(2, 1))
+        PositionMap.l2(8)._replace(alphabets=((2, 1), (1, 2)))
     with pytest.raises(WordError):
-        PositionMap.l2(8)._replace(t=0)
+        PositionMap.l2(8)._replace(reads=())
 
 
 @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), max_size=12))
