@@ -100,7 +100,7 @@ def cmd_enumerate(args) -> tuple[str, dict]:
             raise UsageError("--lang enumeration needs --length (exact length)")
         if args.length < 0:
             raise UsageError("--length must be >= 0")
-        check_budget(lang.size(args.length), SLICE_LIMIT, "language enumeration")
+        check_budget(lang.size(args.length, SLICE_LIMIT), SLICE_LIMIT, "language enumeration")
         words = lang.generator(args.length)
         payload = {"lang": args.lang, "length": args.length}
         if args.show_grammar:

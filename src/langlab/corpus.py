@@ -1,6 +1,6 @@
 """The concrete language family: map-free predicates, the position maps
-that spell each language's members, with the sizes and generators read
-off them, and grammars where the language is context-free.
+that spell each language's members in run form, with the sizes and
+generators read off them, and grammars where the language is context-free.
 
 Registry names and their members (letters per :data:`langlab.words.SYMBOL_TABLE`):
 
@@ -22,11 +22,11 @@ import heapq
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from operator import attrgetter
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .grammars import Cfg, cyk_filter, cyk_member, enumerate_language, to_cnf
 from .guards import CostGuardError, InvariantError
-from .words import SYMBOL_TABLE, PositionMap, Word
+from .words import SYMBOL_TABLE, MapRuns, Word
 
 HASH = SYMBOL_TABLE["#"]
 A, B, C = SYMBOL_TABLE["a"], SYMBOL_TABLE["b"], SYMBOL_TABLE["c"]
@@ -39,14 +39,12 @@ class CorpusLanguage:
     """A language given by a predicate, position maps, and an optional
     grammar (present exactly for the context-free members).
 
-    ``maps(n)``, where given, is a tuple of disjoint
-    :class:`~langlab.words.PositionMap` whose members are the members of
-    length ``n``, empty where there are none.  ``size(n)`` adds up their
-    sizes, so the cost of generating the members is known before it is
-    paid; ``generator(n)`` merges their members into canonical order; and
-    a slice is read off them already packed.  ``generator`` stays a field
-    so that a wrapper can replace it with a callable listing the same
-    members.  The predicate stays map-free, an independent check of the maps.
+    ``runs(n)``, where given, lists disjoint position maps in run form,
+    :class:`~langlab.words.MapRuns`, that spell the members of length n.
+    ``size(n)`` is read off them before a read is built, and
+    ``generator(n)``, a field that a wrapper may replace, merges their
+    members into canonical order.  The predicate stays map-free, an
+    independent check of the maps.
     """
 
     name: str
@@ -54,31 +52,35 @@ class CorpusLanguage:
     predicate: Callable[[Word], bool]
     generator: Optional[Callable[[int], tuple[Word, ...]]] = None
     grammar: Optional[Cfg] = None
-    maps: Optional[Callable[[int], tuple[PositionMap, ...]]] = None
+    runs: Optional[Callable[[int], Iterable[MapRuns]]] = None
 
     def __post_init__(self) -> None:
-        if self.maps is None:
+        if self.runs is None:
             if self.generator is not None:
                 raise ValueError(f"language {self.name!r} has a generator but no maps to size it")
         elif self.generator is None:
-            object.__setattr__(self, "generator", partial(_merged_members, self.maps))
+            object.__setattr__(self, "generator", partial(_merged_members, self.runs))
 
-    def size(self, n: int) -> int:
-        """The exact number of members of length ``n``."""
-        return sum(pmap.size for pmap in self.maps(n))
+    def size(self, n: int, limit: Optional[int] = None) -> int:
+        """The number of members of length ``n``; given a limit, the count
+        stops once past it, the largest map coming first."""
+        total = 0
+        for runs in self.runs(n):
+            total += runs.size
+            if limit is not None and total > limit:
+                break
+        return total
 
 
-def _merged_members(maps: Callable[[int], tuple[PositionMap, ...]], n: int) -> tuple[Word, ...]:
+def _merged_members(runs: Callable[[int], Iterable[MapRuns]], n: int) -> tuple[Word, ...]:
     # the maps are disjoint and each lists its members in canonical order
-    return tuple(heapq.merge(*(pmap.members() for pmap in maps(n)), key=attrgetter("letters")))
+    return tuple(heapq.merge(*(r.map().members() for r in runs(n)), key=attrgetter("letters")))
 
 
-@lru_cache(maxsize=64)
-def _constant(*runs: tuple[int, int]) -> tuple[PositionMap, ...]:
-    # the one member that spells each (letter, count) run in turn: one
-    # one-letter index per run, read count times
-    reads = [(x, 1) for x, (_, count) in enumerate(runs) for _ in range(count)]
-    return (PositionMap(reads, tuple((letter,) for letter, _ in runs)),)
+def _constant(*runs: tuple[int, int]) -> tuple[MapRuns, ...]:
+    # the one member spelling each (letter, count) run: a one-letter index read count times
+    indices = tuple(((letter,), 1) for letter, _ in runs)
+    return (MapRuns(indices, tuple((x, count, 0, 1) for x, (_, count) in enumerate(runs))),)
 
 
 # -- L2 and its relatives ---------------------------------------------------
@@ -97,13 +99,6 @@ def is_l2(w: Word) -> bool:
     )
 
 
-def l2_maps(n: int) -> tuple[PositionMap, ...]:
-    """One nesting per choice word over {1, 2} at every positive multiple
-    of 4, 2^(n/4) members in total."""
-    pmap = PositionMap.l2(n)
-    return () if pmap is None else (pmap,)
-
-
 def is_l2_1(w: Word) -> bool:
     x = w.letters
     n = len(x)
@@ -117,18 +112,14 @@ def is_l2_1(w: Word) -> bool:
     return all(a in (5, 10, 15, 30) for a in x[2 * t :])
 
 
-@lru_cache(maxsize=64)
-def l2_1_maps(n: int) -> tuple[PositionMap, ...]:
+def l2_1_runs(n: int) -> Iterator[MapRuns]:
     """One map per head length h with 2h < n: a head w over {1, 2}, then
     (w^R)*3, then a free tail over 5*{1, 2, 3, 6} on its own indices.  The
-    maps are disjoint, since h is the member's longest prefix over {1, 2}."""
-    maps = []
+    maps are disjoint, since h is the member's longest prefix over {1, 2};
+    they come lazily and largest first, 2^(2n - 3h) members at h."""
     for h in range(1, (n - 1) // 2 + 1):
-        head = range(h)
-        reads = [(x, 1) for x in head] + [(x, 3) for x in reversed(head)]
-        reads += [(x, 5) for x in range(h, n - h)]
-        maps.append(PositionMap(reads, ((1, 2),) * h + ((1, 2, 3, 6),) * (n - 2 * h)))
-    return tuple(maps)
+        tail = n - 2 * h
+        yield MapRuns((((1, 2), h), ((1, 2, 3, 6), tail)), ((0, h, 1, 1), (h - 1, h, -1, 3), (h, tail, 1, 5)))
 
 
 def is_l2_2(w: Word) -> bool:
@@ -138,11 +129,6 @@ def is_l2_2(w: Word) -> bool:
         return False
     # the head letter at p pairs with five times itself at n - 1 - p
     return all(a in (1, 2, 3, 6) and b == 5 * a for a, b in zip(x[: n // 2], reversed(x)))
-
-
-def l2_2_maps(n: int) -> tuple[PositionMap, ...]:
-    pmap = PositionMap.l2_2(n)
-    return () if pmap is None else (pmap,)
 
 
 def is_l2_prime(w: Word) -> bool:
@@ -158,15 +144,14 @@ def is_l2_prime(w: Word) -> bool:
     )
 
 
-@lru_cache(maxsize=64)
-def l2_prime_maps(n: int) -> tuple[PositionMap, ...]:
+def l2_prime_runs(n: int) -> tuple[MapRuns, ...]:
     """A head over {1, 2}, a middle over 3*{1, 2} and a tail of twice the
     length over 5*{1, 2, 3, 6}, every position on its own index."""
     if n < 4 or n % 4:
         return ()
     t = n // 4
-    reads = [(x, 1 if x < t else 3 if x < 2 * t else 5) for x in range(n)]
-    return (PositionMap(reads, ((1, 2),) * (2 * t) + ((1, 2, 3, 6),) * (2 * t)),)
+    positions = ((0, t, 1, 1), (t, t, 1, 3), (2 * t, 2 * t, 1, 5))
+    return (MapRuns((((1, 2), 2 * t), ((1, 2, 3, 6), 2 * t)), positions),)
 
 
 def is_l2_dprime(w: Word) -> bool:
@@ -177,7 +162,7 @@ def is_l2_dprime(w: Word) -> bool:
     return w.letters == (A,) * m + (B,) * m + (C,) * 2 * m
 
 
-def l2_dprime_maps(n: int) -> tuple[PositionMap, ...]:
+def l2_dprime_runs(n: int) -> tuple[MapRuns, ...]:
     """The single a^m b^m c^(2m) member at each positive multiple of 4."""
     m = n // 4
     return _constant((A, m), (B, m), (C, 2 * m)) if n >= 4 and n % 4 == 0 else ()
@@ -193,7 +178,7 @@ def is_leq(w: Word) -> bool:
     return w.letters == (0,) * m + (1,) * m
 
 
-def leq_maps(n: int) -> tuple[PositionMap, ...]:
+def leq_runs(n: int) -> tuple[MapRuns, ...]:
     m = n // 2
     return _constant((0, m), (1, m)) if n >= 2 and n % 2 == 0 else ()
 
@@ -206,7 +191,7 @@ def is_l3eq(w: Word) -> bool:
     return w.letters == (0,) * m + (1,) * m + (2,) * m
 
 
-def l3eq_maps(n: int) -> tuple[PositionMap, ...]:
+def l3eq_runs(n: int) -> tuple[MapRuns, ...]:
     m = n // 3
     return _constant((0, m), (1, m), (2, m)) if n >= 3 and n % 3 == 0 else ()
 
@@ -221,14 +206,12 @@ def is_pal_sharp(w: Word) -> bool:
     return w.letters == u + (HASH,) + u[::-1]
 
 
-@lru_cache(maxsize=64)
-def pal_sharp_maps(n: int) -> tuple[PositionMap, ...]:
+def pal_sharp_runs(n: int) -> tuple[MapRuns, ...]:
     """u over {0, 1}, the one-letter index #, then u reversed."""
     if n < 1 or n % 2 == 0:
         return ()
-    u = range(n // 2)
-    reads = [(x, 1) for x in u] + [(len(u), 1)] + [(x, 1) for x in reversed(u)]
-    return (PositionMap(reads, ((0, 1),) * len(u) + ((HASH,),)),)
+    m = n // 2
+    return (MapRuns((((0, 1), m), ((HASH,), 1)), ((0, m, 1, 1), (m, 1, 0, 1), (m - 1, m, -1, 1))),)
 
 
 # -- grammars for the context-free members ----------------------------------
@@ -272,20 +255,20 @@ def grammar_l2_2() -> Cfg:
 LANGUAGES: dict[str, CorpusLanguage] = {
     lang.name: lang
     for lang in (
-        CorpusLanguage("L_eq", frozenset({0, 1}), is_leq, grammar=grammar_leq(), maps=leq_maps),
-        CorpusLanguage("L_3eq", frozenset({0, 1, 2}), is_l3eq, maps=l3eq_maps),
+        CorpusLanguage("L_eq", frozenset({0, 1}), is_leq, grammar=grammar_leq(), runs=leq_runs),
+        CorpusLanguage("L_3eq", frozenset({0, 1, 2}), is_l3eq, runs=l3eq_runs),
         CorpusLanguage(
             "Pal_sharp",
             frozenset({0, 1, HASH}),
             is_pal_sharp,
             grammar=grammar_pal_sharp(),
-            maps=pal_sharp_maps,
+            runs=pal_sharp_runs,
         ),
-        CorpusLanguage("L2", L2_ALPHABET, is_l2, maps=l2_maps),
-        CorpusLanguage("L2_1", L2_ALPHABET, is_l2_1, grammar=grammar_l2_1(), maps=l2_1_maps),
-        CorpusLanguage("L2_2", L2_ALPHABET, is_l2_2, grammar=grammar_l2_2(), maps=l2_2_maps),
-        CorpusLanguage("L2_prime", L2_ALPHABET, is_l2_prime, maps=l2_prime_maps),
-        CorpusLanguage("L2_dprime", frozenset({A, B, C}), is_l2_dprime, maps=l2_dprime_maps),
+        CorpusLanguage("L2", L2_ALPHABET, is_l2, runs=MapRuns.l2),
+        CorpusLanguage("L2_1", L2_ALPHABET, is_l2_1, grammar=grammar_l2_1(), runs=l2_1_runs),
+        CorpusLanguage("L2_2", L2_ALPHABET, is_l2_2, grammar=grammar_l2_2(), runs=MapRuns.l2_2),
+        CorpusLanguage("L2_prime", L2_ALPHABET, is_l2_prime, runs=l2_prime_runs),
+        CorpusLanguage("L2_dprime", frozenset({A, B, C}), is_l2_dprime, runs=l2_dprime_runs),
     )
 }
 

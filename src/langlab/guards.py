@@ -20,7 +20,9 @@ def check_budget(estimate: int, limit: int, what: str, *, force: bool | None = N
         return
     if estimate > limit:
         hint = "" if force is None else "; rerun with force to override"
-        raise CostGuardError(f"{what} would touch about {estimate} items (limit {limit}){hint}")
+        # an estimate of thousands of digits is named by its power of two
+        about = estimate if estimate.bit_length() <= 1000 else f"2^{estimate.bit_length() - 1}"
+        raise CostGuardError(f"{what} would touch about {about} items (limit {limit}){hint}")
 
 
 class InvariantError(RuntimeError):

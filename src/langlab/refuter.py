@@ -141,7 +141,8 @@ def refute_subset(
     canonical order; ``size(n)`` is how many words it gives.  Each candidate
     costs one CYK chart, which also keeps only the members of L(g); every
     candidate's chart is charged n(n+1)/2 cells against
-    :data:`REFUTE_CELL_LIMIT` before any is generated.  A chart fills only
+    :data:`REFUTE_CELL_LIMIT` before any is generated, length by length
+    until the charge passes the limit.  A chart fills only
     the (start, end) pairs that some nonterminal derives, so the charge
     bounds that work from above rather than counting it.  A kept candidate
     is replayed through the predicate, decomposed and pumped until some
@@ -153,7 +154,11 @@ def refute_subset(
     p = pumping_constant(cnf)
     if search_len < p:
         raise ValueError(f"search_len must reach the pumping constant {p}")
-    cells = sum(size(n) * n * (n + 1) // 2 for n in range(p, search_len + 1))
+    cells = 0
+    for n in range(p, search_len + 1):
+        cells += size(n) * n * (n + 1) // 2
+        if cells > REFUTE_CELL_LIMIT:
+            break
     check_budget(cells, REFUTE_CELL_LIMIT, "pumping refutation charts")
     examined = 0
     for n in range(p, search_len + 1):

@@ -195,22 +195,20 @@ def build_slice(language, n: int, advice=None, *, force: bool = False) -> Slice:
     """Collect every length-``n`` member of a language, fused with the
     advice word at ``n`` when advice is given.
 
-    A language with position maps is charged its exact ``size(n)``
-    against :data:`SLICE_LIMIT` before any member is built; without advice
-    its members are read off the maps already packed, by
-    :func:`_map_members`, and with advice its generator's members are
-    fused.  Otherwise all words over the language's alphabet are filtered
-    through its predicate, which trips the guard once the alphabet power
-    does.  Either way the slice holds every member at ``n`` and is marked
-    complete.
+    A language with position maps is charged its ``size(n)`` against
+    :data:`SLICE_LIMIT` before a read is built; its members are read off
+    the maps already packed, by :func:`_map_members`, or with advice taken
+    from its generator.  Otherwise all words over the alphabet are filtered
+    through the predicate, charged the alphabet power.  Either way the
+    slice holds every member at ``n`` and is marked complete.
     """
     if n < 1:
         raise ValueError("slices need n >= 1")
     origin = f"{getattr(language, 'name', 'language')}[n={n}]"
-    if getattr(language, "maps", None) is not None:
-        check_budget(language.size(n), SLICE_LIMIT, "generated slice", force=force)
+    if getattr(language, "runs", None) is not None:
+        check_budget(language.size(n, SLICE_LIMIT), SLICE_LIMIT, "generated slice", force=force)
         if advice is None:
-            return Slice._of_packed(n, *_map_members(language.maps(n)), origin)
+            return Slice._of_packed(n, *_map_members([r.map() for r in language.runs(n)]), origin)
         members = language.generator(n)
     else:
         alphabet = sorted(language.alphabet)

@@ -167,16 +167,14 @@ class PositionMap(_MapFields):
 
     A choice word picks one letter from each index's sorted alphabet
     ``alphabets[x]``, and position p, which reads ``reads[p] = (x, scale)``,
-    spells ``scale * choice[x]``, so distinct choice words spell distinct
-    members.  A constant letter is an index with a one-letter alphabet.
-    The indices are first read in the order 0, 1, 2, ..., so two members
-    first differ where the first index on which their choice words differ
-    is first read, and choice-word order is canonical order.
+    spells ``scale * choice[x]``.  A constant letter is an index with a
+    one-letter alphabet.  The indices are first read in the order 0, 1, 2,
+    ..., so choice-word order is canonical order.
 
     The map is checked as it is built: at least one read, each an int
     index and an int scale >= 1; each alphabet nonempty, sorted, distinct
-    and >= 0; the indices first read in the order 0, 1, 2, ..., each
-    alphabet's index at least once.  A bad map raises ``WordError``.
+    and >= 0; every index read, first in the order 0, 1, 2, ....  A bad
+    map raises ``WordError``.
     """
 
     __slots__ = ()
@@ -212,42 +210,10 @@ class PositionMap(_MapFields):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
-    def of_blocks(cls, t: int, letters, blocks) -> PositionMap:
-        """The block map of one choice word: t indices over the one
-        alphabet ``letters``, and per ``(scale, mirrored)`` block t
-        positions that read them in order, or reversed when mirrored, at
-        that scale.  Beyond the constructor's checks, t is an int >= 1,
-        each mirror flag a bool, and letter 0 is kept out, as :func:`scale`
-        keeps it out of scaling."""
-        if type(t) is not int or t < 1:
-            raise WordError(f"a block map needs an int t >= 1, got {t!r}")
-        try:
-            letters = tuple(letters)
-            reads = [(t - 1 - o if mirrored else o, k) for k, mirrored in blocks for o in range(t)]
-            ok = 0 not in letters and all(type(mirrored) is bool for _, mirrored in blocks)
-        except (TypeError, ValueError):
-            ok = False
-        if not ok:
-            raise WordError(
-                f"a block map needs letters >= 1 and (scale, bool) blocks, got {letters!r}, {blocks!r}"
-            )
-        return cls(reads, (letters,) * t)
-
-    @classmethod
     @lru_cache(maxsize=64)
     def l2(cls, n: int) -> Optional[PositionMap]:
-        """L2 at n = 4t: w, (w^R)*3, w*15, (w^R)*5 over {1, 2}; None off that grid."""
-        if n < 4 or n % 4:
-            return None
-        return cls.of_blocks(n // 4, (1, 2), ((1, False), (3, True), (15, False), (5, True)))
-
-    @classmethod
-    @lru_cache(maxsize=64)
-    def l2_2(cls, n: int) -> Optional[PositionMap]:
-        """L2_2 at n = 2t: y, (y^R)*5 over {1, 2, 3, 6}; None off that grid."""
-        if n < 2 or n % 2:
-            return None
-        return cls.of_blocks(n // 2, (1, 2, 3, 6), ((1, False), (5, True)))
+        """The map of :meth:`MapRuns.l2`, built once per n; None off its grid."""
+        return next((runs.map() for runs in MapRuns.l2(n)), None)
 
     @property
     def n(self) -> int:
@@ -267,13 +233,10 @@ class PositionMap(_MapFields):
 
     def distinct(self, j: int) -> list[int]:
         """For every window start i, how many distinct factors the
-        positions [i, i + j) spell across the members, by one sliding
-        window: the product of the alphabet sizes of the indices the
-        window reads.
-
-        The members that carry one factor at offset i agree on exactly
-        the indices that window reads, so every factor there occurs in
-        ``size`` over that many members.
+        positions [i, i + j) spell, by one sliding window: the product of
+        the alphabet sizes of the indices it reads.  The members with one
+        factor there agree on exactly those indices, so each factor occurs
+        in ``size`` over that many members.
         """
         sizes = list(map(len, self.alphabets))
         index = [x for x, _ in self.reads]
@@ -321,6 +284,54 @@ class PositionMap(_MapFields):
                 if held[x] == per_index[x]:
                     inside *= sizes[x]
                 yield i, k - i + 1, size * out * (inside - 1)
+
+
+class MapRuns(NamedTuple):
+    """A position map in run form, sized off its index runs before any
+    read is built: ``(alphabet, count)`` runs of consecutive indices, and
+    ``(first, count, step, scale)`` runs of positions, the k-th reading
+    index ``first + k * step``.  :meth:`map` spells out and checks the map.
+    """
+
+    indices: tuple[tuple[tuple[int, ...], int], ...]
+    positions: tuple[tuple[int, int, int, int], ...]
+
+    @property
+    def size(self) -> int:
+        return prod(len(letters) ** count for letters, count in self.indices)
+
+    @lru_cache(maxsize=64)
+    def map(self) -> PositionMap:
+        # built once per run form: corpus slices and generators rebuild the same maps
+        runs = self.positions
+        reads = [(first + k * step, scale) for first, count, step, scale in runs for k in range(count)]
+        return PositionMap(reads, [letters for letters, count in self.indices for _ in range(count)])
+
+    @classmethod
+    def of_blocks(cls, t: int, letters, blocks) -> MapRuns:
+        """t indices over ``letters``, read in order, or reversed when
+        mirrored, by each ``(scale, mirrored)`` block of t positions."""
+        try:
+            if type(t) is int and t >= 1 and all(type(mirrored) is bool for _, mirrored in blocks):
+                positions = tuple((t - 1, t, -1, k) if mirrored else (0, t, 1, k) for k, mirrored in blocks)
+                return cls(((tuple(letters), t),), positions)
+        except (TypeError, ValueError):
+            pass
+        raise WordError(f"a block map needs an int t >= 1 and (scale, bool) blocks, got {t!r}, {blocks!r}")
+
+    @classmethod
+    def l2(cls, n: int) -> tuple[MapRuns, ...]:
+        """L2 at n = 4t, one map: w, (w^R)*3, w*15, (w^R)*5 over {1, 2}."""
+        if n < 4 or n % 4:
+            return ()
+        return (cls.of_blocks(n // 4, (1, 2), ((1, False), (3, True), (15, False), (5, True))),)
+
+    @classmethod
+    def l2_2(cls, n: int) -> tuple[MapRuns, ...]:
+        """L2_2 at n = 2t, one map: y, (y^R)*5 over {1, 2, 3, 6}."""
+        if n < 2 or n % 2:
+            return ()
+        return (cls.of_blocks(n // 2, (1, 2, 3, 6), ((1, False), (5, True))),)
 
 
 @lru_cache(maxsize=64)

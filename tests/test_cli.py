@@ -11,6 +11,7 @@ from langlab import cli, corpus
 from langlab.cli import advised_oracle, main
 from langlab.grammars import dfa_to_json, Dfa
 from langlab.swaplab import build_slice, swap_scan
+from langlab.words import MapRuns
 from test_swaplab import reference_row
 
 
@@ -405,6 +406,24 @@ def test_pump_refute_charges_every_candidate_before_generating_any(capsys, tmp_p
     # p = 128, and L2_prime has 2^192 members of length 128
     assert code == 2 and "CostGuardError: pumping refutation charts" in doc["error"]
     assert time.perf_counter() - started < 1.0
+
+
+def test_huge_lengths_trip_the_guard_before_a_map_is_built(capsys, monkeypatch, tmp_path):
+    # L2_1 at 100,000 is charged its largest map alone, 2^199997 members;
+    # L2 at 10^8 holds 2^25,000,000; pumping charts for L2_1 stop adding at
+    # the first length; none of them spells out a read
+    monkeypatch.setattr(MapRuns, "map", lambda runs: pytest.fail("a map was built past the guard"))
+    path = tmp_path / "blocks.cfg"
+    path.write_text("S -> A C\nA -> 'a' A 'b' | 'a' 'b'\nC -> 'c' C | 'c'\n")
+    for argv, about in (
+        (("enumerate", "--lang", "L2_1", "--length", "100000"), "about 2^199997 items"),
+        (("swap-scan", "--lang", "L2", "--n", "100000000", "--j-min", "1", "--j-max", "2"), "2^25000000"),
+        (("pump-refute", "--grammar", str(path), "--predicate", "L2_1", "--max-len", "2000"), "charts"),
+    ):
+        started = time.perf_counter()
+        code, doc = run_json(capsys, *argv)
+        assert code == 2 and doc["error"].startswith("CostGuardError") and about in doc["error"], argv
+        assert time.perf_counter() - started < 1.0, argv
 
 
 def test_guard_messages_name_force_only_where_the_command_takes_it(capsys, tmp_path):

@@ -27,7 +27,7 @@ from langlab.corpus import (
 from langlab.grammars import cyk_member, enumerate_language, to_cnf
 from langlab.guards import CostGuardError
 from langlab.swaplab import Slice, build_slice
-from langlab.words import Word, parse_word
+from langlab.words import MapRuns, Word, parse_word
 
 
 def brute_members(alphabet, n, predicate):
@@ -89,6 +89,15 @@ def test_sizes_are_zero_at_negative_lengths(name):
     for n in range(-4, 0):
         size = LANGUAGES[name].size(n)
         assert size == 0 and type(size) is int, (name, n, size)
+
+
+def test_a_size_with_a_limit_stops_adding_once_past_it(monkeypatch):
+    # sizes are read off the run form, so no map is built to count them
+    monkeypatch.setattr(MapRuns, "map", lambda runs: pytest.fail("sizing built a map"))
+    # L2_1's maps come largest first, 2^(2n - 3h) members at head length h
+    assert LANGUAGES["L2_1"].size(12, 10**6) == 2**21 < LANGUAGES["L2_1"].size(12)
+    for name, lang in LANGUAGES.items():
+        assert [lang.size(n, 10**9) for n in range(17)] == SIZES[name]
 
 
 def test_a_generator_needs_a_size():

@@ -31,8 +31,8 @@ from langlab.swaplab import (
     swap_scan,
     witness_listing,
 )
-from langlab.words import PositionMap, TrackedWord, Word, fuse_letter, nest_l2
-from test_words import position_maps
+from langlab.words import MapRuns, PositionMap, TrackedWord, Word, fuse_letter, nest_l2
+from test_words import position_maps, runs_of
 
 L2 = LANGUAGES["L2"]
 
@@ -333,7 +333,7 @@ def test_a_one_position_map_gives_a_slice_of_one_letter_words():
         "letters",
         frozenset({3, 6}),
         lambda w: w.letters in ((3,), (6,)),
-        maps=lambda n: (PositionMap(((0, 3),), ((1, 2),)),) if n == 1 else (),
+        runs=lambda n: (MapRuns((((1, 2), 1),), ((0, 1, 1, 3),)),) if n == 1 else (),
     )
     assert lang.size(1) == 2 and lang.size(2) == 0
     s = build_slice(lang, 1)
@@ -1027,7 +1027,7 @@ def test_the_l2_2_map_counts_every_enumerated_swap():
         lang = LANGUAGES[name]
         s = build_slice(lang, n)
         scanned = Counter((w.i, w.j) for w in swap_scan(lang.predicate, s, (1, n)))
-        (pmap,) = lang.maps(n)
+        (pmap,) = (runs.map() for runs in lang.runs(n))
         counted = {(i, j): c for i, j, c in pmap.spot_witnesses() if c}
         assert counted == dict(scanned), (name, n)
         assert sum(counted.values()) == total, (name, n)
@@ -1042,7 +1042,7 @@ def test_map_closed_forms_match_the_exhaustive_scan_on_drawn_maps(pmap):
     members = pmap.members()
     words = set(members)
     n = pmap.n
-    s = build_slice(CorpusLanguage("drawn", frozenset(), words.__contains__, maps=lambda _: (pmap,)), n)
+    s = build_slice(CorpusLanguage("drawn", frozenset(), words.__contains__, runs=lambda _: (runs_of(pmap),)), n)
     assert s.members == members
     scanned = Counter((w.i, w.j) for w in swap_scan(words.__contains__, s, (1, n)))
     assert {(i, j): c for i, j, c in pmap.spot_witnesses() if c} == dict(scanned)

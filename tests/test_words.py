@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from langlab.words import (
     EMPTY_WORD,
     SYMBOL_TABLE,
+    MapRuns,
     PositionMap,
     TrackedWord,
     Word,
@@ -214,13 +215,14 @@ def test_symbol_table_published_values():
 
 def test_the_l2_2_map_reads_y_then_its_mirror_times_5():
     for n in (2, 4, 6, 8):
-        pmap = PositionMap.l2_2(n)
+        (runs,) = MapRuns.l2_2(n)
+        pmap = runs.map()
         assert pmap.n == n and pmap.size == 4 ** (n // 2)
         choices = list(itertools.product((1, 2, 3, 6), repeat=n // 2))
         reference = [Word(y) + scale(reverse(Word(y)), 5) for y in choices]
         assert [Word(pmap.word(y)) for y in choices] == reference
         assert list(pmap.members()) == reference == sorted(reference)
-    assert PositionMap.l2_2(5) is None and PositionMap.l2_2(0) is None
+    assert MapRuns.l2_2(5) == MapRuns.l2_2(0) == ()
 
 
 def test_the_l2_map_lists_its_nestings_in_canonical_order():
@@ -243,7 +245,7 @@ def test_a_one_position_map_gives_its_one_letter_words():
     # one choice letter read twice
     twice = PositionMap(((0, 1), (0, 3)), ((1, 2),))
     assert twice.members() == (Word.of(1, 3), Word.of(2, 6))
-    assert PositionMap.of_blocks(1, (1, 2), ((1, False), (3, True))) == twice
+    assert MapRuns.of_blocks(1, (1, 2), ((1, False), (3, True))).map() == twice
     # a constant letter is an index with a one-letter alphabet, letter 0 included
     constant = PositionMap(((0, 1), (1, 1), (0, 1)), ((0, 1), (4,)))
     assert constant.members() == (Word.of(0, 4, 0), Word.of(1, 4, 1))
@@ -260,7 +262,7 @@ def test_a_one_position_map_gives_its_one_letter_words():
         (2, (), ((1, False),)),
         (2, (2, 1), ((1, False),)),
         (2, (1, 1), ((1, False),)),
-        (2, (0, 1), ((1, False),)),
+        (2, (-1, 1), ((1, False),)),
         (2, (1, "2"), ((1, False),)),
         (2, 3, ((1, False),)),
         (2, (1, 2), ()),
@@ -273,9 +275,9 @@ def test_a_one_position_map_gives_its_one_letter_words():
     ],
 )
 def test_a_bad_position_map_is_a_word_error(t, letters, blocks):
-    # the block form: t-letter blocks of one choice word over letters >= 1
+    # the block form: t-letter blocks of one choice word over letters >= 0
     with pytest.raises(WordError):
-        PositionMap.of_blocks(t, letters, blocks)
+        MapRuns.of_blocks(t, letters, blocks).map()
 
 
 @pytest.mark.parametrize(
@@ -342,25 +344,48 @@ def position_maps(draw):
     return PositionMap([(rank[x], scale) for x, scale in reads], [alphabets[x] for x in order])
 
 
+def runs_of(pmap):
+    """The run form of any map: a run for every index and every position."""
+    indices = tuple((letters, 1) for letters in pmap.alphabets)
+    return MapRuns(indices, tuple((x, 1, 1, scale) for x, scale in pmap.reads))
+
+
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(position_maps())
 def test_every_map_lists_its_members_in_canonical_order(pmap):
     members = pmap.members()
     assert list(members) == sorted(set(members)) and len(members) == pmap.size
     assert all(len(w) == pmap.n for w in members)
+    assert runs_of(pmap).map() == pmap and runs_of(pmap).size == pmap.size
 
 
 def test_the_built_in_maps_pass_the_constructor_checks():
     for n in range(1, 41):
-        for pmap in (PositionMap.l2(n), PositionMap.l2_2(n)):
-            if pmap is not None:
-                assert PositionMap(*pmap) == pmap
+        for runs in MapRuns.l2(n) + MapRuns.l2_2(n):
+            pmap = runs.map()
+            assert PositionMap(*pmap) == pmap and pmap.size == runs.size
+
+
+def test_a_run_form_is_sized_off_its_index_runs_and_spelled_out_run_by_run():
+    # u over {0, 1}, a one-letter index #, then u reversed: Pal_sharp at 7
+    runs = MapRuns((((0, 1), 3), ((4,), 1)), ((0, 3, 1, 1), (3, 1, 0, 1), (2, 3, -1, 1)))
+    assert runs.size == 8
+    assert runs.map() == PositionMap(
+        [(0, 1), (1, 1), (2, 1), (3, 1), (2, 1), (1, 1), (0, 1)], [(0, 1)] * 3 + [(4,)]
+    )
+    # step 0 reads one index count times
+    assert MapRuns((((1,), 1), ((2,), 1)), ((0, 2, 0, 1), (1, 2, 0, 1))).map().members() == (
+        Word.of(1, 1, 2, 2),
+    )
+    # a size of thousands of digits costs nothing to read off
+    (runs,) = MapRuns.l2(10**8)
+    assert runs.size == 2 ** (25 * 10**6)
 
 
 def test_a_position_map_is_checked_however_it_is_built():
     pmap = PositionMap([[0, 1], (1, 1), [1, 3], (0, 3)], [[1, 2], (1, 2)])
     assert pmap == PositionMap(((0, 1), (1, 1), (1, 3), (0, 3)), ((1, 2), (1, 2)))
-    assert pmap == PositionMap.of_blocks(2, [1, 2], [[1, False], (3, True)])
+    assert pmap == MapRuns.of_blocks(2, [1, 2], [[1, False], (3, True)]).map()
     assert PositionMap._make((((0, 1), (1, 1)), ((1, 2), (1, 2)))).members()[0] == Word.of(1, 1)
     with pytest.raises(WordError):
         PositionMap.l2(8)._replace(alphabets=((2, 1), (1, 2)))
