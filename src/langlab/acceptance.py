@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 from . import corpus
@@ -45,25 +45,11 @@ class CriterionResult:
         return f"[{status}] criterion {self.number:2d} ({self.name}): {self.details} [{self.elapsed_s:.2f}s]"
 
     def to_json(self) -> dict:
-        return {
-            "number": self.number,
-            "name": self.name,
-            "passed": self.passed,
-            "details": self.details,
-            "elapsed_s": round(self.elapsed_s, 3),
-            "budget_s": self.budget_s,
-        }
+        return {**asdict(self), "elapsed_s": round(self.elapsed_s, 3)}
 
 
 def _result(number, name, budget_s, started, passed, details) -> CriterionResult:
-    return CriterionResult(
-        number=number,
-        name=name,
-        passed=passed,
-        details=details,
-        elapsed_s=time.perf_counter() - started,
-        budget_s=budget_s,
-    )
+    return CriterionResult(number, name, passed, details, time.perf_counter() - started, budget_s)
 
 
 def scaling_example(seed: int = DEFAULT_SEED) -> CriterionResult:
@@ -91,8 +77,7 @@ def intersection_identity(seed: int = DEFAULT_SEED) -> CriterionResult:
 def slice_cardinality(seed: int = DEFAULT_SEED) -> CriterionResult:
     """The nesting slice at n has exactly 2^(n/4) members."""
     t0 = time.perf_counter()
-    sizes = {}
-    ok = True
+    sizes, ok = {}, True
     for n in (4, 8, 16, 24, 32):
         got = len(build_slice(corpus.LANGUAGES["L2"], n))
         sizes[n] = got
@@ -230,13 +215,7 @@ def _random_dfa(rng: random.Random) -> Dfa:
     alphabet = (0, 1)
     transitions = {(q, a): rng.choice(states) for q in states for a in alphabet}
     accepting = frozenset(q for q in states if rng.random() < 0.5)
-    return Dfa(
-        states=frozenset(states),
-        alphabet=frozenset(alphabet),
-        transitions=transitions,
-        start="q0",
-        accepting=accepting,
-    )
+    return Dfa(frozenset(states), frozenset(alphabet), transitions, "q0", accepting)
 
 
 def advice_equivalences(seed: int = DEFAULT_SEED) -> CriterionResult:

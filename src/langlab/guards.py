@@ -29,6 +29,7 @@ class InvariantError(RuntimeError):
     """An internal invariant failed: the program, not its input, is at fault.
 
     Raised where a result that the algorithm guarantees fails its own
-    replay, such as a pumped variant that CYK rejects or a complete slice
-    whose member the membership oracle rejects.
+    replay or check, such as a pumped variant that CYK rejects, a complete
+    slice whose member the membership oracle rejects, or a malformed swap
+    witness.
     """

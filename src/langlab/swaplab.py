@@ -31,6 +31,20 @@ def _width(k: int) -> int:
     return max(1, (k - 1).bit_length())
 
 
+class _Chunks(dict):
+    """The letters of each code of ``size`` letters read so far, made on
+    first use from the code one letter shorter, led by one zero code less."""
+
+    def __init__(self, width: int, letters: tuple[int, ...]) -> None:
+        self.width, self.letters, self.size = width, letters, max(1, 12 // width)
+        self[0] = letters[:1] * self.size
+
+    def __missing__(self, code: int) -> tuple[int, ...]:
+        w = self.width
+        letters = self[code] = self[code >> w][1:] + (self.letters[code & (1 << w) - 1],)
+        return letters
+
+
 class Slice:
     """All recorded members of some language at one fixed length, packed.
 
@@ -40,13 +54,17 @@ class Slice:
     canonical Word order, and ``packed`` holds the members sorted.  The
     swap scan and :func:`slice_stats` work on the ints; ``members``
     decodes the Words on first use, and ``word`` decodes one member.
+    A decode reads c letters a lookup, c the most whose codes fit in 12
+    bits (at least 1), in the slice's table of c-letter codes, filled on
+    first use, so it holds at most 2^12 entries (one per letter if codes
+    are wider); a shorter highest chunk is read led by zero codes and cut.
 
     ``complete`` asserts that the members are every length-``n`` word the
     membership oracle of a later swap scan accepts.  Only
     :func:`build_slice` sets it; a hand-built slice makes no such claim.
     """
 
-    __slots__ = ("n", "origin", "complete", "letters", "width", "packed", "_members")
+    __slots__ = ("n", "origin", "complete", "letters", "width", "packed", "_members", "_chunks")
 
     def __init__(self, n: int, members, origin: str = "", complete: bool = False) -> None:
         words = set(members)
@@ -78,15 +96,21 @@ class Slice:
         self.origin, self.complete = origin, complete
         self.width = _width(len(letters))
         self._members: Optional[tuple[Word, ...]] = None
+        self._chunks = _Chunks(self.width, letters)
 
     def __len__(self) -> int:
         return len(self.packed)
 
     def _decode(self, v: int, length: int) -> Word:
-        # the ``length`` letters whose codes end at the lowest bit of v
-        w, letters = self.width, self.letters
-        mask = (1 << w) - 1
-        return Word._trusted(tuple(letters[v >> e & mask] for e in range(w * (length - 1), -1, -w)))
+        # the ``length`` letters whose codes end at the lowest bit of v, c to a
+        # chunk; the highest chunk is cut to the 1 to c letters it holds
+        chunks = self._chunks
+        c, step = chunks.size, chunks.width * chunks.size
+        low, mask = (length - 1) // c, (1 << step) - 1
+        letters = chunks[v >> step * low & mask][(low + 1) * c - length :]
+        for e in range(step * (low - 1), -1, -step):
+            letters += chunks[v >> e & mask]
+        return Word._trusted(letters)
 
     def word(self, v: int) -> Word:
         """The Word a packed member (or a splice of members) spells."""
@@ -95,7 +119,7 @@ class Slice:
     @property
     def members(self) -> tuple[Word, ...]:
         if self._members is None:
-            self._members = tuple(self.word(v) for v in self.packed)
+            self._members = tuple(map(self.word, self.packed))
         return self._members
 
 
@@ -139,11 +163,8 @@ class SliceStats:
     def counts(self) -> dict[tuple[int, Word], int]:
         if self._slice is not None:
             # decoded once; later reads use the Words, not the slice
-            self._counts = {
-                (i, self._factor(i, key)): c
-                for i, table in self._tables()
-                for key, c in table.items()
-            }
+            tables = self._tables()
+            self._counts = {(i, self._factor(i, key)): c for i, table in tables for key, c in table.items()}
             self._slice = None
         return self._counts
 
@@ -273,23 +294,18 @@ class BoundReport:
     violation: Optional[tuple[int, Word, int]] = None
 
     def to_json(self) -> dict:
+        def entry(e) -> Optional[dict]:
+            return None if e is None else {"i": e[0], "u": e[1].to_json(), "count": e[2]}
+
         return {
             "n": self.n,
             "j": self.j,
             "size": self.size,
             "bound": self.bound,
             "max_count": self.max_count,
-            "max": None
-            if self.max_at is None
-            else {"i": self.max_at[0], "u": self.max_at[1].to_json(), "count": self.max_count},
+            "max": entry(self.max_at and (*self.max_at, self.max_count)),
             "ok": self.ok,
-            "violation": None
-            if self.violation is None
-            else {
-                "i": self.violation[0],
-                "u": self.violation[1].to_json(),
-                "count": self.violation[2],
-            },
+            "violation": entry(self.violation),
         }
 
 
@@ -398,14 +414,10 @@ class SwapParams:
             "n": self.n,
             "k": self.k,
             "j0": self.j0,
-            "checks": {
-                "n_multiple_of_16": True,
-                "growth": True,
-                "k_quarter": True,
-                "j0_formula": True,
-                "k_covers_two_midsections": True,
-                "pow_bound": True,
-            },
+            "checks": dict.fromkeys(
+                "n_multiple_of_16 growth k_quarter j0_formula k_covers_two_midsections pow_bound".split(),
+                True,
+            ),
         }
 
 
@@ -485,24 +497,29 @@ class SwapWitness(_SwapFields):
     the language.  Offsets are 0-based; ``i_zero`` marks witnesses whose
     midsection starts at the very front.
 
-    An immutable record: one tuple, its fields checked as it is built."""
+    An immutable record: one tuple, its fields checked as it is built; a
+    malformed one is an internal fault and raises ``InvariantError``."""
 
     __slots__ = ()
 
     def __new__(cls, i, j, x, y, swapped_x, swapped_y, both_in_language=True):
         xs, ys, k = x.letters, y.letters, i + j
         if len(xs) != len(ys):
-            raise ValueError("swap witnesses need equal-length words")
+            raise InvariantError("swap witnesses need equal-length words")
         if not (0 <= i and k <= len(xs) and j >= 1):
-            raise ValueError("inconsistent split offsets")
+            raise InvariantError("inconsistent split offsets")
         x2, y2 = xs[i:k], ys[i:k]
         if x2 == y2:
-            raise ValueError("midsections must differ")
+            raise InvariantError("midsections must differ")
         if swapped_x.letters != xs[:i] + y2 + xs[k:]:
-            raise ValueError("swapped_x is not the midsection splice")
+            raise InvariantError("swapped_x is not the midsection splice")
         if swapped_y.letters != ys[:i] + x2 + ys[k:]:
-            raise ValueError("swapped_y is not the midsection splice")
-        return tuple.__new__(cls, (i, j, x, y, swapped_x, swapped_y, both_in_language))
+            raise InvariantError("swapped_y is not the midsection splice")
+        return cls._trusted((i, j, x, y, swapped_x, swapped_y, both_in_language))
+
+    # the internal constructor: a tuple of all seven fields, already checked,
+    # as swap_scan checks them on its packed ints
+    _trusted = classmethod(tuple.__new__)
 
     # _replace builds through _make, so it is checked too
     _make = classmethod(lambda cls, fields: cls(*fields))
@@ -585,11 +602,15 @@ def swap_scan(
     and the oracle disagree.
 
     The pair loop notes each witness as the slice positions of x and y,
-    the spot, and its two packed splices, which it holds already.  The
-    records are built from those: x and y are the slice's ``members`` at
-    those positions, and the splices come from the memo.  ``members`` is
-    decoded only when the scan finds a witness, so a scan that finds none
-    decodes no Word on a complete slice.
+    the spot, and its two packed splices.  The record pass checks the
+    witness facts on those ints: the spot lies inside n (once per spot, as
+    its masks are made), the middles differ, and each splice is one
+    member's context ORed with the other's middle; a failure raises
+    ``InvariantError`` naming the slice, the spot and the positions.  The
+    records then skip the letter-tuple checks of ``SwapWitness(...)``: x
+    and y are the slice's ``members`` at those positions, and the splices
+    come from the memo.  ``members`` is decoded only when the scan finds a
+    witness, so a scan that finds none decodes no Word on a complete slice.
 
     The scan is charged |S| steps for grouping the members at every spot
     it visits, as it reaches the spot; on an incomplete slice a first pass
@@ -603,8 +624,7 @@ def swap_scan(
     ``force`` overrides both limits.
     """
     n = s.n
-    j_lo, j_hi = j_range
-    j_lo, j_hi = max(1, j_lo), min(n, j_hi)
+    j_lo, j_hi = max(1, j_range[0]), min(n, j_range[1])
     if j_lo > j_hi:
         return []
     i_lo, i_hi = i_range if i_range is not None else (0, n - j_lo)
@@ -620,6 +640,8 @@ def swap_scan(
         check_budget(steps, call_limit, SCAN_ROUTE, force=force)
 
     def masks(i: int, j: int) -> tuple[int, int]:
+        if not (0 <= i and j >= 1 and i + j <= n):
+            raise InvariantError(f"inconsistent split offsets: {s.origin!r} at spot ({i}, {j})")
         mid = ((1 << width * j) - 1) << width * (n - i - j)
         return full ^ mid, mid
 
@@ -651,14 +673,10 @@ def swap_scan(
                     if b == lone:
                         continue
                     t = c | b
-                    if t in memo:
-                        w = memo[t]
-                    else:
+                    if t not in memo:
                         w = s.word(t)
-                        if not member(w):
-                            w = None
-                        memo[t] = w
-                    if w is not None:
+                        memo[t] = w if member(w) else None
+                    if memo[t] is not None:
                         ok.add(b)
                 if ok:
                     acc[c] = ok
@@ -676,8 +694,7 @@ def swap_scan(
             memo[v] = w
         return w
 
-    indexed = []
-    settled = None
+    indexed, settled = [], None
     for i, j in reversed(spots):
         if i == settled:
             continue
@@ -703,11 +720,11 @@ def swap_scan(
                 for b in bs
             )
         )
-        indexed.append((i, j, mids, acc, holders))
+        indexed.append((i, j, keep, mid, mids, acc, holders))
     found: list[tuple[int, int, int, int, int, int]] = []
     limit, what = WITNESS_LETTER_LIMIT, "swap witness letters"
     cap = limit // (4 * n)
-    for i, j, mids, acc, holders in indexed:
+    for i, j, _, _, mids, acc, holders in indexed:
         # x with middle a swaps with y with middle b != a when x's context
         # accepts b and y's accepts a
         for c, bs in acc.items():
@@ -724,11 +741,16 @@ def swap_scan(
         return []
     # (xi, yi, i, j) is unique, so the sort never compares the splices
     found.sort()
-    members = s.members
-    return [
-        SwapWitness(i, j, members[xi], members[yi], splice(sx), splice(sy))
-        for xi, yi, i, j, sx, sy in found
-    ]
+    spot_masks = {(i, j): (keep, mid) for i, j, keep, mid, *_ in indexed}
+    members, witness, witnesses = s.members, SwapWitness._trusted, []
+    for xi, yi, i, j, sx, sy in found:
+        keep, mid = spot_masks[i, j]
+        x, y = packed[xi], packed[yi]
+        if x & mid == y & mid or sx != x & keep | y & mid or sy != y & keep | x & mid:
+            fault = "midsections must differ" if x & mid == y & mid else "a splice is not the midsection one"
+            raise InvariantError(f"{fault}: {s.origin!r} at spot ({i}, {j}), positions {xi} and {yi}")
+        witnesses.append(witness((i, j, members[xi], members[yi], splice(sx), splice(sy), True)))
+    return witnesses
 
 
 def _spot_classes(packed: list[int], keep: int, mid: int, accepted):

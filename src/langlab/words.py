@@ -393,9 +393,7 @@ class TrackedWord:
 
     def __post_init__(self) -> None:
         if len(self.top) != len(self.bottom):
-            raise WordError(
-                f"track lengths differ: {len(self.top)} vs {len(self.bottom)}"
-            )
+            raise WordError(f"track lengths differ: {len(self.top)} vs {len(self.bottom)}")
 
     def __len__(self) -> int:
         return len(self.top)

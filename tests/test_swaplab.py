@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from langlab.advice import AdviceFunction, leq_advice
 from langlab.cli import advised_oracle
 from langlab.corpus import LANGUAGES, CorpusLanguage, is_l2, is_pal_sharp, l2_members
-from langlab import corpus, swaplab
+from langlab import cli, corpus, swaplab
 from langlab.guards import CostGuardError, InvariantError
 from langlab.swaplab import (
     Slice,
@@ -730,14 +730,67 @@ def test_index_path_rejects_an_oracle_that_disagrees_with_the_slice():
         swap_scan(lambda w: w != Word.of(0, 0, 0, 0), s, (1, 4))
 
 
+def test_a_mismapped_slice_position_is_an_invariant_failure(monkeypatch, capsys):
+    # the first accepting context of every spot maps one of its middles to
+    # the next member's position: the record check must refuse the witness
+    spot_classes = swaplab._spot_classes
+
+    def mismapped(packed, keep, mid, accepted):
+        mids, acc = spot_classes(packed, keep, mid, accepted)
+        if acc:
+            held = mids[next(iter(acc))]
+            a = next(iter(held))
+            held[a] = (held[a] + 1) % len(packed)
+        return mids, acc
+
+    monkeypatch.setattr(swaplab, "_spot_classes", mismapped)
+    with pytest.raises(InvariantError, match=r"'Pal_sharp\[n=7\]' at spot \(\d+, \d+\), positions"):
+        swap_scan(is_pal_sharp, build_slice(LANGUAGES["Pal_sharp"], 7), (1, 7))
+    code = cli.main(["swap-scan", "--lang", "Pal_sharp", "--n", "7", "--j-min", "1", "--j-max", "7"])
+    out = capsys.readouterr().out
+    assert code == 3 and out.count("\n") == 1
+    assert json.loads(out)["error"].startswith("InvariantError")
+
+
 def test_only_built_slices_are_complete():
     assert build_slice(L2, 8).complete
     assert build_slice(EVEN_PALINDROMES, 4).complete
     assert not Slice(2, (Word.of(0, 1),)).complete
 
 
+def reference_decode(s, v, length):
+    # one letter at a time: the code of each of the last ``length`` letters of v
+    w = s.width
+    return Word(tuple(s.letters[v >> e & (1 << w) - 1] for e in range(w * (length - 1), -1, -w)))
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(st.integers(1, 32), st.integers(1, 48), st.data())
+def test_chunked_decode_matches_the_per_letter_reference(k, n, data):
+    # k letters give widths 1 to 5, so chunks of 12 down to 2 letters; every
+    # length from 1 to n leaves a highest chunk of every shorter size
+    alphabet = data.draw(st.lists(st.integers(0, 200), min_size=k, max_size=k, unique=True))
+    words = st.lists(st.sampled_from(alphabet), min_size=n, max_size=n).map(Word)
+    members = data.draw(st.lists(words, min_size=1, max_size=6))
+    s = Slice(n, members)
+    assert s.members == tuple(reference_decode(s, v, n) for v in s.packed)
+    for v in s.packed:
+        assert s.word(v) == reference_decode(s, v, n)
+        for length in range(1, n + 1):
+            assert s._decode(v, length) == reference_decode(s, v, length)
+    assert len(s._chunks) <= 2**12
+
+
+def test_chunk_tables_hold_at_most_4096_codes():
+    s = build_slice(L2, 32)
+    assert len(s.members) == 256 and len(s._chunks) <= 2**12
+    sample = Slice(8, tuple(random.Random(1729).sample(corpus.l2_2_members(8), 64)), "sample")
+    assert len(swap_scan(corpus.is_l2_2, sample, (1, 8))) == 21_200
+    assert 0 < len(sample._chunks) <= 2**12
+
+
 def test_swap_witness_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantError):
         SwapWitness(
             i=0,
             j=1,
@@ -746,7 +799,7 @@ def test_swap_witness_validation():
             swapped_x=Word.of(9, 1),
             swapped_y=Word.of(0, 2),
         )
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantError):
         SwapWitness(
             i=0,
             j=1,
@@ -779,13 +832,13 @@ def witness(**changes):
     ],
 )
 def test_swap_witness_checks_every_field(changes, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(InvariantError, match=message):
         witness(**changes)
     # positional construction makes the same checks
     fields = {**witness()._asdict(), **changes}
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(InvariantError, match=message):
         SwapWitness(*fields.values())
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(InvariantError, match=message):
         witness()._replace(**changes)
 
 
