@@ -32,8 +32,8 @@ def _width(k: int) -> int:
 
 
 class _Chunks(dict):
-    """The letters of each code of ``size`` letters read so far, made on
-    first use from the code one letter shorter, led by one zero code less."""
+    """Letter tuples of ``size``-letter codes, each made on first use: the
+    letters of ``code >> width`` (led by one more zero code) but the first, then the last."""
 
     def __init__(self, width: int, letters: tuple[int, ...]) -> None:
         self.width, self.letters, self.size = width, letters, max(1, 12 // width)
