@@ -27,7 +27,8 @@ from .words import Word
 class PumpWitness:
     """A refutation certificate: a member of L(G), its pumping
     decomposition, the pumped variants (all confirmed in L(G)), and the
-    first variant on which the predicate fails."""
+    first variant on which the predicate fails; a malformed one is an
+    internal fault and raises ``InvariantError``."""
 
     z: Word
     u: Word
@@ -40,9 +41,9 @@ class PumpWitness:
 
     def __post_init__(self) -> None:
         if self.u + self.v + self.w + self.x + self.y != self.z:
-            raise ValueError("decomposition does not reassemble the pumped word")
+            raise InvariantError("decomposition does not reassemble the pumped word")
         if len(self.v) + len(self.x) == 0:
-            raise ValueError("the pumped segments may not both be empty")
+            raise InvariantError("the pumped segments may not both be empty")
 
     def pump(self, times: int) -> Word:
         return self.u + self.v * times + self.w + self.x * times + self.y

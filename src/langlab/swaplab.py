@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .guards import InvariantError, check_budget
-from .words import PositionMap, TrackedWord, Word
+from .words import PositionMap, Word, fuse_tracks
 
 
 def ceil_log2(v: int) -> int:
@@ -45,6 +45,24 @@ class _Chunks(dict):
         return letters
 
 
+def _pack(n: int, members) -> tuple[tuple[int, ...], list[int]]:
+    """The letters of length-``n`` Words and the distinct Words packed, sorted;
+    a Word of another length raises ``ValueError``."""
+    words = set(members)
+    for w in words:
+        if len(w) != n:
+            raise ValueError(f"slice member {w!r} does not have length {n}")
+    letters = tuple(sorted({a for w in words for a in w.letters}))
+    code, width = {a: c for c, a in enumerate(letters)}, _width(len(letters))
+    packed = []
+    for w in words:
+        v = 0
+        for a in w.letters:
+            v = v << width | code[a]
+        packed.append(v)
+    return letters, sorted(packed)
+
+
 class Slice:
     """All recorded members of some language at one fixed length, packed.
 
@@ -59,34 +77,20 @@ class Slice:
     first use, so it holds at most 2^12 entries (one per letter if codes
     are wider); a shorter highest chunk is read led by zero codes and cut.
 
-    ``complete`` asserts that the members are every length-``n`` word the
+    ``complete`` says that the members are every length-``n`` word the
     membership oracle of a later swap scan accepts.  Only
-    :func:`build_slice` sets it; a hand-built slice makes no such claim.
+    :func:`build_slice` makes a complete slice; ``Slice(...)`` never does.
     """
 
     __slots__ = ("n", "origin", "complete", "letters", "width", "packed", "_members", "_chunks")
 
-    def __init__(self, n: int, members, origin: str = "", complete: bool = False) -> None:
-        words = set(members)
-        for w in words:
-            if len(w) != n:
-                raise ValueError(f"slice member {w!r} does not have length {n}")
-        letters = sorted({a for w in words for a in w.letters})
-        code = {a: c for c, a in enumerate(letters)}
-        width = _width(len(letters))
-        packed = []
-        for w in words:
-            v = 0
-            for a in w.letters:
-                v = v << width | code[a]
-            packed.append(v)
-        packed.sort()
-        self._set(n, tuple(letters), packed, origin, complete)
+    def __init__(self, n: int, members, origin: str = "") -> None:
+        self._set(n, *_pack(n, members), origin, False)
 
     @classmethod
     def _of_packed(cls, n: int, letters: tuple[int, ...], packed: list[int], origin: str):
         """A complete slice from members already packed with the codes of
-        ``letters``, sorted and distinct."""
+        ``letters``, sorted and distinct; only :func:`build_slice` calls it."""
         s = object.__new__(cls)
         s._set(n, letters, packed, origin, True)
         return s
@@ -214,53 +218,55 @@ SLICE_LIMIT = 10_000_000
 
 def build_slice(language, n: int, advice=None, *, force: bool = False) -> Slice:
     """Collect every length-``n`` member of a language, fused with the
-    advice word at ``n`` when advice is given.
+    advice word at ``n`` (asked for first, even for an empty slice) when
+    advice is given: a complete slice, the only way to make one.
 
     A language with position maps is charged its ``size(n)`` against
     :data:`SLICE_LIMIT` before a read is built; its members are read off
-    the maps already packed, by :func:`_map_members`, or with advice taken
-    from its generator.  Otherwise all words over the alphabet are filtered
-    through the predicate, charged the alphabet power.  Either way the
-    slice holds every member at ``n`` and is marked complete.
+    the maps already packed, by :func:`_map_members`.  Otherwise all words
+    over the alphabet are filtered through the predicate, charged the
+    alphabet power, and packed as ``Slice(...)`` packs its members.
     """
     if n < 1:
         raise ValueError("slices need n >= 1")
-    origin = f"{getattr(language, 'name', 'language')}[n={n}]"
+    origin, under = f"{getattr(language, 'name', 'language')}[n={n}]", None
+    if advice is not None:
+        origin, under = f"{origin}+{getattr(advice, 'name', 'advice')}", advice(n).letters
     if getattr(language, "runs", None) is not None:
         check_budget(language.size(n, SLICE_LIMIT), SLICE_LIMIT, "generated slice", force=force)
-        if advice is None:
-            return Slice._of_packed(n, *_map_members([r.map() for r in language.runs(n)]), origin)
-        members = language.generator(n)
-    else:
-        alphabet = sorted(language.alphabet)
-        check_budget(len(alphabet) ** n, SLICE_LIMIT, "brute-force slice scan", force=force)
-        predicate = language.predicate
-        members = [w for w in map(Word, itertools.product(alphabet, repeat=n)) if predicate(w)]
-    if advice is not None:
-        a = advice(n)
-        members = [TrackedWord(x, a).fused() for x in members]
-        origin += f"+{getattr(advice, 'name', 'advice')}"
-    return Slice(n, members, origin, complete=True)
+        return Slice._of_packed(n, *_map_members([r.map() for r in language.runs(n)], under), origin)
+    alphabet = sorted(language.alphabet)
+    check_budget(len(alphabet) ** n, SLICE_LIMIT, "brute-force slice scan", force=force)
+    members = filter(language.predicate, map(Word, itertools.product(alphabet, repeat=n)))
+    if under is not None:
+        members = [Word._trusted(fuse_tracks(w.letters, under)) for w in members]
+    return Slice._of_packed(n, *_pack(n, members), origin)
 
 
-def _map_members(maps: tuple[PositionMap, ...]) -> tuple[tuple[int, ...], list[int]]:
-    """The letters of the slice that disjoint position maps spell, and its
-    members, packed and sorted.  A member is the OR of one mask per choice
-    index: the codes that index's chosen letter puts at the positions
-    reading it.  Each map's members are built by doubling, the first
-    choice index last, so they come out in choice-word order."""
-    letters = tuple(
-        sorted({scale * a for pmap in maps for x, scale in pmap.reads for a in pmap.alphabets[x]})
-    )
+def _map_members(maps: list[PositionMap], under=None) -> tuple[tuple[int, ...], list[int]]:
+    """The letters of the slice that disjoint position maps spell, the one
+    at position p fused over ``under[p]`` when advice letters are given,
+    and its members, packed and sorted.  A member is the OR of one mask per
+    choice index: the codes that index's chosen letter puts at the
+    positions reading it.  Each map's members are built by doubling, the
+    first choice index last, so they come out in choice-word order."""
+    spelled = [[scale * a for x, scale in pmap.reads for a in pmap.alphabets[x]] for pmap in maps]
+    if under is not None:
+        spelled = [
+            fuse_tracks(tops, [b for (x, _), b in zip(pmap.reads, under, strict=True) for _ in pmap.alphabets[x]])
+            for pmap, tops in zip(maps, spelled)
+        ]
+    letters = tuple(sorted(set().union(*spelled)))
     code = {a: c for c, a in enumerate(letters)}
     w = _width(len(letters))
     packed: list[int] = []
-    for pmap in maps:
-        n = pmap.n
+    for pmap, tops in zip(maps, spelled):
+        n, codes = pmap.n, map(code.__getitem__, tops)
         masks = [[0] * len(alphabet) for alphabet in pmap.alphabets]
-        for p, (x, scale) in enumerate(pmap.reads):
-            for c, a in enumerate(pmap.alphabets[x]):
-                masks[x][c] |= code[scale * a] << w * (n - 1 - p)
+        for p, (x, _) in enumerate(pmap.reads):
+            row, shift = masks[x], w * (n - 1 - p)
+            for c in range(len(row)):
+                row[c] |= next(codes) << shift
         part = [0]
         for row in reversed(masks):
             part = [v | m for m in row for v in part]
@@ -489,7 +495,6 @@ class _SwapFields(NamedTuple):
     y: Word
     swapped_x: Word
     swapped_y: Word
-    both_in_language: bool = True
 
 
 class SwapWitness(_SwapFields):
@@ -502,7 +507,7 @@ class SwapWitness(_SwapFields):
 
     __slots__ = ()
 
-    def __new__(cls, i, j, x, y, swapped_x, swapped_y, both_in_language=True):
+    def __new__(cls, i, j, x, y, swapped_x, swapped_y):
         xs, ys, k = x.letters, y.letters, i + j
         if len(xs) != len(ys):
             raise InvariantError("swap witnesses need equal-length words")
@@ -515,9 +520,9 @@ class SwapWitness(_SwapFields):
             raise InvariantError("swapped_x is not the midsection splice")
         if swapped_y.letters != ys[:i] + x2 + ys[k:]:
             raise InvariantError("swapped_y is not the midsection splice")
-        return cls._trusted((i, j, x, y, swapped_x, swapped_y, both_in_language))
+        return cls._trusted((i, j, x, y, swapped_x, swapped_y))
 
-    # the internal constructor: a tuple of all seven fields, already checked,
+    # the internal constructor: a tuple of all six fields, already checked,
     # as swap_scan checks them on its packed ints
     _trusted = classmethod(tuple.__new__)
 
@@ -541,17 +546,18 @@ class _WordTexts(dict):
 def witness_listing(witnesses) -> str:
     """The JSON array text of a witness list, byte for byte what
     ``json.dumps(rows, sort_keys=True)`` writes for the rows with keys
-    ``both_in_language, i, i_zero, j, swapped_x, swapped_y, x, y`` and
-    each word as its list of letters.  The text of each distinct word is
+    ``both_in_language, i, i_zero, j, swapped_x, swapped_y, x, y``, each
+    word as its list of letters and ``both_in_language`` true, as it is
+    for every witness.  The text of each distinct word is
     made once per call, so a listing costs per distinct word, not per
     letter of every occurrence."""
     texts = _WordTexts()
     flag = ("false", "true")
     rows = [
-        f'{{"both_in_language": {flag[both]}, "i": {i}, "i_zero": {flag[i == 0]}, "j": {j}, '
+        f'{{"both_in_language": true, "i": {i}, "i_zero": {flag[i == 0]}, "j": {j}, '
         f'"swapped_x": {texts[sx.letters]}, "swapped_y": {texts[sy.letters]}, '
         f'"x": {texts[x.letters]}, "y": {texts[y.letters]}}}'
-        for i, j, x, y, sx, sy, both in witnesses
+        for i, j, x, y, sx, sy in witnesses
     ]
     return "[" + ", ".join(rows) + "]"
 
@@ -749,7 +755,7 @@ def swap_scan(
         if x & mid == y & mid or sx != x & keep | y & mid or sy != y & keep | x & mid:
             fault = "midsections must differ" if x & mid == y & mid else "a splice is not the midsection one"
             raise InvariantError(f"{fault}: {s.origin!r} at spot ({i}, {j}), positions {xi} and {yi}")
-        witnesses.append(witness((i, j, members[xi], members[yi], splice(sx), splice(sy), True)))
+        witnesses.append(witness((i, j, members[xi], members[yi], splice(sx), splice(sy))))
     return witnesses
 
 

@@ -308,30 +308,22 @@ class MapRuns(NamedTuple):
         return PositionMap(reads, [letters for letters, count in self.indices for _ in range(count)])
 
     @classmethod
-    def of_blocks(cls, t: int, letters, blocks) -> MapRuns:
-        """t indices over ``letters``, read in order, or reversed when
-        mirrored, by each ``(scale, mirrored)`` block of t positions."""
-        try:
-            if type(t) is int and t >= 1 and all(type(mirrored) is bool for _, mirrored in blocks):
-                positions = tuple((t - 1, t, -1, k) if mirrored else (0, t, 1, k) for k, mirrored in blocks)
-                return cls(((tuple(letters), t),), positions)
-        except (TypeError, ValueError):
-            pass
-        raise WordError(f"a block map needs an int t >= 1 and (scale, bool) blocks, got {t!r}, {blocks!r}")
-
-    @classmethod
     def l2(cls, n: int) -> tuple[MapRuns, ...]:
-        """L2 at n = 4t, one map: w, (w^R)*3, w*15, (w^R)*5 over {1, 2}."""
+        """L2 at n = 4t, one map: w, (w^R)*3, w*15, (w^R)*5 over {1, 2}, in
+        runs that read the t indices of w forwards and backwards by turns."""
         if n < 4 or n % 4:
             return ()
-        return (cls.of_blocks(n // 4, (1, 2), ((1, False), (3, True), (15, False), (5, True))),)
+        t = n // 4
+        return (cls((((1, 2), t),), ((0, t, 1, 1), (t - 1, t, -1, 3), (0, t, 1, 15), (t - 1, t, -1, 5))),)
 
     @classmethod
     def l2_2(cls, n: int) -> tuple[MapRuns, ...]:
-        """L2_2 at n = 2t, one map: y, (y^R)*5 over {1, 2, 3, 6}."""
+        """L2_2 at n = 2t, one map: y, (y^R)*5 over {1, 2, 3, 6}, in runs
+        that read the t indices of y forwards, then backwards."""
         if n < 2 or n % 2:
             return ()
-        return (cls.of_blocks(n // 2, (1, 2, 3, 6), ((1, False), (5, True))),)
+        t = n // 2
+        return (cls((((1, 2, 3, 6), t),), ((0, t, 1, 1), (t - 1, t, -1, 5))),)
 
 
 @lru_cache(maxsize=64)

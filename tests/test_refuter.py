@@ -208,17 +208,12 @@ def test_every_long_member_decomposes(grammar, high):
 
 
 def test_witness_validation():
-    with pytest.raises(ValueError):
-        PumpWitness(
-            z=Word.of(1, 2),
-            u=Word.of(1),
-            v=Word(),
-            w=Word.of(2),
-            x=Word(),
-            y=Word(),
-            pumped=((0, Word.of(1, 2)),),
-            violating=(0, Word.of(1, 2)),
-        )
+    # a malformed certificate is an internal fault, not bad input
+    fields = dict(pumped=((0, Word.of(1, 2)),), violating=(0, Word.of(1, 2)))
+    with pytest.raises(InvariantError, match="the pumped segments may not both be empty"):
+        PumpWitness(z=Word.of(1, 2), u=Word.of(1), v=Word(), w=Word.of(2), x=Word(), y=Word(), **fields)
+    with pytest.raises(InvariantError, match="does not reassemble the pumped word"):
+        PumpWitness(z=Word.of(1, 2), u=Word.of(1), v=Word.of(2), w=Word.of(2), x=Word(), y=Word(), **fields)
 
 
 def test_refutation_never_enumerates_the_grammar(monkeypatch):

@@ -11,7 +11,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPTS = (
     ("no_swap_experiment.py", "--sizes", "8,16"),
-    ("params_table.py", "--m-max", "3"),
     ("advice_conversion_demo.py", "--rounds", "2", "--max-len", "4"),
 )
 
@@ -30,3 +29,11 @@ def test_script_exits_0(script):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout and "UNEXPECTED" not in done.stdout
+
+
+def test_every_script_is_run_here_and_named_in_the_readme():
+    # a script added or deleted without this table and the README is caught
+    on_disk = {path.name for path in (ROOT / "scripts").glob("*.py")}
+    assert on_disk == {name for name, *_ in SCRIPTS}
+    readme = (ROOT / "README.md").read_text()
+    assert [name for name in sorted(on_disk) if f"scripts/{name}" not in readme] == []

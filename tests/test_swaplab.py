@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from langlab.advice import AdviceFunction, leq_advice
+from langlab.advice import AdviceError, AdviceFunction, leq_advice, table_advice, zero_advice
 from langlab.cli import advised_oracle
 from langlab.corpus import LANGUAGES, CorpusLanguage, is_l2, is_pal_sharp, l2_members
 from langlab import cli, corpus, swaplab
@@ -31,7 +31,7 @@ from langlab.swaplab import (
     swap_scan,
     witness_listing,
 )
-from langlab.words import MapRuns, PositionMap, TrackedWord, Word, fuse_letter, nest_l2
+from langlab.words import MapRuns, PositionMap, TrackedWord, Word, fuse_letter, fuse_tracks, nest_l2
 from test_words import position_maps, runs_of
 
 L2 = LANGUAGES["L2"]
@@ -78,6 +78,14 @@ def test_brute_force_slice_of_palindromes():
         (1, 0, 0, 1),
         (1, 1, 1, 1),
     ]
+    # fused, it packs what the public constructor packs for the fused Words
+    for n in (4, 5, 6):
+        plain = [w for w in map(Word, product((0, 1), repeat=n)) if is_even_palindrome(w)]
+        for advice in (leq_advice(), zero_advice()):
+            want = Slice(n, [Word(fuse_tracks(x.letters, advice(n).letters)) for x in plain])
+            got = build_slice(EVEN_PALINDROMES, n, advice)
+            assert (got.letters, got.packed) == (want.letters, want.packed) and len(got) == len(plain)
+            assert got.origin == f"even_pal[n={n}]+{advice.name}"
 
 
 def test_brute_force_slice_cost_guard(monkeypatch):
@@ -114,6 +122,26 @@ def test_a_slice_read_off_the_map_is_the_generated_slice():
             s = build_slice(lang, n)
             assert s.complete and s.members == lang.generator(n), (name, n)
             assert s.packed == sorted(set(s.packed))
+    # every corpus language, plain and fused, against the generated Words
+    # packed by the public constructor, on and off each length grid
+    for name, lang in LANGUAGES.items():
+        for n in range(1, 13):
+            if lang.size(n) > 10**4:
+                continue
+            for advice in (None, leq_advice(), zero_advice()):
+                s = build_slice(lang, n, advice)
+                generated = lang.generator(n)
+                origin = f"{name}[n={n}]"
+                if advice is not None:
+                    generated = [Word(fuse_tracks(x.letters, advice(n).letters)) for x in generated]
+                    origin += f"+{advice.name}"
+                want = Slice(n, generated)
+                assert (s.letters, s.packed) == (want.letters, want.packed), (name, n, advice)
+                assert s.origin == origin and s.complete and s.members == want.members
+    # the advice word is asked for even where the slice is empty
+    for n in (8, 10):
+        with pytest.raises(AdviceError, match=f"no entry for length {n}"):
+            build_slice(L2, n, table_advice({}, "none"))
 
 
 # (language, lengths, advice): slices whose members are packed from Words
@@ -753,9 +781,16 @@ def test_a_mismapped_slice_position_is_an_invariant_failure(monkeypatch, capsys)
 
 
 def test_only_built_slices_are_complete():
-    assert build_slice(L2, 8).complete
-    assert build_slice(EVEN_PALINDROMES, 4).complete
-    assert not Slice(2, (Word.of(0, 1),)).complete
+    # every route of build_slice: maps or brute force, each plain and fused
+    for lang, n in ((L2, 8), (EVEN_PALINDROMES, 4)):
+        assert build_slice(lang, n).complete is True
+        assert build_slice(lang, n, leq_advice()).complete is True
+    assert build_slice(L2, 7, leq_advice()).complete is True
+    assert Slice(2, (Word.of(0, 1),)).complete is False
+    # a hand-built slice cannot claim to be complete: two of the four even
+    # palindromes, scanned as if they were all, would hide two witnesses
+    with pytest.raises(TypeError):
+        Slice(4, (Word.of(0, 1, 1, 0), Word.of(1, 0, 0, 1)), "x", complete=True)
 
 
 def reference_decode(s, v, length):
@@ -850,8 +885,10 @@ def test_swap_witness_is_an_immutable_value():
         w.extra = 1
     twin = SwapWitness(1, 1, Word.of(0, 1), Word.of(0, 2), Word.of(0, 2), Word.of(0, 1))
     assert w == twin and hash(w) == hash(twin)
-    assert w != witness(both_in_language=False)
-    assert (w.i, w.j, w.both_in_language, w.i_zero) == (1, 1, True, False)
+    assert w != witness(i=0, j=2)
+    assert (w.i, w.j, w.i_zero) == (1, 1, False) and len(w) == 6
+    with pytest.raises(TypeError):
+        SwapWitness(*w, True)
     assert witness(i=0, y=Word.of(2, 1), swapped_x=Word.of(2, 1), swapped_y=Word.of(0, 1)).i_zero
     assert reference_row(w) == {
         "i": 1,
@@ -880,7 +917,7 @@ def reference_row(w: SwapWitness) -> dict:
         "y": w.y.to_json(),
         "swapped_x": w.swapped_x.to_json(),
         "swapped_y": w.swapped_y.to_json(),
-        "both_in_language": w.both_in_language,
+        "both_in_language": True,
     }
 
 
@@ -908,8 +945,7 @@ def witness_lists(draw):
             y[i] = next(a for a in alphabet if a != x[i])
         y = tuple(y)
         sx, sy = x[:i] + y[i : i + j] + x[i + j :], y[:i] + x[i : i + j] + y[i + j :]
-        both = draw(st.booleans())
-        out.append(SwapWitness(i, j, Word(x), Word(y), Word(sx), Word(sy), both))
+        out.append(SwapWitness(i, j, Word(x), Word(y), Word(sx), Word(sy)))
     return out
 
 
@@ -920,12 +956,12 @@ LEQ_LETTER = LISTING_ALPHABETS[2][-1]
 @given(witness_lists())
 @example([])
 @example([witness(i=0, y=Word.of(2, 1), swapped_x=Word.of(2, 1), swapped_y=Word.of(0, 1))])
-@example([witness(both_in_language=False), witness()])
+@example([witness(), witness()])
 @example(
     [
         SwapWitness(
             0, 2, Word.of(LEQ_LETTER, 300, 12), Word.of(9, 10, 12), Word.of(9, 10, 12),
-            Word.of(LEQ_LETTER, 300, 12), False,
+            Word.of(LEQ_LETTER, 300, 12),
         )
     ]
 )

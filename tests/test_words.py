@@ -245,39 +245,11 @@ def test_a_one_position_map_gives_its_one_letter_words():
     # one choice letter read twice
     twice = PositionMap(((0, 1), (0, 3)), ((1, 2),))
     assert twice.members() == (Word.of(1, 3), Word.of(2, 6))
-    assert MapRuns.of_blocks(1, (1, 2), ((1, False), (3, True))).map() == twice
+    assert MapRuns((((1, 2), 1),), ((0, 1, 1, 1), (0, 1, -1, 3))).map() == twice
     # a constant letter is an index with a one-letter alphabet, letter 0 included
     constant = PositionMap(((0, 1), (1, 1), (0, 1)), ((0, 1), (4,)))
     assert constant.members() == (Word.of(0, 4, 0), Word.of(1, 4, 1))
     assert constant.distinct(2) == [2, 2] and constant.size == 2
-
-
-@pytest.mark.parametrize(
-    "t, letters, blocks",
-    [
-        (0, (1, 2), ((1, False),)),
-        (-1, (1, 2), ((1, False),)),
-        (True, (1, 2), ((1, False),)),
-        (1.0, (1, 2), ((1, False),)),
-        (2, (), ((1, False),)),
-        (2, (2, 1), ((1, False),)),
-        (2, (1, 1), ((1, False),)),
-        (2, (-1, 1), ((1, False),)),
-        (2, (1, "2"), ((1, False),)),
-        (2, 3, ((1, False),)),
-        (2, (1, 2), ()),
-        (2, (1, 2), ((0, False),)),
-        (2, (1, 2), ((-3, True),)),
-        (2, (1, 2), ((1, 0),)),
-        (2, (1, 2), ((1,),)),
-        (2, (1, 2), (1, 2)),
-        (2, (1, 2), None),
-    ],
-)
-def test_a_bad_position_map_is_a_word_error(t, letters, blocks):
-    # the block form: t-letter blocks of one choice word over letters >= 0
-    with pytest.raises(WordError):
-        MapRuns.of_blocks(t, letters, blocks).map()
 
 
 @pytest.mark.parametrize(
@@ -310,6 +282,16 @@ def test_a_bad_position_map_is_a_word_error(t, letters, blocks):
         (((0, 1),), ((1, 2.0),)),
         (((0, 1),), (3,)),
         (((0, 1),), None),
+        # the same faults in a block layout: two indices, read in order
+        (((0, 1), (1, 1)), ((), ())),
+        (((0, 1), (1, 1)), ((2, 1), (2, 1))),
+        (((0, 1), (1, 1)), ((1, 1), (1, 1))),
+        (((0, 1), (1, 1)), ((-1, 1), (-1, 1))),
+        (((0, 1), (1, 1)), ((1, "2"), (1, "2"))),
+        (((0, 1), (1, 1)), (3, 3)),
+        ((), ((1, 2), (1, 2))),
+        (((0, 0), (1, 0)), ((1, 2), (1, 2))),
+        (((0, -3), (1, -3)), ((1, 2), (1, 2))),
     ],
 )
 def test_a_malformed_map_is_a_word_error(reads, alphabets):
@@ -385,7 +367,7 @@ def test_a_run_form_is_sized_off_its_index_runs_and_spelled_out_run_by_run():
 def test_a_position_map_is_checked_however_it_is_built():
     pmap = PositionMap([[0, 1], (1, 1), [1, 3], (0, 3)], [[1, 2], (1, 2)])
     assert pmap == PositionMap(((0, 1), (1, 1), (1, 3), (0, 3)), ((1, 2), (1, 2)))
-    assert pmap == MapRuns.of_blocks(2, [1, 2], [[1, False], (3, True)]).map()
+    assert pmap == MapRuns((((1, 2), 2),), ((0, 2, 1, 1), (1, 2, -1, 3))).map()
     assert PositionMap._make((((0, 1), (1, 1)), ((1, 2), (1, 2)))).members()[0] == Word.of(1, 1)
     with pytest.raises(WordError):
         PositionMap.l2(8)._replace(alphabets=((2, 1), (1, 2)))
