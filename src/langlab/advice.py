@@ -74,6 +74,10 @@ def table_advice(table: Mapping[int, Sequence[int]], name: str = "table") -> Adv
 
 
 def advice_from_json(doc: Mapping[str, Sequence[int]], name: str = "table") -> AdviceFunction:
+    """Advice from a JSON object mapping each length to its advice word;
+    any other document raises ``AdviceError``."""
+    if not isinstance(doc, dict):
+        raise AdviceError(f"malformed advice table: a JSON object is needed, not {type(doc).__name__}")
     try:
         return table_advice({int(k): v for k, v in doc.items()}, name)
     except (TypeError, ValueError) as exc:

@@ -143,12 +143,10 @@ def cmd_slice_stats(args) -> tuple[str, dict]:
     advice = _advice_spec(args.advice) if args.advice else None
     s = build_slice(lang, args.n, advice)
     stats = slice_stats(s, args.j)
-    # counting once: after .counts, max_entry reads the decoded table
-    counts = stats.counts
     entry = stats.max_entry()
     table = [
         {"i": i, "u": u.to_json(), "count": c}
-        for (i, u), c in sorted(counts.items(), key=lambda kv: (kv[0][0], kv[0][1]))
+        for (i, u), c in sorted(stats.counts.items(), key=lambda kv: (kv[0][0], kv[0][1]))
     ]
     payload = {
         "origin": s.origin,

@@ -293,13 +293,6 @@ class CnfGrammar:
             self, "_right", tuple(tuple((c, tuple(ks)) for c, ks in sorted(r.items())) for r in heads)
         )
 
-    def as_cfg(self) -> Cfg:
-        prods: list[Production] = [(a, (b, c)) for a, b, c in self.binary]
-        prods += [(a, (t,)) for a, t in self.lexical]
-        if self.empty:
-            prods.append((self.start, ()))
-        return Cfg(self.nonterminals, self.terminals, tuple(prods), self.start)
-
 
 def pumping_constant(g: CnfGrammar) -> int:
     """2 to the number of nonterminals: every longer member pumps."""
@@ -790,13 +783,3 @@ def dfa_from_json(doc: Mapping) -> Dfa:
         if isinstance(exc, AutomatonError):
             raise
         raise AutomatonError(f"malformed DFA document: {exc}") from exc
-
-
-def dfa_to_json(m: Dfa) -> dict:
-    return {
-        "states": sorted(m.states),
-        "alphabet": sorted(m.alphabet),
-        "start": m.start,
-        "accepting": sorted(m.accepting),
-        "transitions": [[q, a, r] for (q, a), r in sorted(m.transitions.items())],
-    }

@@ -130,50 +130,43 @@ class Slice:
 class SliceStats:
     """Occurrence counts of every midsection of one length across a slice.
 
-    ``counts[i, u]`` is the number of members that carry the factor u at
-    offset i.  Stats made by :func:`slice_stats` count the slice's packed
-    factors one offset at a time each time they are read, so
-    :func:`bound_report`, :meth:`max_entry` and :meth:`partition_ok` hold
-    one offset's counts at once; ``counts`` decodes the whole table into
-    Words on first use.
+    ``counts[i, u]`` is the number of members of ``slice`` that carry the
+    factor u at offset i.  The counts are read off the packed members one
+    offset at a time each time they are read, so :func:`bound_report`,
+    :meth:`max_entry` and :meth:`partition_ok` hold one offset's counts at
+    once: every offset's table at once would be 653,056 entries on the L2
+    slice at n = 64, j = 16.  ``counts`` decodes the whole table into Words
+    once and keeps it.
     """
 
-    __slots__ = ("n", "j", "size", "_slice", "_counts")
+    __slots__ = ("slice", "n", "j", "size", "_counts")
 
-    def __init__(self, n: int, j: int, size: int, counts: Optional[dict]) -> None:
-        self.n, self.j, self.size = n, j, size
-        self._slice: Optional[Slice] = None
-        self._counts = counts
+    def __init__(self, s: Slice, j: int) -> None:
+        if not 1 <= j <= s.n:
+            raise ValueError(f"midsection length must be in 1..{s.n}, got {j}")
+        self.slice, self.n, self.j, self.size = s, s.n, j, len(s)
+        self._counts: Optional[dict[tuple[int, Word], int]] = None
 
-    def _tables(self) -> Iterator[tuple[int, dict]]:
-        """(i, {key: count}) for every offset with counts, in offset order.
-        A key is the factor, or on a slice's stats the packed factor, which
-        :meth:`_factor` decodes; the keys of one offset order as their
-        factors do."""
-        if self._slice is not None:
-            yield from _factor_tables(self._slice, self.j)
-            return
-        by_offset: dict[int, dict[Word, int]] = {}
-        for (i, u), c in self._counts.items():
-            by_offset.setdefault(i, {})[u] = c
-        for i in sorted(by_offset):
-            yield i, by_offset[i]
+    def _tables(self) -> Iterator[tuple[int, Counter]]:
+        """(i, {packed factor: count}) for every offset, in offset order: a
+        member v carries the packed factor ``v & mask`` for the offset's
+        window mask, which :meth:`_factor` decodes, so the keys of one
+        offset order as their factors do."""
+        n, j, w, packed = self.n, self.j, self.slice.width, self.slice.packed
+        window = (1 << w * j) - 1
+        for i in range(n - j + 1):
+            yield i, Counter(map((window << w * (n - i - j)).__and__, packed))
 
-    def _factor(self, i: int, key) -> Word:
-        s = self._slice
-        return key if s is None else s._decode(key >> s.width * (self.n - i - self.j), self.j)
+    def _factor(self, i: int, key: int) -> Word:
+        s = self.slice
+        return s._decode(key >> s.width * (self.n - i - self.j), self.j)
 
     @property
     def counts(self) -> dict[tuple[int, Word], int]:
-        if self._slice is not None:
-            # decoded once; later reads use the Words, not the slice
+        if self._counts is None:
             tables = self._tables()
             self._counts = {(i, self._factor(i, key)): c for i, table in tables for key, c in table.items()}
-            self._slice = None
         return self._counts
-
-    def count(self, i: int, u: Word) -> int:
-        return self.counts.get((i, u), 0)
 
     def _extremes(self, bound: Optional[int] = None):
         """The largest entry, ties broken towards the smallest (i, u), and
@@ -199,17 +192,7 @@ class SliceStats:
 
     def partition_ok(self) -> bool:
         """At every offset the counts must add up to the slice size."""
-        totals = {i: sum(table.values()) for i, table in self._tables()}
-        return all(totals.get(i, 0) == self.size for i in range(self.n - self.j + 1))
-
-
-def _factor_tables(s: Slice, j: int) -> Iterator[tuple[int, Counter]]:
-    """Count the packed length-j factors of ``s`` at every offset, in
-    offset order, as ``v & mask`` for the offset's window mask."""
-    n, w, packed = s.n, s.width, s.packed
-    window = (1 << w * j) - 1
-    for i in range(n - j + 1):
-        yield i, Counter(map((window << w * (n - i - j)).__and__, packed))
+        return all(sum(table.values()) == self.size for _, table in self._tables())
 
 
 #: The most words one slice, or one listing of a language, may hold.
@@ -277,13 +260,8 @@ def _map_members(maps: list[PositionMap], under=None) -> tuple[tuple[int, ...], 
 
 def slice_stats(s: Slice, j: int) -> SliceStats:
     """Count, for every offset i and factor u of length j, how many slice
-    members carry u at that offset: the counts are read off the packed
-    members by :func:`_factor_tables` whenever the stats are read."""
-    if not 1 <= j <= s.n:
-        raise ValueError(f"midsection length must be in 1..{s.n}, got {j}")
-    stats = SliceStats(s.n, j, len(s), None)
-    stats._slice = s
-    return stats
+    members carry u at that offset."""
+    return SliceStats(s, j)
 
 
 @dataclass(frozen=True)

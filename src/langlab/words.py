@@ -390,10 +390,6 @@ class TrackedWord:
     def __len__(self) -> int:
         return len(self.top)
 
-    def fused(self) -> Word:
-        """The single-track view: one paired letter per position."""
-        return Word._trusted(fuse_tracks(self.top.letters, self.bottom.letters))
-
     @classmethod
     def from_fused(cls, w: Word) -> "TrackedWord":
         pairs = [split_letter(a) for a in w.letters]

@@ -11,7 +11,7 @@ import pytest
 
 from langlab import acceptance, corpus
 from langlab.grammars import to_cnf
-from langlab.swaplab import SliceStats
+from langlab.swaplab import Slice, bound_report, build_slice
 from langlab.words import Word
 
 
@@ -119,20 +119,24 @@ def test_intersection_identity_replays_only_through_the_second_grammar(monkeypat
 
 
 def test_binding_bound_reports_a_planted_violation(monkeypatch):
-    # at n=8, j=2 the bound is 2; one count raised to 3 must fail the
+    # at n=8, j=2 the bound is 2: the slice plus a word that repeats its most
+    # common factor, on letters of its own elsewhere, must fail the
     # criterion and be named in its details
     slice_stats = acceptance.slice_stats
     planted = []
 
     def planted_stats(s, j):
-        stats = slice_stats(s, j)
         if (s.n, j) == (8, 2):
-            i, u, _ = stats.max_entry()
-            stats = SliceStats(stats.n, j, stats.size, {**stats.counts, (i, u): 3})
-            planted.append((i, u, 3))
-        return stats
+            i, u, _ = slice_stats(s, j).max_entry()
+            s = Slice(8, s.members + (Word((0,) * i + u.letters + (0,) * (6 - i)),))
+            planted.append(slice_stats(s, j))
+        return slice_stats(s, j)
 
     monkeypatch.setattr(acceptance, "slice_stats", planted_stats)
     result = acceptance.binding_bound(1729)
+    (stats,) = planted
+    violation = bound_report(stats).violation
+    assert violation == (1, Word.of(1, 3), 3)
+    checked = 1842 - len(slice_stats(build_slice(corpus.LANGUAGES["L2"], 8), 2).counts) + len(stats.counts)
     assert not result.passed
-    assert result.details == f"1842 counts checked; violation at n=8, j=2: {planted[0]}"
+    assert result.details == f"{checked} counts checked; violation at n=8, j=2: {violation}"

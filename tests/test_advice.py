@@ -26,7 +26,7 @@ from langlab.advice import (
 )
 from langlab.corpus import is_leq
 from langlab.grammars import Dfa, dfa_accepts
-from langlab.words import EMPTY_WORD, TrackedWord, Word
+from langlab.words import EMPTY_WORD, Word, fuse_tracks
 
 binary_words = st.builds(Word, st.lists(st.sampled_from((0, 1)), max_size=10))
 
@@ -91,6 +91,9 @@ def test_advice_from_json():
     assert h(2) == Word.of(1, 1)
     with pytest.raises(AdviceError):
         advice_from_json({"one": [1]})
+    for doc in ([1, 2], "leq", 7, None):
+        with pytest.raises(AdviceError, match="JSON object"):
+            advice_from_json(doc)
 
 
 # -- parallel and serial membership ---------------------------------------------
@@ -283,8 +286,8 @@ def binary_words_up_to(max_len):
 
 def assert_parallel_member_matches_tracked_fusion(lang, max_len=8):
     for x in binary_words_up_to(max_len):
-        fused = TrackedWord(x, lang.advice(len(x))).fused()
-        assert parallel_member(lang, x) == reference_accepts(lang.inner, fused.letters), x
+        fused = fuse_tracks(x.letters, lang.advice(len(x)).letters)
+        assert parallel_member(lang, x) == reference_accepts(lang.inner, fused), x
 
 
 def test_parallel_member_matches_tracked_fusion_on_leq():

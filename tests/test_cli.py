@@ -9,7 +9,6 @@ import pytest
 
 from langlab import cli, corpus
 from langlab.cli import advised_oracle, main
-from langlab.grammars import dfa_to_json, Dfa
 from langlab.swaplab import build_slice, swap_scan
 from langlab.words import MapRuns
 from test_swaplab import reference_row
@@ -187,6 +186,19 @@ def test_swap_scan_on_a_tracked_slice(capsys):
     assert doc["payload"]["count"] == 0
 
 
+@pytest.mark.parametrize("doc", ([1, 2], "leq", 7))
+def test_swap_scan_rejects_an_advice_file_that_is_not_an_object(capsys, tmp_path, doc):
+    path = tmp_path / "advice.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(
+        capsys,
+        "swap-scan", "--lang", "L2", "--n", "8", "--j-min", "1", "--j-max", "2",
+        "--advice", str(path),
+    )
+    (line,) = out.splitlines()
+    assert code == 2 and json.loads(line)["error"].startswith("AdviceError: malformed advice table")
+
+
 def test_slice_stats_on_a_tracked_slice(capsys):
     code, doc = run_json(
         capsys,
@@ -321,15 +333,16 @@ def test_advice_check_builtin(capsys):
 
 
 def test_advice_check_serial_with_dfa_file(capsys, tmp_path):
-    contains_one = Dfa(
-        states=frozenset({"no", "yes"}),
-        alphabet=frozenset({0, 1}),
-        transitions={("no", 0): "no", ("no", 1): "yes", ("yes", 0): "yes", ("yes", 1): "yes"},
-        start="no",
-        accepting=frozenset({"yes"}),
-    )
+    # the automaton for "contains a 1"
+    contains_one = {
+        "states": ["no", "yes"],
+        "alphabet": [0, 1],
+        "start": "no",
+        "accepting": ["yes"],
+        "transitions": [["no", 0, "no"], ["no", 1, "yes"], ["yes", 0, "yes"], ["yes", 1, "yes"]],
+    }
     dfa_path = tmp_path / "m.json"
-    dfa_path.write_text(json.dumps(dfa_to_json(contains_one)))
+    dfa_path.write_text(json.dumps(contains_one))
     advice_path = tmp_path / "advice.json"
     advice_path.write_text(json.dumps({"2": [0, 0]}))
     code, doc = run_json(

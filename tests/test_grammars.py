@@ -22,7 +22,6 @@ from langlab.grammars import (
     dfa_accepts,
     dfa_from_json,
     dfa_run,
-    dfa_to_json,
     enumerate_language,
     grammar_text,
     parse_grammar,
@@ -137,7 +136,9 @@ def test_cnf_preserves_unary_repetition_language():
     expected = {Word((1,) * k) for k in range(1, 5)}
     assert set(enumerate_language(g, 4)) == expected
     cnf = to_cnf(g)
-    assert set(enumerate_language(cnf.as_cfg(), 4)) == expected
+    for n in range(5):
+        for letters in itertools.product((1,), repeat=n):
+            assert cyk_member(cnf, Word(letters)) == (Word(letters) in expected)
 
 
 def test_cnf_preserves_palindrome_membership():
@@ -767,8 +768,15 @@ def test_dfa_totality_is_validated():
 
 
 def test_dfa_json_roundtrip():
-    m = parity_dfa()
-    assert dfa_accepts(dfa_from_json(dfa_to_json(m)), Word.of(1, 1, 1))
+    doc = {
+        "states": ["even", "odd"],
+        "alphabet": [0, 1],
+        "start": "even",
+        "accepting": ["odd"],
+        "transitions": [["even", 0, "even"], ["even", 1, "odd"], ["odd", 0, "odd"], ["odd", 1, "even"]],
+    }
+    assert dfa_from_json(doc) == parity_dfa()
+    assert dfa_accepts(dfa_from_json(doc), Word.of(1, 1, 1))
     with pytest.raises(AutomatonError):
         dfa_from_json({"states": ["a"], "alphabet": [0]})
 

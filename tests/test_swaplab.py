@@ -5,7 +5,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +17,7 @@ from langlab.corpus import LANGUAGES, CorpusLanguage, is_l2, is_pal_sharp, l2_me
 from langlab import cli, corpus, swaplab
 from langlab.guards import CostGuardError, InvariantError
 from langlab.swaplab import (
+    BoundReport,
     Slice,
     SliceStats,
     SwapParams,
@@ -202,7 +203,7 @@ def test_l2_stats_match_brute_recount_at_8():
 def test_l2_stats_shared_midsection():
     # the nestings of 11 and 12 share letters 4..5 = (3, 15)
     stats = slice_stats(build_slice(L2, 8), 2)
-    assert stats.count(3, Word.of(3, 15)) == 2
+    assert stats.counts[3, Word.of(3, 15)] == 2
 
 
 def test_l2_stats_offset_zero_is_all_distinct():
@@ -273,17 +274,38 @@ def test_partition_identity_on_arbitrary_slices(n, seeds, data):
     assert stats.size == len(members)
 
 
+class EditedStats(SliceStats):
+    """Stats whose table read hands each offset's packed counts to
+    ``edit(i, table)`` first, to plant a fault no real slice holds."""
+
+    def __init__(self, s, j, edit):
+        super().__init__(s, j)
+        self.edit = edit
+
+    def _tables(self):
+        for i, table in super()._tables():
+            self.edit(i, table)
+            yield i, table
+
+
 @pytest.mark.parametrize("delta", (1, -1))
 def test_partition_identity_fails_on_one_planted_count(delta):
     # every single count at every offset of the n = 8, j = 2 slice, off by one
-    stats = slice_stats(build_slice(L2, 8), 2)
-    assert stats.partition_ok()
-    for key, c in stats.counts.items():
-        planted = SliceStats(stats.n, stats.j, stats.size, {**stats.counts, key: c + delta})
-        assert not planted.partition_ok(), key
-    # an offset with no counts at all breaks the identity too
-    missing = {key: c for key, c in stats.counts.items() if key[0] != 3}
-    assert not SliceStats(stats.n, stats.j, stats.size, missing).partition_ok()
+    s = build_slice(L2, 8)
+    assert slice_stats(s, 2).partition_ok()
+    keys = [(i, key) for i, table in slice_stats(s, 2)._tables() for key in table]
+    assert len(keys) == len(slice_stats(s, 2).counts)
+
+    def plant(at, key, edit):
+        return lambda i, table: i == at and edit(table, key)
+
+    for at, key in keys:
+        moved = EditedStats(s, 2, plant(at, key, lambda table, key: table.update({key: delta})))
+        assert not moved.partition_ok(), (at, key)
+        # a dropped key breaks the identity too
+        assert not EditedStats(s, 2, plant(at, key, dict.pop)).partition_ok(), (at, key)
+    # and so does an offset with no counts at all
+    assert not EditedStats(s, 2, lambda i, table: i == 3 and table.clear()).partition_ok()
 
 
 def test_stats_rejects_bad_j():
@@ -347,13 +369,54 @@ def test_bound_check_at_64_matches_the_packed_slice_stats():
         assert report.ok and report.max_count == report.bound
 
 
+def reference_report(counts, n, j, size):
+    # the bound report recounted over decoded counts: the largest entry with
+    # ties towards the smallest (i, u), and the first one above the bound
+    bound = 2 ** (n // 4 - (j + 1) // 2)
+    top = min(counts.items(), key=lambda kv: (-kv[1], kv[0]), default=None)
+    over = min(((i, u, c) for (i, u), c in counts.items() if c > bound), default=None)
+    return BoundReport(
+        n=n,
+        j=j,
+        size=size,
+        bound=bound,
+        max_count=0 if top is None else top[1],
+        max_at=None if top is None else top[0],
+        ok=over is None,
+        violation=over,
+    )
+
+
 def test_bound_report_agrees_with_its_decoded_counts():
-    # the packed tables and the decoded ``counts`` give one report
+    # the packed tables and a recount over the decoded ``counts`` give one report
     for n, j in ((16, 3), (24, 6), (32, 8)):
         stats = slice_stats(build_slice(L2, n), j)
-        decoded = SliceStats(stats.n, stats.j, stats.size, stats.counts)
-        assert bound_report(stats) == bound_report(decoded)
-        assert stats.max_entry() == decoded.max_entry()
+        report = reference_report(stats.counts, n, j, stats.size)
+        assert bound_report(stats) == report
+        assert stats.max_entry() == (*report.max_at, report.max_count)
+
+
+def test_stats_reads_agree_in_every_order():
+    # each read counts the slice afresh, or, for ``counts``, decodes it once:
+    # no read changes what a later one sees
+    rng = random.Random(1729)
+    sample = Slice(10, [Word(rng.choice((0, 1, 2)) for _ in range(10)) for _ in range(60)])
+    reads = {
+        "counts": lambda stats: dict(stats.counts),
+        "max_entry": SliceStats.max_entry,
+        "bound_report": bound_report,
+        "partition_ok": SliceStats.partition_ok,
+    }
+    for s, j in ((build_slice(L2, 8), 2), (build_slice(L2, 12), 3), (build_slice(L2, 16), 4), (sample, 3)):
+        first = {name: read(slice_stats(s, j)) for name, read in reads.items()}
+        assert first["bound_report"] == reference_report(first["counts"], s.n, j, len(s))
+        assert first["partition_ok"]
+        # the sample breaks its bound (1 at n = 10, j = 3), so a violation is read too
+        assert (first["bound_report"].violation is not None) == (s is sample)
+        for order in permutations(reads):
+            stats = slice_stats(s, j)
+            got = [(name, reads[name](stats)) for name in order * 2]
+            assert got == [(name, first[name]) for name in order * 2], order
 
 
 def test_a_one_position_map_gives_a_slice_of_one_letter_words():
@@ -398,22 +461,24 @@ def test_bound_check_beyond_enumeration():
 
 
 def test_bound_report_gives_the_first_violation_in_i_u_order():
-    # n=8, j=2: the bound is 2^(2-1) = 2; two entries exceed it, and the
-    # dict lists the later one in (i, u) order first
-    counts = {
-        (3, Word.of(5, 5)): 4,
-        (1, Word.of(2, 2)): 3,
-        (1, Word.of(1, 1)): 3,
-        (0, Word.of(9, 9)): 2,
-    }
-    report = bound_report(SliceStats(n=8, j=2, size=4, counts=counts))
+    # n=8, j=2: the bound is 2^(2-1) = 2; (2, 2) and (1, 1) occur three times
+    # at offset 1, (1, 5) three times at offset 2 and (5, 5) four times at 3
+    rows = [
+        (13, 2, 2, 5, 5, 23, 23, 23),
+        (14, 2, 2, 30, 31, 32, 33, 34),
+        (15, 2, 2, 40, 41, 42, 43, 44),
+        (10, 1, 1, 5, 5, 20, 20, 20),
+        (11, 1, 1, 5, 5, 21, 21, 21),
+        (12, 1, 1, 5, 5, 22, 22, 22),
+    ]
+    report = bound_report(slice_stats(Slice(8, [Word(r) for r in rows]), 2))
     assert report.bound == 2 and not report.ok
     assert report.violation == (1, Word.of(1, 1), 3)
     assert report.max_count == 4 and report.max_at == (3, Word.of(5, 5))
 
 
 def test_bound_report_on_no_counts():
-    report = bound_report(SliceStats(n=8, j=2, size=0, counts={}))
+    report = bound_report(slice_stats(Slice(8, ()), 2))
     assert report.ok and report.max_count == 0 and report.max_at is None
 
 
@@ -1157,28 +1222,31 @@ def test_paper_check_charges_its_spots(monkeypatch):
         swaplab.paper_check(1)
 
 
-def _stats(n, j, size, counts):
-    return SliceStats(n=n, j=j, size=size, counts=counts)
+def _report(p, j, size, max_count):
+    # a bound report at (p.n, j) on a slice of ``size`` whose largest count is ``max_count``
+    bound = 2 ** (p.n // 4 - (j + 1) // 2)
+    max_at = (0, Word.of(1) * j) if max_count else None
+    return BoundReport(
+        n=p.n, j=j, size=size, bound=bound, max_count=max_count, max_at=max_at, ok=max_count <= bound
+    )
 
 
 def test_density_condition_concentrated_slice_fails():
     p = choose_params(1)
-    stats = _stats(p.n, p.j0, 100, {(0, Word.of(1) * p.j0): 100})
-    assert not density_condition(bound_report(stats), p)
+    assert not density_condition(_report(p, p.j0, 100, 100), p)
 
 
 def test_density_condition_scattered_slice_passes():
     p = choose_params(1)
     denominator = p.m * (p.k - p.j0 + 1) * (p.n - p.j0 + 1)
-    size = denominator + 1
-    counts = {(i, Word.of(1) * p.j0): 1 for i in range(p.n - p.j0 + 1)}
-    assert density_condition(bound_report(_stats(p.n, p.j0, size, counts)), p)
+    assert density_condition(_report(p, p.j0, denominator + 1, 1), p)
+    assert not density_condition(_report(p, p.j0, denominator, 1), p)
 
 
 def test_density_condition_requires_matching_j():
     p = choose_params(1)
     with pytest.raises(ValueError):
-        density_condition(bound_report(_stats(p.n, p.j0 - 2, 10, {})), p)
+        density_condition(_report(p, p.j0 - 2, 10, 0), p)
 
 
 @pytest.mark.parametrize("m", range(1, 11))
