@@ -25,7 +25,7 @@ from .advice import (
 )
 from .grammars import Dfa, cyk_member, dfa_accepts, parse_grammar, to_cnf
 from .refuter import PumpWitness, refute_subset
-from .swaplab import Slice, bound_report, build_slice, choose_params, slice_stats, swap_scan
+from .swaplab import Slice, SwapParams, bound_report, build_slice, slice_stats, swap_scan
 from .words import Word, scale
 
 DEFAULT_SEED = 1729
@@ -96,7 +96,7 @@ def binding_bound(seed: int = DEFAULT_SEED) -> CriterionResult:
         s = build_slice(corpus.LANGUAGES["L2"], n)
         for j in range(1, n // 4 + 1):
             stats = slice_stats(s, j)
-            checked += len(stats.counts)
+            checked += len(stats)
             report = bound_report(stats)
             if not report.ok:
                 ok = False
@@ -146,10 +146,10 @@ def positive_swap_control(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 
 def parameter_chain(seed: int = DEFAULT_SEED) -> CriterionResult:
-    """choose_params(1) returns (288, 72, 36); every link is re-evaluated
+    """SwapParams(1) derives (288, 72, 36); every link is re-evaluated
     with independent big-integer arithmetic, no tolerance anywhere."""
     t0 = time.perf_counter()
-    p = choose_params(1)
+    p = SwapParams(1)
     checks = {
         "triple": (p.n, p.k, p.j0) == (288, 72, 36),
         "growth holds at 288": 2 ** 72 > (2 * 288 ** 2) ** 4,

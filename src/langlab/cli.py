@@ -9,6 +9,7 @@ result failed its own replay, so the program is at fault).
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 from functools import lru_cache
@@ -38,8 +39,8 @@ from .guards import CostGuardError, InvariantError, check_budget
 from .refuter import Inconclusive, refute_subset
 from .swaplab import (
     SLICE_LIMIT,
+    SwapParams,
     build_slice,
-    choose_params,
     l2_bound_check,
     paper_check,
     slice_stats,
@@ -201,7 +202,7 @@ def cmd_swap_scan(args) -> tuple[str, dict]:
 
 
 def cmd_params(args) -> tuple[str, dict]:
-    return "pass", choose_params(args.m).to_json()
+    return "pass", SwapParams(args.m).to_json()
 
 
 def cmd_paper_check(args) -> tuple[str, dict]:
@@ -232,11 +233,7 @@ def cmd_advice_check(args) -> tuple[str, dict]:
 def cmd_pump_refute(args) -> tuple[str, dict]:
     symtab = _load_symtab(args.symtab)
     g = _load_grammar(args.grammar, symtab)
-    if args.predicate not in corpus.LANGUAGES:
-        raise UsageError(
-            f"unknown predicate {args.predicate!r}; available: {', '.join(sorted(corpus.LANGUAGES))}"
-        )
-    lang = corpus.LANGUAGES[args.predicate]
+    lang = _language(args.predicate)
     outcome = refute_subset(
         g, lang.predicate, args.max_len, generator=lang.generator, size=lang.size
     )
@@ -326,7 +323,7 @@ def build_parser() -> "argparse.ArgumentParser":
     p = add(
         "paper-check",
         cmd_paper_check,
-        "the swap argument at choose_params(m), as exact counts from the nesting map",
+        "the swap argument at SwapParams(m), as exact counts from the nesting map",
     )
     p.add_argument("--m", type=int, required=True)
 
@@ -381,14 +378,9 @@ def _dumps(doc: dict) -> str:
         raise TypeError("a document may hold one encoded value at most")
     if not held:
         return text
-    # the texts agree up to the stand-in's "[" and differ right after it:
-    # bisect for the length of the prefix they share
-    other = encoded([0])
-    lo, hi = 0, len(text)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        lo, hi = (mid, hi) if other.startswith(text[:mid]) else (lo, mid - 1)
-    return text[: lo - 1] + held[0].text + text[lo + 1 :]
+    # the texts agree up to the stand-in's "[" and differ right after it
+    cut = len(os.path.commonprefix([text, encoded([0])]))
+    return text[: cut - 1] + held[0].text + text[cut + 1 :]
 
 
 def _emit(doc: dict) -> None:

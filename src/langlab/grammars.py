@@ -190,44 +190,36 @@ def _fresh_name(base: str, used: set[str]) -> str:
     return name
 
 
-def _nullable_set(productions: Iterable[Production]) -> set[str]:
-    nullable: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
+def _least_fixpoint(productions: Iterable[Production], found: set[str], rule) -> set[str]:
+    """Grow ``found`` until it is closed under ``rule``: each production
+    ``(head, body)`` adds the symbols that ``rule(head, body, found)`` gives."""
+    size = None
+    while size != len(found):
+        size = len(found)
         for head, body in productions:
-            if head not in nullable and all(isinstance(s, str) and s in nullable for s in body):
-                nullable.add(head)
-                changed = True
-    return nullable
+            found.update(rule(head, body, found))
+    return found
+
+
+def _nullable_set(productions: Iterable[Production]) -> set[str]:
+    # found holds names only, so a body with a terminal never joins
+    return _least_fixpoint(
+        productions, set(), lambda h, b, found: (h,) if h not in found and found.issuperset(b) else ()
+    )
 
 
 def _generating_set(productions: Iterable[Production]) -> set[str]:
-    generating: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for head, body in productions:
-            if head not in generating and all(
-                isinstance(s, int) or s in generating for s in body
-            ):
-                generating.add(head)
-                changed = True
-    return generating
+    return _least_fixpoint(
+        productions,
+        set(),
+        lambda h, b, found: (h,) if h not in found and all(isinstance(s, int) or s in found for s in b) else (),
+    )
 
 
 def _reachable_set(productions: Iterable[Production], start: str) -> set[str]:
-    reachable = {start}
-    changed = True
-    while changed:
-        changed = False
-        for head, body in productions:
-            if head in reachable:
-                for s in body:
-                    if isinstance(s, str) and s not in reachable:
-                        reachable.add(s)
-                        changed = True
-    return reachable
+    return _least_fixpoint(
+        productions, {start}, lambda h, b, found: [s for s in b if isinstance(s, str)] if h in found else ()
+    )
 
 
 @dataclass(frozen=True)

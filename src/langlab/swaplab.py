@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .guards import InvariantError, check_budget
@@ -167,6 +167,10 @@ class SliceStats:
             tables = self._tables()
             self._counts = {(i, self._factor(i, key)): c for i, table in tables for key, c in table.items()}
         return self._counts
+
+    def __len__(self) -> int:
+        """The number of (i, u) entries, counted without decoding a factor."""
+        return sum(len(table) for _, table in self._tables())
 
     def _extremes(self, bound: Optional[int] = None):
         """The largest entry, ties broken towards the smallest (i, u), and
@@ -363,34 +367,36 @@ def l2_bound_check(n: int, j: int) -> BoundReport:
 
 @dataclass(frozen=True)
 class SwapParams:
-    """The exact integer parameter chain for a swap run at constant ``m``.
+    """The exact integer parameter chain of the swap argument at constant ``m``.
 
-    Validation replays every link with exact arithmetic: n is a multiple of
-    16, 2^(n/4) beats (2 m n^2)^4, k is the quarter length, j0 is twice one
-    more than ceil(log2(m n^2)), k covers two midsections, and
-    2^(j0/2) >= 2 m n^2 (which forces every count below |S| / (k m n)).
+    n is the least multiple of 16 with 2^(n/4) > (2 m n^2)^4, searched with
+    exact big integers; k = n/4 is the quarter length and j0 is twice one
+    more than ceil(log2(m n^2)).  The two links that follow from that
+    choice are replayed: k covers two midsections, and 2^(j0/2) >= 2 m n^2
+    (which forces every count below |S| / (k m n)); a failed one is the
+    program's fault and raises ``InvariantError``.  m < 1 raises
+    ``ValueError``.
     """
 
     m: int
-    n: int
-    k: int
-    j0: int
+    n: int = field(init=False)
+    k: int = field(init=False)
+    j0: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.m < 1:
+        m = self.m
+        if m < 1:
             raise ValueError("the swap constant m must be >= 1")
-        if self.n < 16 or self.n % 16:
-            raise ValueError("n must be a positive multiple of 16")
-        if 2 ** (self.n // 4) <= (2 * self.m * self.n * self.n) ** 4:
-            raise ValueError("2^(n/4) must exceed (2 m n^2)^4")
-        if self.k != self.n // 4:
-            raise ValueError("k must equal n/4")
-        if self.j0 != 2 * (ceil_log2(self.m * self.n * self.n) + 1):
-            raise ValueError("j0 must equal 2 (ceil(log2(m n^2)) + 1)")
-        if self.k < 2 * self.j0:
-            raise ValueError("k must be at least 2 j0")
-        if 2 ** (self.j0 // 2) < 2 * self.m * self.n * self.n:
-            raise ValueError("2^(j0/2) must be at least 2 m n^2")
+        n = 16
+        while 2 ** (n // 4) <= (2 * m * n * n) ** 4:
+            n += 16
+        k, j0 = n // 4, 2 * (ceil_log2(m * n * n) + 1)
+        if k < 2 * j0:
+            raise InvariantError(f"k = {k} must be at least 2 j0 = {2 * j0} at m = {m}")
+        if 2 ** (j0 // 2) < 2 * m * n * n:
+            raise InvariantError(f"2^(j0/2) must be at least 2 m n^2 at m = {m}, n = {n}, j0 = {j0}")
+        for name, value in (("n", n), ("k", k), ("j0", j0)):
+            object.__setattr__(self, name, value)
 
     def to_json(self) -> dict:
         return {
@@ -403,17 +409,6 @@ class SwapParams:
                 True,
             ),
         }
-
-
-def choose_params(m: int) -> SwapParams:
-    """The minimal multiple of 16 whose quarter-exponent beats (2 m n^2)^4,
-    searched with exact big integers, packaged with k and j0."""
-    if m < 1:
-        raise ValueError("the swap constant m must be >= 1")
-    n = 16
-    while 2 ** (n // 4) <= (2 * m * n * n) ** 4:
-        n += 16
-    return SwapParams(m=m, n=n, k=n // 4, j0=2 * (ceil_log2(m * n * n) + 1))
 
 
 def density_condition(report: BoundReport, params: SwapParams) -> bool:
@@ -433,14 +428,14 @@ def density_condition(report: BoundReport, params: SwapParams) -> bool:
 
 
 def paper_check(m: int) -> dict:
-    """Run the swap argument on the nesting slice at ``choose_params(m)``,
+    """Run the swap argument on the nesting slice at ``SwapParams(m)``,
     in closed form, and report it as a JSON document of exact integers:
     the bound report and the density condition at j0, the ordered swap
     witnesses added up over every spot with j <= k, and the first spot,
     by length and then offset, that has any.  ``ok`` says that the bound
     and the density condition hold and that no spot with j <= k swaps.
     The n(n+1)/2 spots are charged against :data:`CLOSED_FORM_LIMIT`."""
-    params = choose_params(m)
+    params = SwapParams(m)
     n = params.n
     check_budget(n * (n + 1) // 2, CLOSED_FORM_LIMIT, "closed-form swap spot count")
     report = l2_bound_check(n, params.j0)
@@ -585,8 +580,8 @@ def swap_scan(
     splices, and a rejected one raises ``InvariantError``, since the slice
     and the oracle disagree.
 
-    The pair loop notes each witness as the slice positions of x and y,
-    the spot, and its two packed splices.  The record pass checks the
+    The search notes each witness as the slice positions of x and y, the
+    spot, and its two packed splices.  The record pass checks the
     witness facts on those ints: the spot lies inside n (once per spot, as
     its masks are made), the middles differ, and each splice is one
     member's context ORed with the other's middle; a failure raises

@@ -456,9 +456,16 @@ def test_guard_messages_name_force_only_where_the_command_takes_it(capsys, tmp_p
     assert code == 2 and doc["error"].endswith("rerun with force to override")
 
 
-def test_unknown_language_is_exit_2(capsys):
+def test_unknown_language_is_exit_2(capsys, tmp_path):
     code, doc = run_json(capsys, "member", "--lang", "nope", "--word", "1")
     assert code == 2 and "unknown language" in doc["error"]
+    # pump-refute names its --predicate a language too
+    path = tmp_path / "ones.cfg"
+    path.write_text("S -> '1' S | '1'\n")
+    code, out = run(capsys, "pump-refute", "--grammar", str(path), "--predicate", "nope", "--max-len", "4")
+    lines = out.splitlines()
+    assert code == 2 and len(lines) == 1
+    assert json.loads(lines[0])["error"].startswith("UsageError: unknown language 'nope'")
 
 
 def test_malformed_grammar_file_is_exit_2(capsys, tmp_path):

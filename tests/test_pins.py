@@ -1,7 +1,8 @@
 """Outputs pinned in ``bench/expected.json``, recomputed here by an
 independent digest: the acceptance suite, the scan of a sampled L2_2 slice
 and the Pal_sharp witness listing of the witness battery, and the two
-complete-slice CLI scans of the nesting scan, keep their exact bytes."""
+complete-slice CLI scans of the nesting scan, keep their exact bytes; so
+do the ``params`` and ``paper-check`` documents, pinned here."""
 
 import hashlib
 import json
@@ -68,3 +69,24 @@ def test_nesting_scan_listing_bytes(capsys, name, argv):
     # complete slices, plain and fused with advice: the scan reads them off the slice
     pin = ALL_PINS["nesting-scan"]["*"][name]
     check_cli_pin(capsys, pin, ["swap-scan", "--lang", "L2", *argv])
+
+
+# (exit code, bytes, sha256) of each document without ``elapsed_ms``
+PARAMS_PINS = {
+    ("params", 1): (0, 256, "bcbd08fb504b18c96e9aacc9e1cfa4c1a0afd4a4ef1cac418c0cc56ac101caeb"),
+    ("params", 2): (0, 256, "66cfd4f404dcf5a809a808ffc92f01487b36f4df0d4901f6bafe48d9dad43577"),
+    ("params", 3): (0, 256, "1ca4f9e92eb3f4ee4c04d8ad10e294006bb17fc56f83abfcf2000ca0e697d36a"),
+    ("params", 1000): (0, 263, "f2b44cebe624db62e36713da98d72af0ae535c4222b05669877a3abe98119aac"),
+    ("params", 10**6): (0, 269, "233255853d590a4023a02a9ac74f2651a42d9fe3b707692f82205b542105f331"),
+    ("paper-check", 1): (0, 738, "8f83a00125b2ceb093d771131d2da2041cd8c1010d342f81e3102c7f2be2f657"),
+    ("paper-check", 2): (0, 749, "f43d08ad0b8f8609e13e74949d83a6be93aa895779683cfad2a0618743668de6"),
+    ("paper-check", 3): (0, 762, "995c1617f699c020993c0b3c07d35e10c068404d38b400e567945195c5b4bf81"),
+    ("paper-check", 1000): (0, 869, "802586e5e2707696123d98f827631b286253fc402ca439326dbba510031a5e90"),
+    ("paper-check", 10**6): (0, 1000, "5a3ebecd18d9988b03f430d49080880079dac67ad3fda111b4dcdbc6a7eddd31"),
+}
+
+
+@pytest.mark.parametrize("command,m", list(PARAMS_PINS))
+def test_parameter_chain_documents(capsys, command, m):
+    code, size, digest = PARAMS_PINS[command, m]
+    check_cli_pin(capsys, {"exit": code, "bytes": size, "sha256": digest}, [command, "--m", str(m)])

@@ -25,7 +25,6 @@ from langlab.swaplab import (
     bound_report,
     build_slice,
     ceil_log2,
-    choose_params,
     density_condition,
     l2_bound_check,
     slice_stats,
@@ -417,6 +416,20 @@ def test_stats_reads_agree_in_every_order():
             stats = slice_stats(s, j)
             got = [(name, reads[name](stats)) for name in order * 2]
             assert got == [(name, first[name]) for name in order * 2], order
+
+
+def test_len_counts_the_entries_without_decoding(monkeypatch):
+    rng = random.Random(7)
+    sample = Slice(10, [Word(rng.choice((0, 1, 2)) for _ in range(10)) for _ in range(60)])
+    cases = [(build_slice(L2, n), j) for n in (8, 16, 24) for j in range(1, n // 4 + 1)]
+    cases += [(sample, 3), (Slice(8, ()), 2)]
+    expected = [len(reference_counts(s, j)) for s, j in cases]
+
+    def no_decode(*args):
+        raise AssertionError("len decoded a factor")
+
+    monkeypatch.setattr(Slice, "_decode", no_decode)
+    assert [len(slice_stats(s, j)) for s, j in cases] == expected
 
 
 def test_a_one_position_map_gives_a_slice_of_one_letter_words():
@@ -1097,10 +1110,28 @@ def test_ceil_log2():
         ceil_log2(0)
 
 
-def test_choose_params_m1():
-    p = choose_params(1)
-    assert (p.n, p.k, p.j0) == (288, 72, 36)
+def test_swap_params_m1():
+    p = SwapParams(1)
+    assert (p.m, p.n, p.k, p.j0) == (1, 288, 72, 36)
     assert p.k == 2 * p.j0
+
+
+def reference_chain(m):
+    # (n, k, j0) by a plain search: n steps over the multiples of 16 until
+    # 2^(n/4) beats (2 m n^2)^4, and j0 / 2 - 1 is the least e with 2^e >= m n^2
+    n = 16
+    while 2 ** (n // 4) <= (2 * m * n * n) ** 4:
+        n += 16
+    e = 0
+    while 2**e < m * n * n:
+        e += 1
+    return n, n // 4, 2 * (e + 1)
+
+
+def test_swap_params_match_a_reference_search():
+    for m in [*range(1, 2001), 10**4, 10**6, 10**9]:
+        p = SwapParams(m)
+        assert (p.n, p.k, p.j0) == reference_chain(m), m
 
 
 def test_growth_inequality_at_the_boundary():
@@ -1111,26 +1142,32 @@ def test_growth_inequality_at_the_boundary():
 
 @pytest.mark.parametrize("m", range(1, 11))
 def test_params_invariants_replay(m):
-    p = choose_params(m)
-    # reconstructing the value re-runs every validation check
-    assert SwapParams(m=p.m, n=p.n, k=p.k, j0=p.j0) == p
+    # every link of the chain, re-evaluated on the derived values
+    p = SwapParams(m)
+    assert p.n % 16 == 0 and p.k == p.n // 4
+    assert 2 ** (p.n // 4) > (2 * m * p.n**2) ** 4
+    assert p.n == 16 or 2 ** ((p.n - 16) // 4) <= (2 * m * (p.n - 16) ** 2) ** 4
+    assert 2 ** (p.j0 // 2 - 1) >= m * p.n**2 > 2 ** (p.j0 // 2 - 2)
+    assert p.k >= 2 * p.j0
     assert 2 ** (p.j0 // 2) >= 2 * m * p.n * p.n
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"m": 0, "n": 288, "k": 72, "j0": 36},
-        {"m": 1, "n": 280, "k": 70, "j0": 36},
-        {"m": 1, "n": 272, "k": 68, "j0": 36},
-        {"m": 1, "n": 288, "k": 71, "j0": 36},
-        {"m": 1, "n": 288, "k": 72, "j0": 34},
-        {"m": 37, "n": 288, "k": 72, "j0": 36},
-    ],
-)
-def test_invalid_params_are_rejected(kwargs):
-    with pytest.raises(ValueError):
-        SwapParams(**kwargs)
+@pytest.mark.parametrize("m", [0, -1])
+def test_invalid_params_are_rejected(m):
+    with pytest.raises(ValueError, match="the swap constant m must be >= 1"):
+        SwapParams(m)
+
+
+@pytest.mark.parametrize("shift", [-1, 2])
+def test_a_broken_chain_link_is_an_invariant_failure(monkeypatch, capsys, shift):
+    # ceil(log2) one short breaks 2^(j0/2) >= 2 m n^2; two over breaks k >= 2 j0
+    real = swaplab.ceil_log2
+    monkeypatch.setattr(swaplab, "ceil_log2", lambda v: real(v) + shift)
+    with pytest.raises(InvariantError):
+        SwapParams(1)
+    assert cli.main(["paper-check", "--m", "1"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and "InvariantError" in json.loads(lines[0])["error"]
 
 
 # -- the position map ----------------------------------------------------------
@@ -1232,19 +1269,19 @@ def _report(p, j, size, max_count):
 
 
 def test_density_condition_concentrated_slice_fails():
-    p = choose_params(1)
+    p = SwapParams(1)
     assert not density_condition(_report(p, p.j0, 100, 100), p)
 
 
 def test_density_condition_scattered_slice_passes():
-    p = choose_params(1)
+    p = SwapParams(1)
     denominator = p.m * (p.k - p.j0 + 1) * (p.n - p.j0 + 1)
     assert density_condition(_report(p, p.j0, denominator + 1, 1), p)
     assert not density_condition(_report(p, p.j0, denominator, 1), p)
 
 
 def test_density_condition_requires_matching_j():
-    p = choose_params(1)
+    p = SwapParams(1)
     with pytest.raises(ValueError):
         density_condition(_report(p, p.j0 - 2, 10, 0), p)
 
@@ -1252,7 +1289,7 @@ def test_density_condition_requires_matching_j():
 @pytest.mark.parametrize("m", range(1, 11))
 def test_coarse_threshold_implies_the_fine_one(m):
     # |S|/(k m n) never exceeds |S|/(m (k - j0 + 1)(n - j0 + 1)) as rationals
-    p = choose_params(m)
+    p = SwapParams(m)
     size = 2 ** (p.n // 4)
     coarse = Fraction(size, p.k * p.m * p.n)
     fine = Fraction(size, p.m * (p.k - p.j0 + 1) * (p.n - p.j0 + 1))
