@@ -190,36 +190,28 @@ def _fresh_name(base: str, used: set[str]) -> str:
     return name
 
 
-def _least_fixpoint(productions: Iterable[Production], found: set[str], rule) -> set[str]:
-    """Grow ``found`` until it is closed under ``rule``: each production
-    ``(head, body)`` adds the symbols that ``rule(head, body, found)`` gives."""
-    size = None
-    while size != len(found):
-        size = len(found)
-        for head, body in productions:
-            found.update(rule(head, body, found))
+def _nullable_set(productions: Iterable[Production]) -> set[str]:
+    # found holds names only, so a body with a terminal never joins
+    found: set[str] = set()
+    while new := {h for h, b in productions if h not in found and found.issuperset(b)}:
+        found |= new
     return found
 
 
-def _nullable_set(productions: Iterable[Production]) -> set[str]:
-    # found holds names only, so a body with a terminal never joins
-    return _least_fixpoint(
-        productions, set(), lambda h, b, found: (h,) if h not in found and found.issuperset(b) else ()
-    )
-
-
 def _generating_set(productions: Iterable[Production]) -> set[str]:
-    return _least_fixpoint(
-        productions,
-        set(),
-        lambda h, b, found: (h,) if h not in found and all(isinstance(s, int) or s in found for s in b) else (),
-    )
+    found: set[str] = set()
+    while new := {
+        h for h, b in productions if h not in found and all(isinstance(s, int) or s in found for s in b)
+    }:
+        found |= new
+    return found
 
 
 def _reachable_set(productions: Iterable[Production], start: str) -> set[str]:
-    return _least_fixpoint(
-        productions, {start}, lambda h, b, found: [s for s in b if isinstance(s, str)] if h in found else ()
-    )
+    found = {start}
+    while new := {s for h, b in productions if h in found for s in b if isinstance(s, str)} - found:
+        found |= new
+    return found
 
 
 @dataclass(frozen=True)

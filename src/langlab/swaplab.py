@@ -541,6 +541,9 @@ SCAN_ROUTE = "swap scan by context index"
 #: (x, y and both splices), charged as each is found, before any is built.
 WITNESS_LETTER_LIMIT = 10**7
 
+#: Steps a scan may take grouping members and trying pairs (``call_limit``).
+SCAN_STEP_LIMIT = 100_000_000
+
 
 def swap_scan(
     member: Callable[[Word], bool],
@@ -549,7 +552,7 @@ def swap_scan(
     i_range: Optional[tuple[int, int]] = None,
     *,
     force: bool = False,
-    call_limit: int = 100_000_000,
+    call_limit: int = SCAN_STEP_LIMIT,
 ) -> list[SwapWitness]:
     """Exhaustively find every midsection swap over ordered member pairs.
 

@@ -475,6 +475,52 @@ def test_malformed_grammar_file_is_exit_2(capsys, tmp_path):
     assert code == 2 and "error" in doc
 
 
+SCAN_WITH_ADVICE = ("swap-scan", "--lang", "L2", "--n", "8", "--j-min", "1", "--j-max", "2", "--advice")
+SYMTAB_ERROR = "UsageError: a symbol table file must map names to integer letters"
+MEMBER_WITH_SYMTAB = ("member", "--lang", "L2", "--word", "p", "--symtab", "F")
+
+# (id, start of the error, text of the file F or None for no file, argv)
+EXIT_2_CASES = [
+    ("GrammarError", "GrammarError: ", "S -> A\n", ("member", "--grammar", "F", "--word", "1")),
+    (
+        "AutomatonError",
+        "AutomatonError: ",
+        '{"states": ["a"]}',
+        ("advice-check", "--advice", "leq", "--parallel", "--inner", "F", "--word", "0,1"),
+    ),
+    ("WordError", "WordError: ", None, ("member", "--lang", "L2", "--word", "zz")),
+    ("JSONDecodeError", "JSONDecodeError: ", "not json", (*SCAN_WITH_ADVICE, "F")),
+    ("FileNotFoundError", "FileNotFoundError: ", None, (*SCAN_WITH_ADVICE, "F")),
+    ("symtab-string-letter", SYMTAB_ERROR, '{"p": "1"}', MEMBER_WITH_SYMTAB),
+    ("symtab-list", SYMTAB_ERROR, "[1]", MEMBER_WITH_SYMTAB),
+]
+
+
+@pytest.mark.parametrize(
+    "error, text, argv", [c[1:] for c in EXIT_2_CASES], ids=[c[0] for c in EXIT_2_CASES]
+)
+def test_each_input_error_family_is_exit_2_by_name(capsys, tmp_path, error, text, argv):
+    path = tmp_path / "f.json"
+    if text is not None:
+        path.write_text(text)
+    code, out = run(capsys, *(str(path) if a == "F" else a for a in argv))
+    lines = out.splitlines()
+    assert code == 2 and len(lines) == 1
+    assert json.loads(lines[0])["error"].startswith(error)
+
+
+def test_a_symbol_table_file_names_the_letters(capsys, tmp_path):
+    symtab = tmp_path / "symtab.json"
+    symtab.write_text(json.dumps({"p": 1, "q": 3, "r": 15, "s": 5}))
+    code, doc = run_json(capsys, "member", "--lang", "L2", "--word", "p,q,r,s", "--symtab", str(symtab))
+    assert code == 0
+    assert doc["payload"]["word"] == [1, 3, 15, 5] and doc["payload"]["member"] is True
+    grammar = tmp_path / "pq.cfg"
+    grammar.write_text("S -> 'p' 'q'\n")
+    code, doc = run_json(capsys, "member", "--grammar", str(grammar), "--word", "p,q", "--symtab", str(symtab))
+    assert code == 0 and doc["payload"]["member"] is True
+
+
 def test_usage_error_is_exit_2(capsys):
     assert main(["member", "--word"]) == 2
     assert main(["no-such-command"]) == 2
@@ -504,6 +550,18 @@ def test_enumerate_by_name_never_opens_the_symbol_table(capsys, tmp_path):
 def test_exit_0_on_pass(capsys):
     code, doc = run_json(capsys, *PAL_SHARP_SCAN, "3")
     assert code == 0 and doc["verdict"] == "pass" and doc["payload"]["count"] == 2
+
+
+@pytest.mark.parametrize(
+    "bounds, count",
+    [((), 32), (("--i-min", "0", "--i-max", "99"), 32), (("--i-min", "2", "--i-max", "2"), 32),
+     (("--i-min", "3"), 0), (("--i-max", "0"), 0)],
+)
+def test_swap_scan_offset_bounds_default_to_the_whole_word(capsys, bounds, count):
+    # every Pal_sharp swap at n = 7 is at offset 2, just before the middle #
+    code, doc = run_json(capsys, *PAL_SHARP_SCAN, "7", *bounds)
+    assert code == 0 and doc["payload"]["count"] == count
+    assert {w["i"] for w in doc["payload"]["witnesses"]} <= {2}
 
 
 def test_exit_1_on_a_property_failure(capsys, monkeypatch):

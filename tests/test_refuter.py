@@ -123,6 +123,11 @@ def test_refute_free_tail_against_locked_tail():
     assert cyk_member(cnf, bad)
     assert not is_l2_dprime(bad)
     assert is_l2_dprime(outcome.z)
+    # the witness pumps its own decomposition into the listed variants
+    assert [k for k, _ in outcome.pumped] == [0, 2, 3, 4]
+    for k, pumped in outcome.pumped:
+        assert outcome.pump(k) == pumped
+    assert outcome.pump(1) == outcome.z
     assert exponent in (0, 2, 3, 4)
 
 

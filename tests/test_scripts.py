@@ -9,10 +9,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-SCRIPTS = (
-    ("no_swap_experiment.py", "--sizes", "8,16"),
-    ("advice_conversion_demo.py", "--rounds", "2", "--max-len", "4"),
-)
+SCRIPTS = (("no_swap_experiment.py", "--sizes", "8,16"),)
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=[s[0] for s in SCRIPTS])
