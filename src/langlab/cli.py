@@ -1,4 +1,5 @@
-"""Command-line front end: every run prints one JSON report document.
+"""Command-line front end: every run prints one JSON report document, save
+``-h``, which prints help text read off the table of options, ``COMMANDS``.
 
 Exit codes: 0 for pass/inconclusive, 1 for fail (a property was violated or
 an unexpected counterexample appeared), 2 for usage errors, malformed
@@ -9,10 +10,9 @@ result failed its own replay, so the program is at fault).
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
-from functools import lru_cache
+from types import SimpleNamespace
 from typing import Optional
 
 from . import acceptance, corpus
@@ -247,99 +247,132 @@ def cmd_suite(args) -> tuple[str, dict]:
     return verdict, {"seed": args.seed, "criteria": [r.to_json() for r in results]}
 
 
-@lru_cache(maxsize=None)
-def build_parser() -> "argparse.ArgumentParser":
-    """The argument parser, built on the first call and shared after it:
-    parsing leaves the parser unchanged, so one process builds it once.
-    ``argparse`` is imported here, so importing the package does not."""
-    import argparse
+# One row per option: (flag, kind, required, default, help).  A kind is str,
+# int, bool (a flag that stores True), list (a repeatable str) or a tuple of
+# choices; a required option has no default.
+# only the commands that parse words or grammar text read a symbol table
+_SYMTAB = ("--symtab", str, False, None, "JSON file mapping letter names to integers")
+_ADVICE = ("--advice", str, False, None, "builtin advice name or JSON table file")
+_FORCE = ("--force", bool, False, False, "override the cost guard")
+_N = ("--n", int, True, None, "word length")
+_J = ("--j", int, True, None, "midsection length")
+_M = ("--m", int, True, None, "the paper's constant m")
 
-    parser = argparse.ArgumentParser(
-        prog="langlab",
-        description="Formal-language lab: nested-palindrome corpus, swap scans, "
-        "advised membership, pumping refutations.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+COMMANDS = {
+    "enumerate": (cmd_enumerate, "list members of a corpus language or grammar", (
+        ("--lang", str, False, None, "corpus language name"),
+        ("--length", int, False, None, "exact length for --lang"),
+        ("--show-grammar", bool, False, False, "include the language's grammar text"),
+        ("--grammar", str, False, None, "grammar file"),
+        ("--max-len", int, False, None, "length bound for --grammar"),
+        _SYMTAB)),
+    "member": (cmd_member, "decide membership of one word", (
+        ("--lang", str, False, None, "corpus language name"),
+        ("--grammar", str, False, None, "grammar file (decided through CYK)"),
+        ("--word", str, True, None, "comma-separated letters"),
+        _SYMTAB)),
+    "intersect-check": (cmd_intersect_check, "verify the two-grammar intersection identity", (
+        ("--max-len", int, True, None, "longest length checked"),
+        _FORCE)),
+    "slice-stats": (cmd_slice_stats, "midsection occurrence table of a slice", (
+        ("--lang", str, True, None, "corpus language name"),
+        _N, _J, _ADVICE,
+        ("--format", ("json", "csv"), False, "json", "output format"))),
+    "bound-check": (cmd_bound_check, "nesting-slice midsection bound", (_N, _J)),
+    "swap-scan": (cmd_swap_scan, "exhaustive midsection swap scan", (
+        ("--lang", str, True, None, "corpus language name"),
+        _N,
+        ("--j-min", int, True, None, "shortest midsection"),
+        ("--j-max", int, True, None, "longest midsection"),
+        ("--i-min", int, False, None, "first offset (default 0)"),
+        ("--i-max", int, False, None, "last offset (default n)"),
+        _ADVICE, _FORCE,
+        ("--limit", int, False, SCAN_STEP_LIMIT, "most steps the scan may take grouping members "
+         "and trying pairs; swaplab.swap_scan gives the charge model"))),
+    "params": (cmd_params, "exact swap parameter chain for a constant m", (_M,)),
+    "paper-check": (cmd_paper_check, "the swap argument at SwapParams(m), as exact counts "
+                    "from the nesting map", (_M,)),
+    "advice-check": (cmd_advice_check, "advised membership verdicts for words", (
+        ("--inner", str, False, None, "inner language: grammar text or DFA .json"),
+        ("--advice", str, True, None, "builtin name or JSON table file"),
+        ("--parallel", bool, False, False, "parallel advice (give it or --serial)"),
+        ("--serial", bool, False, False, "serial advice (give it or --parallel)"),
+        ("--word", list, True, None, "comma-separated letters; repeatable"),
+        _SYMTAB)),
+    "pump-refute": (cmd_pump_refute, "refute a grammar-inside-predicate claim by pumping", (
+        ("--grammar", str, True, None, "grammar file"),
+        ("--predicate", str, True, None, "corpus language name"),
+        ("--max-len", int, True, None, "longest candidate length"),
+        _SYMTAB)),
+    "suite": (cmd_suite, "run the whole acceptance battery", (
+        ("--seed", int, False, acceptance.DEFAULT_SEED, "seed of the randomized criteria"),)),
+}
 
-    def add(name, fn, help_):
-        p = sub.add_parser(name, help=help_)
-        p.set_defaults(fn=fn)
-        # only the commands that parse words or grammar text read a symbol table
-        if name in ("enumerate", "member", "advice-check", "pump-refute"):
-            p.add_argument("--symtab", help="JSON file mapping letter names to integers")
-        return p
 
-    p = add("enumerate", cmd_enumerate, "list members of a corpus language or grammar")
-    p.add_argument("--lang", help="corpus language name")
-    p.add_argument("--length", type=int, help="exact length for --lang")
-    p.add_argument("--show-grammar", action="store_true", help="include the language's grammar text")
-    p.add_argument("--grammar", help="grammar file")
-    p.add_argument("--max-len", type=int, help="length bound for --grammar")
+def _help(name: Optional[str] = None) -> str:
+    """The command list, or one command's options, as plain text."""
+    if name is None:
+        lines = ["usage: langlab <command> [options]  (langlab <command> -h for its options)", ""]
+        return "\n".join(lines + [f"  {n:<16} {text}" for n, (_, text, _) in COMMANDS.items()])
+    _, text, options = COMMANDS[name]
+    lines = [f"usage: langlab {name} [options]", text, ""]
+    for flag, kind, required, default, about in options:
+        value = f" {{{','.join(kind)}}}" if isinstance(kind, tuple) else " TEXT"
+        value = {int: " N", bool: ""}.get(kind, value)
+        note = " (required)" if required else "" if default in (None, False) else f" (default {default})"
+        lines.append(f"  {flag + value:<22} {about}{note}")
+    return "\n".join(lines)
 
-    p = add("member", cmd_member, "decide membership of one word")
-    p.add_argument("--lang", help="corpus language name")
-    p.add_argument("--grammar", help="grammar file (decided through CYK)")
-    p.add_argument("--word", required=True, help="comma-separated letters")
 
-    p = add("intersect-check", cmd_intersect_check, "verify the two-grammar intersection identity")
-    p.add_argument("--max-len", type=int, required=True)
-    p.add_argument("--force", action="store_true", help="override the cost guard")
+def _attr(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
-    p = add("slice-stats", cmd_slice_stats, "midsection occurrence table of a slice")
-    p.add_argument("--lang", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--advice", help="builtin advice name or JSON table file")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
 
-    p = add("bound-check", cmd_bound_check, "nesting-slice midsection bound")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-
-    p = add("swap-scan", cmd_swap_scan, "exhaustive midsection swap scan")
-    p.add_argument("--lang", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--j-min", type=int, required=True)
-    p.add_argument("--j-max", type=int, required=True)
-    p.add_argument("--i-min", type=int)
-    p.add_argument("--i-max", type=int)
-    p.add_argument("--advice", help="builtin advice name or JSON table file")
-    p.add_argument("--force", action="store_true")
-    p.add_argument(
-        "--limit",
-        type=int,
-        default=SCAN_STEP_LIMIT,
-        help="most steps the scan may take grouping members and trying pairs; "
-        "swaplab.swap_scan gives the charge model",
-    )
-
-    p = add("params", cmd_params, "exact swap parameter chain for a constant m")
-    p.add_argument("--m", type=int, required=True)
-
-    p = add(
-        "paper-check",
-        cmd_paper_check,
-        "the swap argument at SwapParams(m), as exact counts from the nesting map",
-    )
-    p.add_argument("--m", type=int, required=True)
-
-    p = add("advice-check", cmd_advice_check, "advised membership verdicts for words")
-    p.add_argument("--inner", help="inner language: grammar text or DFA .json")
-    p.add_argument("--advice", required=True, help="builtin name or JSON table file")
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--parallel", action="store_true")
-    mode.add_argument("--serial", action="store_true")
-    p.add_argument("--word", action="append", required=True, help="repeatable")
-
-    p = add("pump-refute", cmd_pump_refute, "refute a grammar-inside-predicate claim by pumping")
-    p.add_argument("--grammar", required=True)
-    p.add_argument("--predicate", required=True, help="corpus language name")
-    p.add_argument("--max-len", type=int, required=True)
-
-    p = add("suite", cmd_suite, "run the whole acceptance battery")
-    p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
-
-    return parser
+def parse_args(argv: list[str]) -> Optional[SimpleNamespace]:
+    """``argv`` read off ``COMMANDS``: a namespace of ``command``, ``fn`` and
+    each option's value, or None once ``-h`` has printed help.  A flag may be
+    any unique prefix of itself, with its value as ``--flag value`` or
+    ``--flag=value``; anything else amiss raises :class:`UsageError`."""
+    name = argv[0] if argv else None
+    if "-h" in argv or "--help" in argv:
+        print(_help(name if name in COMMANDS else None))
+        return None
+    if name not in COMMANDS:
+        given = "no command" if name is None else f"unknown command {name!r}"
+        raise UsageError(f"{given}; langlab -h lists the commands")
+    fn, _, options = COMMANDS[name]
+    kinds = {f: kind for f, kind, _, _, _ in options}
+    args = SimpleNamespace(command=name, fn=fn, **{_attr(f): d for f, _, _, d, _ in options})
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        matches = [flag] if flag in kinds else [f for f in kinds if flag[2:] and f.startswith(flag)]
+        if not flag.startswith("--") or len(matches) != 1:
+            raise UsageError(f"{name}: {'ambiguous' if matches else 'unknown'} option {flag}")
+        flag, kind = matches[0], kinds[matches[0]]
+        if kind is bool and eq:
+            raise UsageError(f"{flag} takes no value")
+        if kind is not bool and not eq:
+            value = next(tokens, None)
+            # a negative number is a value; any other token led by a dash is an option
+            if value is None or (value.startswith("-") and not value[1:].isdigit()):
+                raise UsageError(f"{flag} needs a value")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(f"{flag} needs an integer, not {value!r}") from None
+        elif isinstance(kind, tuple) and value not in kind:
+            raise UsageError(f"{flag} must be one of {', '.join(kind)}, not {value!r}")
+        if kind is list:
+            value = (getattr(args, _attr(flag)) or []) + [value]
+        setattr(args, _attr(flag), True if kind is bool else value)
+    missing = [f for f, _, required, _, _ in options if required and getattr(args, _attr(f)) is None]
+    if missing:
+        raise UsageError(f"{name} needs {', '.join(missing)}")
+    if name == "advice-check" and args.parallel == args.serial:
+        raise UsageError("advice-check needs exactly one of --parallel and --serial")
+    return args
 
 
 class _Encoded:
@@ -374,9 +407,13 @@ def _dumps(doc: dict) -> str:
         raise TypeError("a document may hold one encoded value at most")
     if not held:
         return text
-    # the texts agree up to the stand-in's "[" and differ right after it
-    cut = len(os.path.commonprefix([text, encoded([0])]))
-    return text[: cut - 1] + held[0].text + text[cut + 1 :]
+    # the texts agree up to the stand-in's "[" and differ right after it:
+    # bisect for the first difference, comparing prefixes in C
+    other, same, cut = encoded([0]), 0, len(text)
+    while cut - same > 1:
+        mid = (same + cut) // 2
+        same, cut = (mid, cut) if text[:mid] == other[:mid] else (same, mid)
+    return text[: same - 1] + held[0].text + text[same + 1 :]
 
 
 def _emit(doc: dict) -> None:
@@ -391,30 +428,26 @@ def _emit_csv(payload: dict) -> None:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    started = time.perf_counter()
-    try:
+        args = parse_args(argv)
+        if args is None:
+            return 0
+        started = time.perf_counter()
         verdict, payload = args.fn(args)
     except InvariantError as exc:
-        _emit({"command": args.command, "error": f"{type(exc).__name__}: {exc}"})
+        _emit({"command": command, "error": f"{type(exc).__name__}: {exc}"})
         return 3
-    # the package's input errors and malformed JSON are ValueErrors
+    # usage errors, the package's input errors and malformed JSON are ValueErrors
     except (ValueError, CostGuardError, OSError) as exc:
-        _emit({"command": args.command, "error": f"{type(exc).__name__}: {exc}"})
+        _emit({"command": command, "error": f"{type(exc).__name__}: {exc}"})
         return 2
     elapsed_ms = int((time.perf_counter() - started) * 1000)
-    if args.command == "slice-stats" and getattr(args, "format", "json") == "csv":
+    if args.command == "slice-stats" and args.format == "csv":
         _emit_csv(payload)
         return 0
-    inputs = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("fn", "command") and v is not None and not callable(v)
-    }
+    inputs = {k: v for k, v in vars(args).items() if k not in ("fn", "command") and v is not None}
     _emit(
         {
             "command": args.command,

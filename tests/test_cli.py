@@ -4,6 +4,7 @@ import dataclasses
 import json
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -306,8 +307,16 @@ def test_an_encoded_value_is_written_in_its_place():
         cli._dumps({"a": cli._Encoded("[]"), "b": cli._Encoded("[]")})
 
 
+@pytest.mark.parametrize("text", ["[]", "[0]", '[[], [0], "[]"]'])
+def test_an_encoded_value_beside_strings_that_look_like_the_stand_ins(text):
+    # the stand-ins' own texts sit before and after the encoded value
+    doc = {"a": "[]", "b": ["[0]", "[]"], "m": cli._Encoded(text), "z": {"[]": "[0]"}}
+    assert cli._dumps(doc) == json.dumps({**doc, "m": json.loads(text)}, sort_keys=True)
+    assert cli._dumps({"m": cli._Encoded(text)}) == json.dumps({"m": json.loads(text)})
+
+
 def test_consecutive_runs_in_one_process_leak_no_arguments(capsys):
-    # the parser is built once per process and shared by every main call
+    # every main call reads its options off the same table
     scan = ("swap-scan", "--lang", "L2", "--n", "8", "--j-min", "1", "--j-max", "2")
     _, advised = run_json(capsys, *scan, "--advice", "leq")
     _, plain = run_json(capsys, *scan)
@@ -524,6 +533,131 @@ def test_a_symbol_table_file_names_the_letters(capsys, tmp_path):
 def test_usage_error_is_exit_2(capsys):
     assert main(["member", "--word"]) == 2
     assert main(["no-such-command"]) == 2
+
+
+SCAN_L2 = ("swap-scan", "--lang", "L2", "--n", "8", "--j-min", "1", "--j-max", "2")
+CHECK_LEQ = ("advice-check", "--advice", "leq-parallel", "--word", "0,1")
+
+
+@pytest.mark.parametrize(
+    "argv, command, error",
+    [
+        ((), None, "no command; langlab -h lists the commands"),
+        (("no-such-command",), None, "unknown command 'no-such-command'; langlab -h lists the commands"),
+        (("--word", "0"), None, "unknown command '--word'; langlab -h lists the commands"),
+        (("member", "--word"), "member", "--word needs a value"),
+        (("member", "--word", "--lang", "L2"), "member", "--word needs a value"),
+        (("member", "--lang", "L2"), "member", "member needs --word"),
+        (("swap-scan", "--lang", "L2"), "swap-scan", "swap-scan needs --n, --j-min, --j-max"),
+        ((*SCAN_L2, "--symtab", "f.json"), "swap-scan", "swap-scan: unknown option --symtab"),
+        ((*SCAN_L2, "--j-m", "1"), "swap-scan", "swap-scan: ambiguous option --j-m"),
+        ((*SCAN_L2, "extra"), "swap-scan", "swap-scan: unknown option extra"),
+        ((*SCAN_L2, "-f"), "swap-scan", "swap-scan: unknown option -f"),
+        ((*SCAN_L2, "--"), "swap-scan", "swap-scan: unknown option --"),
+        (("bound-check", "--n", "8", "--j", "2", "--force"), "bound-check", "bound-check: unknown option --force"),
+        (("bound-check", "--n", "eight", "--j", "2"), "bound-check", "--n needs an integer, not 'eight'"),
+        (("bound-check", "--n=", "--j", "2"), "bound-check", "--n needs an integer, not ''"),
+        (("slice-stats", "--lang", "L2", "--n", "8", "--j", "2", "--format", "xml"), "slice-stats",
+         "--format must be one of json, csv, not 'xml'"),
+        (("intersect-check", "--max-len", "4", "--force=yes"), "intersect-check", "--force takes no value"),
+        ((*CHECK_LEQ, "--parallel", "--serial"), "advice-check",
+         "advice-check needs exactly one of --parallel and --serial"),
+        (CHECK_LEQ, "advice-check", "advice-check needs exactly one of --parallel and --serial"),
+    ],
+)
+def test_a_usage_error_prints_one_document_and_exits_2(capsys, argv, command, error):
+    code, out = run(capsys, *argv)
+    assert code == 2 and out.count("\n") == 1
+    assert json.loads(out) == {"command": command, "error": f"UsageError: {error}"}
+
+
+@pytest.mark.parametrize("argv", [("-h",), ("--help",), ("no-such-command", "-h")])
+def test_help_lists_the_commands_and_exits_0(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0 and out.startswith("usage: langlab <command>")
+    assert all(f"\n  {name} " in out for name in cli.COMMANDS)
+
+
+@pytest.mark.parametrize("argv", [("swap-scan", "-h"), ("swap-scan", "--lang", "L2", "--help")])
+def test_help_lists_one_commands_options_and_exits_0(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0 and out.startswith("usage: langlab swap-scan [options]")
+    assert all(f"\n  {row[0]} " in out for row in cli.COMMANDS["swap-scan"][2])
+    assert "(default 100000000)" in out and "--lang TEXT" in out and "--force " in out
+
+
+# The ``inputs`` objects the parser gave before it was read off a table
+INPUTS = [
+    (("enumerate", "--lang", "L2_2", "--length", "2", "--show-grammar", "--max-len", "4"),
+     {"lang": "L2_2", "length": 2, "max_len": 4, "show_grammar": True}),
+    (("member", "--lang", "L2", "--word", "1,2,6,3,15,30,10,5"), {"lang": "L2", "word": "1,2,6,3,15,30,10,5"}),
+    (("intersect-check", "--max-len", "8"), {"force": False, "max_len": 8}),
+    (("slice-stats", "--lang", "L2", "--n", "8", "--j", "2", "--advice", "leq"),
+     {"advice": "leq", "format": "json", "j": 2, "lang": "L2", "n": 8}),
+    (("bound-check", "--n", "8", "--j", "2"), {"j": 2, "n": 8}),
+    ((*SCAN_L2, "--i-min", "0", "--i-max", "8"),
+     {"force": False, "i_max": 8, "i_min": 0, "j_max": 2, "j_min": 1, "lang": "L2", "limit": 100000000, "n": 8}),
+    (("params", "--m", "1"), {"m": 1}),
+    (("paper-check", "--m", "1"), {"m": 1}),
+    (("advice-check", "--advice", "leq-parallel", "--parallel", "--word", "0,0,1,1", "--word", "0,1"),
+     {"advice": "leq-parallel", "parallel": True, "serial": False, "word": ["0,0,1,1", "0,1"]}),
+    (("pump-refute", "--grammar", "GRAMMAR", "--predicate", "L2_dprime", "--max-len", "12"),
+     {"grammar": "GRAMMAR", "max_len": 12, "predicate": "L2_dprime"}),
+    (("suite",), {"seed": 1729}),
+]
+
+
+def grammar_argv(argv, tmp_path):
+    path = tmp_path / "aa.cfg"
+    path.write_text("S -> 'a' S 'a' | 'a' 'a'\n")
+    return [a.replace("GRAMMAR", str(path)) for a in argv], str(path)
+
+
+@pytest.mark.parametrize("argv, inputs", INPUTS, ids=[argv[0] for argv, _ in INPUTS])
+def test_each_command_reports_the_inputs_it_reported_before(capsys, monkeypatch, tmp_path, argv, inputs):
+    monkeypatch.setattr(cli.acceptance, "run_all", lambda seed: [])
+    argv, path = grammar_argv(argv, tmp_path)
+    code, doc = run_json(capsys, *argv)
+    assert code == 0 and doc["command"] == argv[0]
+    assert doc["inputs"] == {k: path if v == "GRAMMAR" else v for k, v in inputs.items()}
+
+
+def test_every_command_has_an_inputs_case():
+    assert [argv[0] for argv, _ in INPUTS] == list(cli.COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "argv, inputs",
+    [
+        (("swap-scan", "--lang=L2", "--n=8", "--j-mi", "1", "--j-ma=2", "--i-mi=0", "--i-ma", "8"), INPUTS[5][1]),
+        (("advice-check", "--adv=leq-parallel", "--par", "--w", "0,0,1,1", "--wo=0,1"), INPUTS[8][1]),
+        (("enumerate", "--la", "L2_2", "--len=2", "--sh", "--max=4"), INPUTS[0][1]),
+        (("pump-refute", "--g=GRAMMAR", "--pred", "L2_dprime", "--m=12"), INPUTS[9][1]),
+    ],
+    ids=["swap-scan", "advice-check", "enumerate", "pump-refute"],
+)
+def test_equals_and_prefix_forms_give_the_same_inputs(capsys, tmp_path, argv, inputs):
+    argv, path = grammar_argv(argv, tmp_path)
+    code, doc = run_json(capsys, *argv)
+    assert code == 0
+    assert doc["inputs"] == {k: path if v == "GRAMMAR" else v for k, v in inputs.items()}
+
+
+def test_an_exact_flag_wins_over_the_longer_flags_it_prefixes(monkeypatch):
+    options = (("--j", int, False, None, "length"), ("--j-min", int, False, None, "least length"))
+    monkeypatch.setitem(cli.COMMANDS, "probe", (None, "a command with nested flags", options))
+    args = cli.parse_args(["probe", "--j", "2", "--j-", "3"])
+    assert (args.j, args.j_min) == (2, 3)
+
+
+def test_a_later_value_replaces_an_earlier_one(capsys):
+    code, doc = run_json(capsys, "params", "--m", "2", "--m", "1")
+    assert code == 0 and doc["inputs"] == {"m": 1}
+
+
+def test_every_command_is_in_the_readme():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    assert [name for name in cli.COMMANDS if f"langlab {name}" not in readme] == []
 
 
 PAL_SHARP_SCAN = ("swap-scan", "--lang", "Pal_sharp", "--j-min", "1", "--j-max", "3", "--n")

@@ -81,3 +81,20 @@ def test_importing_the_package_leaves_the_front_end_unloaded():
         check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_a_cli_run_leaves_argparse_and_gettext_unloaded():
+    # the front end reads its options off cli.COMMANDS; argparse pulls in gettext
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); from langlab import cli; "
+        "code = cli.main(['params', '--m', '1']); "
+        "print(code, sorted({'argparse', 'gettext'} & set(sys.modules)), file=sys.stderr)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe, str(PACKAGE.parent)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert '"command": "params"' in done.stdout
+    assert done.stderr.strip() == "0 []"
