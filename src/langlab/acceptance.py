@@ -7,6 +7,7 @@ seed is :data:`DEFAULT_SEED`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
@@ -48,47 +49,64 @@ class CriterionResult:
         return {**asdict(self), "elapsed_s": round(self.elapsed_s, 3)}
 
 
-def _result(number, name, budget_s, started, passed, details) -> CriterionResult:
-    return CriterionResult(number, name, passed, details, time.perf_counter() - started, budget_s)
+_REGISTERED: list[Callable[[int], CriterionResult]] = []
 
 
-def scaling_example(seed: int = DEFAULT_SEED) -> CriterionResult:
+def _criterion(name: str, budget_s: Optional[float] = None):
+    """Register a check ``(seed) -> (passed, details)`` as the next
+    criterion: its number is its place in registration order, and the
+    criterion times the check and builds its result."""
+
+    def register(check: Callable[[int], tuple[bool, str]]) -> Callable[[int], CriterionResult]:
+        number = len(_REGISTERED) + 1
+
+        @functools.wraps(check)
+        def criterion(seed: int = DEFAULT_SEED) -> CriterionResult:
+            started = time.perf_counter()
+            passed, details = check(seed)
+            return CriterionResult(number, name, passed, details, time.perf_counter() - started, budget_s)
+
+        _REGISTERED.append(criterion)
+        return criterion
+
+    return register
+
+
+@_criterion("scaling example")
+def scaling_example(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """Positionwise scaling of 1,2,1,1 by 3 gives exactly 3,6,3,3."""
-    t0 = time.perf_counter()
     got = scale(Word.of(1, 2, 1, 1), 3)
     ok = got == Word.of(3, 6, 3, 3)
-    return _result(1, "scaling example", None, t0, ok, f"scale(1211, 3) = {got.text()}")
+    return ok, f"scale(1211, 3) = {got.text()}"
 
 
-def intersection_identity(seed: int = DEFAULT_SEED) -> CriterionResult:
+@_criterion("two-grammar intersection identity", budget_s=10.0)
+def intersection_identity(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """``corpus.intersection_check(8)``: the intersection of the two
     covering grammars matches the nesting generator at every length up to
     8, with the expected cardinality at each length."""
-    t0 = time.perf_counter()
     report = corpus.intersection_check(8)
     expected_cards = [0, 0, 0, 2, 0, 0, 0, 4]
     cards = [lv.count for lv in report.levels]
     ok = report.ok and cards == expected_cards
-    return _result(
-        2, "two-grammar intersection identity", 10.0, t0, ok, f"cardinalities n=1..8: {cards}"
-    )
+    return ok, f"cardinalities n=1..8: {cards}"
 
 
-def slice_cardinality(seed: int = DEFAULT_SEED) -> CriterionResult:
+@_criterion("slice cardinality", budget_s=5.0)
+def slice_cardinality(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """The nesting slice at n has exactly 2^(n/4) members."""
-    t0 = time.perf_counter()
     sizes, ok = {}, True
     for n in (4, 8, 16, 24, 32):
         got = len(build_slice(corpus.LANGUAGES["L2"], n))
         sizes[n] = got
         ok = ok and got == 2 ** (n // 4)
-    return _result(3, "slice cardinality", 5.0, t0, ok, f"sizes: {sizes}")
+    return ok, f"sizes: {sizes}"
 
 
-def binding_bound(seed: int = DEFAULT_SEED) -> CriterionResult:
+@_criterion("midsection binding bound", budget_s=60.0)
+def binding_bound(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """No midsection count on a nesting slice exceeds 2^(n/4 - ceil(j/2)),
     exhaustively over n in {8, 16, 24} and every offset and j <= n/4."""
-    t0 = time.perf_counter()
     checked = 0
     ok = True
     worst = ""
@@ -101,13 +119,13 @@ def binding_bound(seed: int = DEFAULT_SEED) -> CriterionResult:
             if not report.ok:
                 ok = False
                 worst = f"; violation at n={n}, j={j}: {report.violation}"
-    return _result(4, "midsection binding bound", 60.0, t0, ok, f"{checked} counts checked{worst}")
+    return ok, f"{checked} counts checked{worst}"
 
 
-def no_swap(seed: int = DEFAULT_SEED) -> CriterionResult:
+@_criterion("no-swap on nesting slices", budget_s=300.0)
+def no_swap(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """The exhaustive swap scan over nesting slices finds no witness for
     any pair, offset, and midsection length up to n/4."""
-    t0 = time.perf_counter()
     counts = {}
     ok = True
     for n in (8, 16, 24):
@@ -115,7 +133,7 @@ def no_swap(seed: int = DEFAULT_SEED) -> CriterionResult:
         witnesses = swap_scan(corpus.is_l2, s, (1, n // 4))
         counts[n] = len(witnesses)
         ok = ok and not witnesses
-    return _result(5, "no-swap on nesting slices", 300.0, t0, ok, f"witness counts: {counts}")
+    return ok, f"witness counts: {counts}"
 
 
 def _is_even_palindrome(w: Word) -> bool:
@@ -123,10 +141,10 @@ def _is_even_palindrome(w: Word) -> bool:
     return n >= 2 and n % 2 == 0 and all(a in (0, 1) for a in w.letters) and w.letters == w.letters[::-1]
 
 
-def positive_swap_control(seed: int = DEFAULT_SEED) -> CriterionResult:
+@_criterion("positive swap control")
+def positive_swap_control(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """On the even-binary-palindrome slice at n=4 the scan does find the
     0110/1001 swap whose splices are 0000 and 1111."""
-    t0 = time.perf_counter()
     members = [Word(t) for t in itertools.product((0, 1), repeat=4) if _is_even_palindrome(Word(t))]
     s = Slice(4, tuple(members), "even binary palindromes[n=4]")
     witnesses = swap_scan(_is_even_palindrome, s, (1, 4))
@@ -139,16 +157,13 @@ def positive_swap_control(seed: int = DEFAULT_SEED) -> CriterionResult:
         and w.swapped_x == Word.of(0, 0, 0, 0)
         and w.swapped_y == Word.of(1, 1, 1, 1)
     ]
-    return _result(
-        6, "positive swap control", None, t0, len(hits) == 1,
-        f"{len(witnesses)} witnesses in total, target swap found {len(hits)} time(s)",
-    )
+    return len(hits) == 1, f"{len(witnesses)} witnesses in total, target swap found {len(hits)} time(s)"
 
 
-def parameter_chain(seed: int = DEFAULT_SEED) -> CriterionResult:
+@_criterion("parameter chain")
+def parameter_chain(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """SwapParams(1) derives (288, 72, 36); every link is re-evaluated
     with independent big-integer arithmetic, no tolerance anywhere."""
-    t0 = time.perf_counter()
     p = SwapParams(1)
     checks = {
         "triple": (p.n, p.k, p.j0) == (288, 72, 36),
@@ -161,10 +176,7 @@ def parameter_chain(seed: int = DEFAULT_SEED) -> CriterionResult:
     }
     ok = all(checks.values())
     failing = [k for k, v in checks.items() if not v]
-    return _result(
-        7, "parameter chain", None, t0, ok,
-        f"n={p.n}, k={p.k}, j0={p.j0}" + (f"; failing: {failing}" if failing else ""),
-    )
+    return ok, f"n={p.n}, k={p.k}, j0={p.j0}" + (f"; failing: {failing}" if failing else "")
 
 
 _PARTITION_POOL = {
@@ -179,10 +191,10 @@ _PARTITION_POOL = {
 }
 
 
-def partition_identity(seed: int = DEFAULT_SEED) -> CriterionResult:
+@_criterion("partition identity", budget_s=30.0)
+def partition_identity(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """Across 200 seeded random sub-slices of assorted corpus languages,
     the counts at every offset sum to the slice size for every j."""
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = 0
     slices = 0
@@ -203,10 +215,7 @@ def partition_identity(seed: int = DEFAULT_SEED) -> CriterionResult:
             stats = slice_stats(sub, j)
             if not stats.partition_ok():
                 failures += 1
-    return _result(
-        8, "partition identity", 30.0, t0, failures == 0,
-        f"200 slices, all (i, j) checked, {failures} failures",
-    )
+    return failures == 0, f"200 slices, all (i, j) checked, {failures} failures"
 
 
 def _random_dfa(rng: random.Random) -> Dfa:
@@ -218,12 +227,12 @@ def _random_dfa(rng: random.Random) -> Dfa:
     return Dfa(frozenset(states), frozenset(alphabet), transitions, "q0", accepting)
 
 
-def advice_equivalences(seed: int = DEFAULT_SEED) -> CriterionResult:
+@_criterion("advice equivalences", budget_s=60.0)
+def advice_equivalences(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """(a) the parallel equal-halves setup decides exactly 0^m 1^m on all
     binary words up to length 10; (b) the serial-to-parallel conversion
     preserves every decision on inputs of lengths 1..8 for 20 seeded
     random automata and advice tables."""
-    t0 = time.perf_counter()
     mismatches_a = 0
     leq = leq_parallel()
     for n in range(0, 11):
@@ -246,16 +255,13 @@ def advice_equivalences(seed: int = DEFAULT_SEED) -> CriterionResult:
                 if parallel_member(converted, x) != serial:
                     mismatches_b += 1
     ok = mismatches_a == 0 and mismatches_b == 0
-    return _result(
-        9, "advice equivalences", 60.0, t0, ok,
-        f"parallel mismatches: {mismatches_a}, conversion mismatches: {mismatches_b}",
-    )
+    return ok, f"parallel mismatches: {mismatches_a}, conversion mismatches: {mismatches_b}"
 
 
-def prefix_free_coding(seed: int = DEFAULT_SEED) -> CriterionResult:
+@_criterion("prefix-free pair coding")
+def prefix_free_coding(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """All pair codewords for binary words up to length 5 are mutually
     prefix-incomparable and decode back exactly."""
-    t0 = time.perf_counter()
     words = [Word(t) for k in range(6) for t in itertools.product((0, 1), repeat=k)]
     codes = {}
     bad_roundtrip = 0
@@ -272,16 +278,13 @@ def prefix_free_coding(seed: int = DEFAULT_SEED) -> CriterionResult:
             if letters[:cut] in codeset:
                 prefix_hits += 1
     ok = bad_roundtrip == 0 and prefix_hits == 0
-    return _result(
-        10, "prefix-free pair coding", None, t0, ok,
-        f"{len(codeset)} codewords, {prefix_hits} prefix collisions, {bad_roundtrip} bad roundtrips",
-    )
+    return ok, f"{len(codeset)} codewords, {prefix_hits} prefix collisions, {bad_roundtrip} bad roundtrips"
 
 
-def pumping_refutation(seed: int = DEFAULT_SEED) -> CriterionResult:
+@_criterion("pumping refutation", budget_s=30.0)
+def pumping_refutation(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """Pumping refutes "the a^m b^m c^t grammar lies inside a^m b^m c^(2m)";
     the witness is replayed through CYK and the predicate."""
-    t0 = time.perf_counter()
     g = parse_grammar(
         """
         S -> A C
@@ -292,30 +295,16 @@ def pumping_refutation(seed: int = DEFAULT_SEED) -> CriterionResult:
     lang = corpus.LANGUAGES["L2_dprime"]
     outcome = refute_subset(g, lang.predicate, 132, generator=lang.generator, size=lang.size)
     if not isinstance(outcome, PumpWitness):
-        return _result(11, "pumping refutation", 30.0, t0, False, f"inconclusive: {outcome}")
+        return False, f"inconclusive: {outcome}"
     cnf = to_cnf(g)
     replay_ok = all(cyk_member(cnf, w) for _, w in outcome.pumped)
     exp, bad_word = outcome.violating
     replay_ok = replay_ok and cyk_member(cnf, bad_word) and not corpus.is_l2_dprime(bad_word)
-    return _result(
-        11, "pumping refutation", 30.0, t0, replay_ok,
-        f"z of length {len(outcome.z)}, violating exponent {exp}, replay {'ok' if replay_ok else 'failed'}",
-    )
+    replay = "ok" if replay_ok else "failed"
+    return replay_ok, f"z of length {len(outcome.z)}, violating exponent {exp}, replay {replay}"
 
 
-CRITERIA: tuple[Callable[[int], CriterionResult], ...] = (
-    scaling_example,
-    intersection_identity,
-    slice_cardinality,
-    binding_bound,
-    no_swap,
-    positive_swap_control,
-    parameter_chain,
-    partition_identity,
-    advice_equivalences,
-    prefix_free_coding,
-    pumping_refutation,
-)
+CRITERIA: tuple[Callable[[int], CriterionResult], ...] = tuple(_REGISTERED)
 
 
 def run_all(seed: int = DEFAULT_SEED) -> list[CriterionResult]:

@@ -38,6 +38,7 @@ from .swaplab import (
     SCAN_STEP_LIMIT,
     SLICE_LIMIT,
     SwapParams,
+    _entry_json,
     build_slice,
     l2_bound_check,
     paper_check,
@@ -142,18 +143,13 @@ def cmd_slice_stats(args) -> tuple[str, dict]:
     advice = _advice_spec(args.advice) if args.advice else None
     s = build_slice(lang, args.n, advice)
     stats = slice_stats(s, args.j)
-    entry = stats.max_entry()
-    table = [
-        {"i": i, "u": u.to_json(), "count": c}
-        for (i, u), c in sorted(stats.counts.items(), key=lambda kv: (kv[0][0], kv[0][1]))
-    ]
     payload = {
         "origin": s.origin,
         "n": stats.n,
         "j": stats.j,
         "size": stats.size,
-        "max": None if entry is None else {"i": entry[0], "u": entry[1].to_json(), "count": entry[2]},
-        "table": table,
+        "max": _entry_json(stats.max_entry()),
+        "table": [_entry_json((i, u, c)) for (i, u), c in sorted(stats.counts.items())],
     }
     return "pass", payload
 

@@ -46,7 +46,7 @@ class PumpWitness:
             raise InvariantError("the pumped segments may not both be empty")
 
     def pump(self, times: int) -> Word:
-        return self.u + self.v * times + self.w + self.x * times + self.y
+        return _pump((self.u, self.v, self.w, self.x, self.y), times)
 
     def to_json(self) -> dict:
         return {
@@ -71,13 +71,18 @@ class Inconclusive:
 
 RefuteOutcome = Union[PumpWitness, Inconclusive]
 
-# the exponents a refutation pumps each decomposition with, in order
+# the exponents a refutation pumps each decomposition with, in order; each
+# variant is replayed through CYK by find_decomposition
 PUMP_EXPONENTS = (0, 2, 3, 4)
-# the exponents find_decomposition replays through CYK before returning
-REPLAYED_EXPONENTS = (0, 2, 3)
 # the chart cells a refutation may charge: n(n+1)/2 for every candidate of
 # length n, an upper bound on the (start, end) pairs its chart can fill
 REFUTE_CELL_LIMIT = 10_000_000
+
+
+def _pump(parts: tuple[Word, Word, Word, Word, Word], times: int) -> Word:
+    """u v^times w x^times y for the decomposition ``parts`` = (u, v, w, x, y)."""
+    u, v, w, x, y = parts
+    return u + v * times + w + x * times + y
 
 
 def find_decomposition(
@@ -88,9 +93,10 @@ def find_decomposition(
     A path of maximal-yield descent must repeat a nonterminal within its
     lowest ``|V| + 1`` nodes; the lowest such repeat is taken, which bounds
     the midsection by the pumping constant and leaves at least one pumped
-    letter.  The variants for exponents 0, 2 and 3 are replayed through CYK
-    before the decomposition is returned.  A caller that already holds z's
-    :func:`~langlab.grammars.cyk_derivation` path passes it as ``path``.
+    letter.  The variant for every exponent in :data:`PUMP_EXPONENTS` is
+    replayed through CYK before the decomposition is returned.  A caller
+    that already holds z's :func:`~langlab.grammars.cyk_derivation` path
+    passes it as ``path``.
     """
     p = pumping_constant(g)
     if len(z) < p:
@@ -112,17 +118,14 @@ def find_decomposition(
         raise InvariantError("no repeated nonterminal on the derivation path")
     _, ui, ul = upper
     _, li, ll = lower
-    u = z[:ui]
-    v = z[ui:li]
-    w = z[li : li + ll]
-    x = z[li + ll : ui + ul]
-    y = z[ui + ul :]
+    parts = (z[:ui], z[ui:li], z[li : li + ll], z[li + ll : ui + ul], z[ui + ul :])
+    _, v, w, x, _ = parts
     if len(v) + len(x) < 1 or len(v) + len(w) + len(x) > p:
         raise InvariantError("extracted decomposition violates the pumping bounds")
-    for times in REPLAYED_EXPONENTS:
-        if not cyk_member(g, u + v * times + w + x * times + y):
+    for times in PUMP_EXPONENTS:
+        if not cyk_member(g, _pump(parts, times)):
             raise InvariantError(f"pumping with exponent {times} left the language")
-    return u, v, w, x, y
+    return parts
 
 
 def refute_subset(
@@ -147,9 +150,9 @@ def refute_subset(
     the (start, end) pairs that some nonterminal derives, so the charge
     bounds that work from above rather than counting it.  A kept candidate
     is replayed through the predicate, decomposed and pumped until some
-    variant (confirmed in L(g) by CYK, by :func:`find_decomposition` for
-    the exponents it replays) falsifies the predicate.  A witness certifies the non-inclusion; running out of
-    candidates is inconclusive, never an error.
+    variant (each confirmed in L(g) by CYK in :func:`find_decomposition`)
+    falsifies the predicate.  A witness certifies the non-inclusion;
+    running out of candidates is inconclusive, never an error.
     """
     cnf = to_cnf(g)
     p = pumping_constant(cnf)
@@ -172,18 +175,9 @@ def refute_subset(
                     f"the generator gave {z!r} at length {n}, which is no member there"
                 )
             examined += 1
-            u, v, w, x, y = find_decomposition(cnf, z, path=path)
-            pumped = []
-            violating = None
-            for times in PUMP_EXPONENTS:
-                candidate = u + v * times + w + x * times + y
-                if times not in REPLAYED_EXPONENTS and not cyk_member(cnf, candidate):
-                    raise InvariantError(f"pumped variant at exponent {times} left the language")
-                pumped.append((times, candidate))
-                if violating is None and not predicate(candidate):
-                    violating = (times, candidate)
+            parts = find_decomposition(cnf, z, path=path)
+            pumped = tuple((times, _pump(parts, times)) for times in PUMP_EXPONENTS)
+            violating = next(((times, c) for times, c in pumped if not predicate(c)), None)
             if violating is not None:
-                return PumpWitness(
-                    z=z, u=u, v=v, w=w, x=x, y=y, pumped=tuple(pumped), violating=violating
-                )
+                return PumpWitness(z, *parts, pumped=pumped, violating=violating)
     return Inconclusive(examined=examined)

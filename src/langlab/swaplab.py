@@ -268,6 +268,11 @@ def slice_stats(s: Slice, j: int) -> SliceStats:
     return SliceStats(s, j)
 
 
+def _entry_json(entry: Optional[tuple[int, Word, int]]) -> Optional[dict]:
+    """An (i, u, count) entry as ``{"i", "u", "count"}``, None as null."""
+    return None if entry is None else {"i": entry[0], "u": entry[1].to_json(), "count": entry[2]}
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """Outcome of the nesting bound check, with the worst entry listed."""
@@ -282,38 +287,41 @@ class BoundReport:
     violation: Optional[tuple[int, Word, int]] = None
 
     def to_json(self) -> dict:
-        def entry(e) -> Optional[dict]:
-            return None if e is None else {"i": e[0], "u": e[1].to_json(), "count": e[2]}
-
         return {
             "n": self.n,
             "j": self.j,
             "size": self.size,
             "bound": self.bound,
             "max_count": self.max_count,
-            "max": entry(self.max_at and (*self.max_at, self.max_count)),
+            "max": _entry_json(self.max_at and (*self.max_at, self.max_count)),
             "ok": self.ok,
-            "violation": entry(self.violation),
+            "violation": _entry_json(self.violation),
         }
 
 
-def bound_report(stats: SliceStats) -> BoundReport:
-    """Hold the counts of a nesting slice to the pinning bound
-    2^(n/4 - ceil(j/2)), reporting the largest entry and the first
-    violation in (i, u) order."""
-    n, j = stats.n, stats.j
+def _pinning_report(n: int, j: int, size: int, extremes) -> BoundReport:
+    """Hold ``size`` members' counts at (n, j) to the pinning bound
+    2^(n/4 - ceil(j/2)); ``extremes(bound)`` gives the largest entry and
+    the first entry above ``bound``, each as (i, u, count) or None."""
     bound = 2 ** (n // 4 - (j + 1) // 2)
-    entry, violation = stats._extremes(bound)
+    entry, violation = extremes(bound)
     return BoundReport(
         n=n,
         j=j,
-        size=stats.size,
+        size=size,
         bound=bound,
         max_count=0 if entry is None else entry[2],
         max_at=None if entry is None else entry[:2],
         ok=violation is None,
         violation=violation,
     )
+
+
+def bound_report(stats: SliceStats) -> BoundReport:
+    """Hold the counts of a nesting slice to the pinning bound
+    2^(n/4 - ceil(j/2)), reporting the largest entry and the first
+    violation in (i, u) order."""
+    return _pinning_report(stats.n, stats.j, stats.size, stats._extremes)
 
 
 #: The most windows or spots one closed-form count may visit.
@@ -336,33 +344,24 @@ def l2_bound_check(n: int, j: int) -> BoundReport:
     enumerated slice.  The n - j + 1 windows are charged against
     :data:`CLOSED_FORM_LIMIT`.
     """
-    if n < 4 or n % 4:
+    check_budget(n - j + 1, CLOSED_FORM_LIMIT, "closed-form bound check")
+    pmap = PositionMap.l2(n)
+    if pmap is None:
         raise ValueError("the nesting slice needs a positive multiple of 4")
     if not 1 <= j <= n // 4:
         raise ValueError(f"j must be in 1..{n // 4}, got {j}")
-    check_budget(n - j + 1, CLOSED_FORM_LIMIT, "closed-form bound check")
-    pmap = PositionMap.l2(n)
-    size, bound = pmap.size, 2 ** (n // 4 - (j + 1) // 2)
-    distinct = pmap.distinct(j)
-    fewest = min(distinct)
-    i_max = distinct.index(fewest)
-    # a count above the bound is a window with fewer than size / bound factors
-    over = next((i for i, d in enumerate(distinct) if d * bound < size), None)
+    size, distinct = pmap.size, pmap.distinct(j)
     smallest = pmap.word(tuple(alphabet[0] for alphabet in pmap.alphabets))
 
-    def factor(i: int) -> Word:
-        return Word._trusted(smallest[i : i + j])
+    def entry(i: int) -> tuple[int, Word, int]:
+        return i, Word._trusted(smallest[i : i + j]), size // distinct[i]
 
-    return BoundReport(
-        n=n,
-        j=j,
-        size=size,
-        bound=bound,
-        max_count=size // fewest,
-        max_at=(i_max, factor(i_max)),
-        ok=over is None,
-        violation=None if over is None else (over, factor(over), size // distinct[over]),
-    )
+    def extremes(bound: int):
+        # a count above the bound is a window with fewer than size / bound factors
+        over = next((i for i, d in enumerate(distinct) if d * bound < size), None)
+        return entry(distinct.index(min(distinct))), None if over is None else entry(over)
+
+    return _pinning_report(n, j, size, extremes)
 
 
 @dataclass(frozen=True)

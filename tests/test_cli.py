@@ -418,6 +418,15 @@ def test_pump_refute_inconclusive(capsys, tmp_path):
     assert doc["payload"]["examined"] == 0
 
 
+def test_pump_refute_needs_a_search_length_reaching_the_pumping_constant(capsys):
+    grammar = Path(__file__).resolve().parents[1] / "bench" / "blocks.cfg"
+    code, out = run(
+        capsys, "pump-refute", "--grammar", str(grammar), "--predicate", "L2_dprime", "--max-len", "8"
+    )
+    assert code == 2 and out.count("\n") == 1
+    assert json.loads(out)["error"] == "ValueError: search_len must reach the pumping constant 128"
+
+
 def test_pump_refute_charges_every_candidate_before_generating_any(capsys, tmp_path):
     path = tmp_path / "blocks.cfg"
     path.write_text("S -> A C\nA -> 'a' A 'b' | 'a' 'b'\nC -> 'c' C | 'c'\n")

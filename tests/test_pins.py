@@ -1,8 +1,11 @@
 """Outputs pinned in ``bench/expected.json``, recomputed here by an
 independent digest: the acceptance suite, the scan of a sampled L2_2 slice
-and the Pal_sharp witness listing of the witness battery, and the two
-complete-slice CLI scans of the nesting scan, keep their exact bytes; so
-do the ``params`` and ``paper-check`` documents, pinned here."""
+and the Pal_sharp witness listing of the witness battery; the two
+complete-slice CLI scans and the closed-form bound checks of the nesting
+scan; and the CYK membership run, the pumping refutation, the intersection
+identity and the L2_2 enumeration of the grammar verification all keep
+their exact bytes; so do the ``params`` and ``paper-check`` documents,
+pinned here."""
 
 import hashlib
 import json
@@ -11,11 +14,13 @@ from pathlib import Path
 
 import pytest
 
-from langlab import acceptance, cli, corpus, swaplab
+from langlab import acceptance, cli, corpus, grammars, swaplab
 
 EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
 ALL_PINS = json.loads(EXPECTED.read_text())
 PINS = ALL_PINS["witness-battery"]
+GRAMMAR_PINS = ALL_PINS["grammar-verify"]["*"]
+BOUND_PINS = {k: v for k, v in ALL_PINS["nesting-scan"]["*"].items() if k.startswith("l2_bound_check ")}
 SEEDS = (1729, 1)
 
 
@@ -69,6 +74,51 @@ def test_nesting_scan_listing_bytes(capsys, name, argv):
     # complete slices, plain and fused with advice: the scan reads them off the slice
     pin = ALL_PINS["nesting-scan"]["*"][name]
     check_cli_pin(capsys, pin, ["swap-scan", "--lang", "L2", *argv])
+
+
+def test_every_bound_check_of_the_nesting_scan_is_pinned():
+    # n = 32, 36 and 40, every j up to n/4
+    names = [f"l2_bound_check n={n} j={j}" for n in (32, 36, 40) for j in range(1, n // 4 + 1)]
+    assert sorted(BOUND_PINS) == sorted(names)
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_PINS))
+def test_bound_check_report_digest(name):
+    n, j = (int(field.split("=")[1]) for field in name.split()[1:])
+    report = swaplab.l2_bound_check(n, j)
+    assert {"ok": report.ok, "sha256": sha256_json(report.to_json())} == BOUND_PINS[name]
+
+
+@pytest.mark.parametrize(
+    "name,argv",
+    [
+        (
+            "cli member blocks.cfg a^100 b^100 c^200",
+            ["member", "--grammar", "blocks.cfg", "--word", ",".join("a" * 100 + "b" * 100 + "c" * 200)],
+        ),
+        (
+            "cli pump-refute blocks.cfg L2_dprime 132",
+            ["pump-refute", "--grammar", "blocks.cfg", "--predicate", "L2_dprime", "--max-len", "132"],
+        ),
+    ],
+)
+def test_grammar_cli_document_bytes(capsys, monkeypatch, name, argv):
+    # the documents name the grammar file as given, relative to bench/
+    monkeypatch.chdir(EXPECTED.parent)
+    check_cli_pin(capsys, GRAMMAR_PINS[name], argv)
+
+
+def test_intersection_report_digest():
+    report = corpus.intersection_check(12)
+    pin = GRAMMAR_PINS["intersection_check 12"]
+    assert {"ok": report.ok, "sha256": sha256_json(report.to_json())} == pin
+
+
+def test_l2_2_enumeration_digest():
+    words = grammars.enumerate_language(corpus.grammar_l2_2(), 14)
+    rows = [list(w.letters) for w in words]
+    pin = GRAMMAR_PINS["enumerate_language L2_2 14"]
+    assert {"count": len(rows), "sha256": sha256_json(rows)} == pin
 
 
 # (exit code, bytes, sha256) of each document without ``elapsed_ms``

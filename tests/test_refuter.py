@@ -88,8 +88,8 @@ def test_one_chart_per_decomposition(monkeypatch):
         if getattr(module, "cyk_chart", None) is chart:
             monkeypatch.setattr(module, "cyk_chart", lambda g, w: charted.append(w) or chart(g, w))
     u, v, w, x, y = find_decomposition(cnf, z)
-    # z once for its derivation, then the replays at exponents 0, 2 and 3
-    assert charted == [z] + [u + v * k + w + x * k + y for k in (0, 2, 3)]
+    # z once for its derivation, then the replay at every pumping exponent
+    assert charted == [z] + [u + v * k + w + x * k + y for k in PUMP_EXPONENTS]
 
 
 def test_refutation_charts_each_word_once(monkeypatch):
@@ -100,8 +100,8 @@ def test_refutation_charts_each_word_once(monkeypatch):
             monkeypatch.setattr(module, "cyk_chart", lambda g, w: charted.append(w) or chart(g, w))
     outcome = refute_locked_tail()
     assert isinstance(outcome, PumpWitness)
-    # z, then its variants at exponents 0, 2, 3 (replayed by the
-    # decomposition) and 4 (checked by the refutation): one chart each
+    # z, then its variants at exponents 0, 2, 3 and 4, all replayed by the
+    # decomposition: one chart each
     assert len(charted) == 5
     assert set(charted) == {outcome.z} | {w for _, w in outcome.pumped}
 
