@@ -60,7 +60,8 @@ def _criterion(name: str, budget_s: Optional[float] = None):
     def register(check: Callable[[int], tuple[bool, str]]) -> Callable[[int], CriterionResult]:
         number = len(_REGISTERED) + 1
 
-        @functools.wraps(check)
+        # the name and doc of the check, but the criterion's own annotations
+        @functools.wraps(check, assigned=("__module__", "__name__", "__qualname__", "__doc__"))
         def criterion(seed: int = DEFAULT_SEED) -> CriterionResult:
             started = time.perf_counter()
             passed, details = check(seed)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .guards import InvariantError, check_budget
-from .words import PositionMap, Word, fuse_tracks
+from .words import MapRuns, PositionMap, Word, fuse_tracks
 
 
 def ceil_log2(v: int) -> int:
@@ -341,15 +341,16 @@ def l2_bound_check(n: int, j: int) -> BoundReport:
     factors that :meth:`PositionMap.distinct` counts there.  The smallest
     factor there, which the report names, is the window of the all-1
     member.  The report is the one :func:`bound_report` gives on the
-    enumerated slice.  The n - j + 1 windows are charged against
-    :data:`CLOSED_FORM_LIMIT`.
+    enumerated slice.  The arguments are checked before any map is built:
+    n against L2's grid in run form, j against 1..n/4, and then the
+    n - j + 1 windows against :data:`CLOSED_FORM_LIMIT`.
     """
-    check_budget(n - j + 1, CLOSED_FORM_LIMIT, "closed-form bound check")
-    pmap = PositionMap.l2(n)
-    if pmap is None:
+    if not MapRuns.l2(n):
         raise ValueError("the nesting slice needs a positive multiple of 4")
     if not 1 <= j <= n // 4:
         raise ValueError(f"j must be in 1..{n // 4}, got {j}")
+    check_budget(n - j + 1, CLOSED_FORM_LIMIT, "closed-form bound check")
+    pmap = PositionMap.l2(n)
     size, distinct = pmap.size, pmap.distinct(j)
     smallest = pmap.word(tuple(alphabet[0] for alphabet in pmap.alphabets))
 

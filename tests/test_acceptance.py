@@ -5,6 +5,7 @@ run to the stated time budget where one is stated.
 """
 
 import dataclasses
+import typing
 from collections import Counter
 
 import pytest
@@ -37,6 +38,13 @@ def test_battery_is_green_end_to_end():
         print(result.line())
     assert [r.number for r in results] == list(range(1, 12))
     assert all(r.passed for r in results)
+
+
+def test_criteria_declare_the_result_they_return():
+    for criterion in acceptance.CRITERIA:
+        hints = typing.get_type_hints(criterion)
+        assert hints["return"] is acceptance.CriterionResult, criterion.__name__
+        assert typing.get_type_hints(criterion.__wrapped__)["return"] == tuple[bool, str]
 
 
 def test_advice_equivalences_build_each_table_word_once(monkeypatch):

@@ -458,6 +458,18 @@ def test_bound_check_builds_no_slice(monkeypatch):
     assert members == [] and slices == []
 
 
+def test_bound_check_rejects_a_bad_j_before_building_the_map(monkeypatch):
+    # on the grid, j = n leaves one window to charge and j > n a negative count
+    built = []
+    monkeypatch.setattr(PositionMap, "l2", classmethod(lambda cls, n: built.append(n)))
+    for n, j in ((4 * 10**8, 4 * 10**8), (4 * 10**8, 5 * 10**8), (40, 41)):
+        with pytest.raises(ValueError, match=f"j must be in 1..{n // 4}, got {j}"):
+            l2_bound_check(n, j)
+    with pytest.raises(ValueError, match="positive multiple of 4"):
+        l2_bound_check(4 * 10**8 + 2, 1)
+    assert built == []
+
+
 def test_bound_check_charges_its_windows(monkeypatch):
     # n - j + 1 = 31 windows at (40, 10)
     monkeypatch.setattr(swaplab, "CLOSED_FORM_LIMIT", 30)
