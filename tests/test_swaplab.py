@@ -344,11 +344,17 @@ def test_bound_check_against_independent_recount():
             assert report.ok
 
 
-def test_bound_check_rejects_bad_arguments():
-    with pytest.raises(ValueError):
+def test_bound_check_rejects_bad_arguments(monkeypatch):
+    # before any map is built: on the grid, j = n leaves one window to
+    # charge and j > n a negative count, so only the j check stops them
+    built = []
+    monkeypatch.setattr(PositionMap, "l2", classmethod(lambda cls, n: built.append(n)))
+    with pytest.raises(ValueError, match="positive multiple of 4"):
         l2_bound_check(10, 1)
-    with pytest.raises(ValueError):
-        l2_bound_check(8, 3)
+    for n, j in ((8, 3), (4 * 10**8, 4 * 10**8), (4 * 10**8, 5 * 10**8)):
+        with pytest.raises(ValueError, match=f"j must be in 1..{n // 4}, got {j}"):
+            l2_bound_check(n, j)
+    assert built == []
 
 
 def test_bound_check_at_48_matches_the_enumerated_slice():
@@ -456,18 +462,6 @@ def test_bound_check_builds_no_slice(monkeypatch):
     report = l2_bound_check(40, 10)
     assert report.ok and report.size == 1024 and report.max_count == 2**5
     assert members == [] and slices == []
-
-
-def test_bound_check_rejects_a_bad_j_before_building_the_map(monkeypatch):
-    # on the grid, j = n leaves one window to charge and j > n a negative count
-    built = []
-    monkeypatch.setattr(PositionMap, "l2", classmethod(lambda cls, n: built.append(n)))
-    for n, j in ((4 * 10**8, 4 * 10**8), (4 * 10**8, 5 * 10**8), (40, 41)):
-        with pytest.raises(ValueError, match=f"j must be in 1..{n // 4}, got {j}"):
-            l2_bound_check(n, j)
-    with pytest.raises(ValueError, match="positive multiple of 4"):
-        l2_bound_check(4 * 10**8 + 2, 1)
-    assert built == []
 
 
 def test_bound_check_charges_its_windows(monkeypatch):
