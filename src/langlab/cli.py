@@ -38,7 +38,7 @@ from .swaplab import (
     SCAN_STEP_LIMIT,
     SLICE_LIMIT,
     SwapParams,
-    _entry_json,
+    advised_oracle,
     build_slice,
     l2_bound_check,
     paper_check,
@@ -46,7 +46,7 @@ from .swaplab import (
     swap_scan,
     witness_listing,
 )
-from .words import SYMBOL_TABLE, TrackedWord, Word, parse_word
+from .words import SYMBOL_TABLE, parse_word
 
 
 class UsageError(ValueError):
@@ -141,36 +141,12 @@ def cmd_intersect_check(args) -> tuple[str, dict]:
 def cmd_slice_stats(args) -> tuple[str, dict]:
     lang = _language(args.lang)
     advice = _advice_spec(args.advice) if args.advice else None
-    s = build_slice(lang, args.n, advice)
-    stats = slice_stats(s, args.j)
-    payload = {
-        "origin": s.origin,
-        "n": stats.n,
-        "j": stats.j,
-        "size": stats.size,
-        "max": _entry_json(stats.max_entry()),
-        "table": [_entry_json((i, u, c)) for (i, u), c in sorted(stats.counts.items())],
-    }
-    return "pass", payload
+    return "pass", slice_stats(build_slice(lang, args.n, advice), args.j).to_json()
 
 
 def cmd_bound_check(args) -> tuple[str, dict]:
     report = l2_bound_check(args.n, args.j)
     return ("pass" if report.ok else "fail"), report.to_json()
-
-
-def advised_oracle(predicate, advice, n: int):
-    """Membership in a fused slice at length ``n``: the advice track must
-    be the advice word at ``n``, and the input track must satisfy
-    ``predicate``."""
-
-    expected = advice(n)
-
-    def member(w: Word) -> bool:
-        tracked = TrackedWord.from_fused(w)
-        return tracked.bottom == expected and predicate(tracked.top)
-
-    return member
 
 
 def cmd_swap_scan(args) -> tuple[str, dict]:

@@ -131,6 +131,15 @@ def is_l2_2(w: Word) -> bool:
     return all(a in (1, 2, 3, 6) and b == 5 * a for a, b in zip(x[: n // 2], reversed(x)))
 
 
+def l2_2_runs(n: int) -> tuple[MapRuns, ...]:
+    """L2_2 at n = 2t, one map: y, (y^R)*5 over {1, 2, 3, 6}, in runs
+    that read the t indices of y forwards, then backwards."""
+    if n < 2 or n % 2:
+        return ()
+    t = n // 2
+    return (MapRuns((((1, 2, 3, 6), t),), ((0, t, 1, 1), (t - 1, t, -1, 5))),)
+
+
 def is_l2_prime(w: Word) -> bool:
     n = len(w)
     if n < 4 or n % 4:
@@ -266,7 +275,7 @@ LANGUAGES: dict[str, CorpusLanguage] = {
         ),
         CorpusLanguage("L2", L2_ALPHABET, is_l2, runs=MapRuns.l2),
         CorpusLanguage("L2_1", L2_ALPHABET, is_l2_1, grammar=grammar_l2_1(), runs=l2_1_runs),
-        CorpusLanguage("L2_2", L2_ALPHABET, is_l2_2, grammar=grammar_l2_2(), runs=MapRuns.l2_2),
+        CorpusLanguage("L2_2", L2_ALPHABET, is_l2_2, grammar=grammar_l2_2(), runs=l2_2_runs),
         CorpusLanguage("L2_prime", L2_ALPHABET, is_l2_prime, runs=l2_prime_runs),
         CorpusLanguage("L2_dprime", frozenset({A, B, C}), is_l2_dprime, runs=l2_dprime_runs),
     )

@@ -87,16 +87,16 @@ def _pump(parts: tuple[Word, Word, Word, Word, Word], times: int) -> Word:
 
 def find_decomposition(
     g: CnfGrammar, z: Word, *, path: Optional[list[tuple[str, int, int]]] = None
-) -> tuple[Word, Word, Word, Word, Word]:
+) -> tuple[tuple[Word, Word, Word, Word, Word], tuple[tuple[int, Word], ...]]:
     """Extract a pumping decomposition z = u v w x y from the parse tree.
 
     A path of maximal-yield descent must repeat a nonterminal within its
     lowest ``|V| + 1`` nodes; the lowest such repeat is taken, which bounds
     the midsection by the pumping constant and leaves at least one pumped
-    letter.  The variant for every exponent in :data:`PUMP_EXPONENTS` is
-    replayed through CYK before the decomposition is returned.  A caller
-    that already holds z's :func:`~langlab.grammars.cyk_derivation` path
-    passes it as ``path``.
+    letter.  Returns the parts (u, v, w, x, y) and the (exponent, variant)
+    pairs for :data:`PUMP_EXPONENTS`, each variant replayed through CYK
+    first.  A caller that already holds z's
+    :func:`~langlab.grammars.cyk_derivation` path passes it as ``path``.
     """
     p = pumping_constant(g)
     if len(z) < p:
@@ -122,10 +122,11 @@ def find_decomposition(
     _, v, w, x, _ = parts
     if len(v) + len(x) < 1 or len(v) + len(w) + len(x) > p:
         raise InvariantError("extracted decomposition violates the pumping bounds")
-    for times in PUMP_EXPONENTS:
-        if not cyk_member(g, _pump(parts, times)):
+    pumped = tuple((times, _pump(parts, times)) for times in PUMP_EXPONENTS)
+    for times, variant in pumped:
+        if not cyk_member(g, variant):
             raise InvariantError(f"pumping with exponent {times} left the language")
-    return parts
+    return parts, pumped
 
 
 def refute_subset(
@@ -146,13 +147,13 @@ def refute_subset(
     costs one CYK chart, which also keeps only the members of L(g); every
     candidate's chart is charged n(n+1)/2 cells against
     :data:`REFUTE_CELL_LIMIT` before any is generated, length by length
-    until the charge passes the limit.  A chart fills only
-    the (start, end) pairs that some nonterminal derives, so the charge
-    bounds that work from above rather than counting it.  A kept candidate
-    is replayed through the predicate, decomposed and pumped until some
-    variant (each confirmed in L(g) by CYK in :func:`find_decomposition`)
-    falsifies the predicate.  A witness certifies the non-inclusion;
-    running out of candidates is inconclusive, never an error.
+    until the charge passes the limit.  A chart fills only the (start, end)
+    pairs that some nonterminal derives, so the charge bounds that work
+    from above rather than counting it.  A kept candidate is replayed
+    through the predicate and decomposed by :func:`find_decomposition`,
+    whose four more charts, one per pumped variant, the charge does not
+    count; the first variant the predicate rejects makes a witness, which
+    certifies the non-inclusion.  Running out of candidates is inconclusive.
     """
     cnf = to_cnf(g)
     p = pumping_constant(cnf)
@@ -175,8 +176,7 @@ def refute_subset(
                     f"the generator gave {z!r} at length {n}, which is no member there"
                 )
             examined += 1
-            parts = find_decomposition(cnf, z, path=path)
-            pumped = tuple((times, _pump(parts, times)) for times in PUMP_EXPONENTS)
+            parts, pumped = find_decomposition(cnf, z, path=path)
             violating = next(((times, c) for times, c in pumped if not predicate(c)), None)
             if violating is not None:
                 return PumpWitness(z, *parts, pumped=pumped, violating=violating)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .guards import InvariantError, check_budget
-from .words import MapRuns, PositionMap, Word, fuse_tracks
+from .words import MapRuns, PositionMap, TrackedWord, Word, fuse_tracks
 
 
 def ceil_log2(v: int) -> int:
@@ -127,6 +127,11 @@ class Slice:
         return self._members
 
 
+def _entry_json(entry: Optional[tuple[int, Word, int]]) -> Optional[dict]:
+    """An (i, u, count) entry as ``{"i", "u", "count"}``, None as null."""
+    return None if entry is None else {"i": entry[0], "u": entry[1].to_json(), "count": entry[2]}
+
+
 class SliceStats:
     """Occurrence counts of every midsection of one length across a slice.
 
@@ -198,6 +203,17 @@ class SliceStats:
         """At every offset the counts must add up to the slice size."""
         return all(sum(table.values()) == self.size for _, table in self._tables())
 
+    def to_json(self) -> dict:
+        """The slice's origin, n, j, size, largest entry and (i, u) table."""
+        return {
+            "origin": self.slice.origin,
+            "n": self.n,
+            "j": self.j,
+            "size": self.size,
+            "max": _entry_json(self.max_entry()),
+            "table": [_entry_json((i, u, c)) for (i, u), c in sorted(self.counts.items())],
+        }
+
 
 #: The most words one slice, or one listing of a language, may hold.
 SLICE_LIMIT = 10_000_000
@@ -228,6 +244,19 @@ def build_slice(language, n: int, advice=None, *, force: bool = False) -> Slice:
     if under is not None:
         members = [Word._trusted(fuse_tracks(w.letters, under)) for w in members]
     return Slice._of_packed(n, *_pack(n, members), origin)
+
+
+def advised_oracle(predicate, advice, n: int):
+    """Membership in a fused slice at length ``n``: the advice track must
+    be the advice word at ``n``, and the input track must satisfy
+    ``predicate``."""
+    expected = advice(n)
+
+    def member(w: Word) -> bool:
+        tracked = TrackedWord.from_fused(w)
+        return tracked.bottom == expected and predicate(tracked.top)
+
+    return member
 
 
 def _map_members(maps: list[PositionMap], under=None) -> tuple[tuple[int, ...], list[int]]:
@@ -266,11 +295,6 @@ def slice_stats(s: Slice, j: int) -> SliceStats:
     """Count, for every offset i and factor u of length j, how many slice
     members carry u at that offset."""
     return SliceStats(s, j)
-
-
-def _entry_json(entry: Optional[tuple[int, Word, int]]) -> Optional[dict]:
-    """An (i, u, count) entry as ``{"i", "u", "count"}``, None as null."""
-    return None if entry is None else {"i": entry[0], "u": entry[1].to_json(), "count": entry[2]}
 
 
 @dataclass(frozen=True)

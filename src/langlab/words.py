@@ -316,15 +316,6 @@ class MapRuns(NamedTuple):
         t = n // 4
         return (cls((((1, 2), t),), ((0, t, 1, 1), (t - 1, t, -1, 3), (0, t, 1, 15), (t - 1, t, -1, 5))),)
 
-    @classmethod
-    def l2_2(cls, n: int) -> tuple[MapRuns, ...]:
-        """L2_2 at n = 2t, one map: y, (y^R)*5 over {1, 2, 3, 6}, in runs
-        that read the t indices of y forwards, then backwards."""
-        if n < 2 or n % 2:
-            return ()
-        t = n // 2
-        return (cls((((1, 2, 3, 6), t),), ((0, t, 1, 1), (t - 1, t, -1, 5))),)
-
 
 @lru_cache(maxsize=64)
 def _reader(pmap: PositionMap) -> Callable[[tuple[int, ...]], tuple[int, ...]]:

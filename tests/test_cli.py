@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 from langlab import cli, corpus
-from langlab.cli import advised_oracle, main
-from langlab.swaplab import build_slice, swap_scan
+from langlab.cli import main
+from langlab.swaplab import advised_oracle, build_slice, swap_scan
 from langlab.words import MapRuns
 from test_swaplab import reference_row
 

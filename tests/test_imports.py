@@ -38,6 +38,24 @@ def package_imports(path):
 GRAPH = {path.stem: package_imports(path) for path in PACKAGE.glob("*.py")}
 
 
+def private_names(path):
+    """The underscore names a module's source takes from other package
+    modules: imported by name, or read as an attribute of a package module
+    it imported."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    out, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "langlab"):
+            out.update(alias.name for alias in node.names if alias.name.startswith("_"))
+            if node.level and not node.module:
+                modules.update(alias.asname or alias.name for alias in node.names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules and node.attr.startswith("_"):
+                out.add(f"{node.value.id}.{node.attr}")
+    return out
+
+
 def test_the_graph_sees_the_imports_it_checks():
     assert {"grammars", "guards", "words"} <= GRAPH["corpus"]
     assert {"acceptance", "corpus", "swaplab"} <= GRAPH["cli"]
@@ -46,6 +64,18 @@ def test_the_graph_sees_the_imports_it_checks():
 def test_the_base_modules_import_nothing_from_the_package():
     assert GRAPH["words"] == set()
     assert GRAPH["guards"] == set()
+
+
+def test_no_module_takes_a_private_name_from_another():
+    # each module's private names are its own; a rule another module needs is public
+    taken = {path.stem: private_names(path) for path in PACKAGE.glob("*.py")}
+    assert {stem: names for stem, names in taken.items() if names} == {}
+
+
+def test_the_private_name_check_sees_both_spellings(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from .swaplab import _entry_json, build_slice\nfrom . import corpus\ncorpus._constant\n")
+    assert private_names(probe) == {"_entry_json", "corpus._constant"}
 
 
 def test_no_core_module_imports_upward():

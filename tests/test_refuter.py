@@ -48,7 +48,7 @@ def test_decomposition_on_balanced_pairs():
     cnf = to_cnf(AB_BALANCED)
     p = pumping_constant(cnf)
     z = Word((1,) * (p // 2) + (2,) * (p // 2))  # a^(p/2) b^(p/2), length p
-    u, v, w, x, y = find_decomposition(cnf, z)
+    (u, v, w, x, y), _ = find_decomposition(cnf, z)
     assert u + v + w + x + y == z
     assert 1 <= len(v) + len(x)
     assert len(v) + len(w) + len(x) <= p
@@ -63,7 +63,7 @@ def test_decomposition_on_unary_repetition():
     cnf = to_cnf(A_PLUS)
     p = pumping_constant(cnf)
     assert p == 2
-    u, v, w, x, y = find_decomposition(cnf, Word((1,) * p))
+    (u, v, w, x, y), _ = find_decomposition(cnf, Word((1,) * p))
     for times in (0, 2, 3, 5):
         assert cyk_member(cnf, u + v * times + w + x * times + y)
 
@@ -87,7 +87,7 @@ def test_one_chart_per_decomposition(monkeypatch):
     for module in (grammars, refuter):  # every binding of the chart builder
         if getattr(module, "cyk_chart", None) is chart:
             monkeypatch.setattr(module, "cyk_chart", lambda g, w: charted.append(w) or chart(g, w))
-    u, v, w, x, y = find_decomposition(cnf, z)
+    (u, v, w, x, y), _ = find_decomposition(cnf, z)
     # z once for its derivation, then the replay at every pumping exponent
     assert charted == [z] + [u + v * k + w + x * k + y for k in PUMP_EXPONENTS]
 
@@ -104,6 +104,19 @@ def test_refutation_charts_each_word_once(monkeypatch):
     # decomposition: one chart each
     assert len(charted) == 5
     assert set(charted) == {outcome.z} | {w for _, w in outcome.pumped}
+
+
+def test_the_pinned_run_builds_each_variant_once(monkeypatch):
+    pumped, examined = [], []
+    pump, decompose = refuter._pump, refuter.find_decomposition
+    monkeypatch.setattr(refuter, "_pump", lambda parts, times: pumped.append(times) or pump(parts, times))
+    monkeypatch.setattr(
+        refuter, "find_decomposition", lambda g, z, **kw: examined.append(z) or decompose(g, z, **kw)
+    )
+    assert isinstance(refute_locked_tail(), PumpWitness)
+    # the decomposition builds one variant per exponent, and the refutation
+    # takes those over as they are
+    assert examined and pumped == list(PUMP_EXPONENTS) * len(examined)
 
 
 def test_decomposition_is_deterministic():
@@ -205,7 +218,7 @@ def test_every_long_member_decomposes(grammar, high):
     qualifying = [z for z in enumerate_language(grammar, high) if len(z) >= p]
     assert qualifying
     for z in qualifying:
-        u, v, w, x, y = find_decomposition(cnf, z)
+        (u, v, w, x, y), _ = find_decomposition(cnf, z)
         assert len(v) + len(x) >= 1
         assert len(v) + len(w) + len(x) <= p
         for times in (0, 1, 2, 3):
@@ -249,7 +262,7 @@ def enumeration_reference(g, predicate, search_len):
         if len(z) < p or not predicate(z):
             continue
         examined += 1
-        u, v, w, x, y = find_decomposition(cnf, z)
+        (u, v, w, x, y), _ = find_decomposition(cnf, z)
         pumped = tuple((k, u + v * k + w + x * k + y) for k in PUMP_EXPONENTS)
         violating = next(((k, c) for k, c in pumped if not predicate(c)), None)
         if violating is not None:

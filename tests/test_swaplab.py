@@ -12,7 +12,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from langlab.advice import AdviceError, AdviceFunction, leq_advice, table_advice, zero_advice
-from langlab.cli import advised_oracle
 from langlab.corpus import LANGUAGES, CorpusLanguage, is_l2, is_pal_sharp, l2_members
 from langlab import cli, corpus, swaplab
 from langlab.guards import CostGuardError, InvariantError
@@ -22,6 +21,7 @@ from langlab.swaplab import (
     SliceStats,
     SwapParams,
     SwapWitness,
+    advised_oracle,
     bound_report,
     build_slice,
     ceil_log2,
@@ -1228,6 +1228,27 @@ def test_the_l2_2_map_counts_every_enumerated_swap():
         counted = {(i, j): c for i, j, c in pmap.spot_witnesses() if c}
         assert counted == dict(scanned), (name, n)
         assert sum(counted.values()) == total, (name, n)
+
+
+# fusing each position over a fixed advice letter is injective, so a fused
+# splice is a fused member exactly when the plain splice is a plain member,
+# and every advice word keeps each spot's plain witness count; larger sizes
+# (L2_2 at 8, Pal_sharp at 9, L2_prime at 8) hold too many witnesses here
+ADVISED_MAP_CASES = [("L2", 4), ("L2", 8), ("L2", 12), ("L2_2", 4), ("L2_2", 6)]
+ADVISED_MAP_CASES += [("Pal_sharp", 5), ("Pal_sharp", 7), ("L2_prime", 4)]
+
+
+@pytest.mark.parametrize("name,n", ADVISED_MAP_CASES)
+@settings(max_examples=4, derandomize=True, deadline=None)
+@given(st.data())
+def test_every_advice_word_keeps_the_map_witness_counts(name, n, data):
+    advice = table_advice({n: data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))})
+    lang = LANGUAGES[name]
+    s, member = build_slice(lang, n, advice), advised_oracle(lang.predicate, advice, n)
+    scanned = Counter((w.i, w.j) for w in swap_scan(member, s, (1, n)))
+    (pmap,) = (runs.map() for runs in lang.runs(n))
+    assert len(s) == pmap.size
+    assert {(i, j): c for i, j, c in pmap.spot_witnesses() if c} == dict(scanned)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from langlab import corpus
 from langlab.words import (
     EMPTY_WORD,
     SYMBOL_TABLE,
@@ -213,14 +214,14 @@ def test_symbol_table_published_values():
 
 def test_the_l2_2_map_reads_y_then_its_mirror_times_5():
     for n in (2, 4, 6, 8):
-        (runs,) = MapRuns.l2_2(n)
+        (runs,) = corpus.l2_2_runs(n)
         pmap = runs.map()
         assert pmap.n == n and pmap.size == 4 ** (n // 2)
         choices = list(itertools.product((1, 2, 3, 6), repeat=n // 2))
         reference = [Word(y) + scale(reverse(Word(y)), 5) for y in choices]
         assert [Word(pmap.word(y)) for y in choices] == reference
         assert list(pmap.members()) == reference == sorted(reference)
-    assert MapRuns.l2_2(5) == MapRuns.l2_2(0) == ()
+    assert corpus.l2_2_runs(5) == corpus.l2_2_runs(0) == ()
 
 
 def test_the_l2_map_lists_its_nestings_in_canonical_order():
@@ -341,7 +342,7 @@ def test_every_map_lists_its_members_in_canonical_order(pmap):
 
 def test_the_built_in_maps_pass_the_constructor_checks():
     for n in range(1, 41):
-        for runs in MapRuns.l2(n) + MapRuns.l2_2(n):
+        for runs in MapRuns.l2(n) + corpus.l2_2_runs(n):
             pmap = runs.map()
             assert PositionMap(*pmap) == pmap and pmap.size == runs.size
 
