@@ -110,6 +110,8 @@ def cmd_enumerate(args) -> tuple[str, dict]:
     else:
         if args.grammar is None or args.max_len is None:
             raise UsageError("grammar enumeration needs --grammar FILE and --max-len N")
+        if args.max_len < 0:
+            raise UsageError("--max-len must be >= 0")
         g = _load_grammar(args.grammar, _load_symtab(args.symtab))
         words = enumerate_language(g, args.max_len, budget=SLICE_LIMIT)
         payload = {"grammar": args.grammar, "max_len": args.max_len}
@@ -134,6 +136,8 @@ def cmd_member(args) -> tuple[str, dict]:
 
 
 def cmd_intersect_check(args) -> tuple[str, dict]:
+    if args.max_len < 0:
+        raise UsageError("--max-len must be >= 0")
     report = corpus.intersection_check(args.max_len, force=args.force)
     return ("pass" if report.ok else "fail"), report.to_json()
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence, Union
 
 from .guards import CostGuardError, InvariantError
 from .words import SYMBOL_TABLE, Word
@@ -597,37 +597,42 @@ def cyk_derivation(g: CnfGrammar, w: Word) -> list[tuple[str, int, int]] | None:
 def _body_words(
     body: Body,
     length: int,
-    table: Mapping[str, list[set[bytes | str]]],
+    table: Mapping[str, Sequence[Collection[bytes | str]]],
     pack: Callable[[Iterable[int]], bytes | str],
-) -> set[bytes | str]:
-    # all packed terminal words of exactly `length` derivable from the body,
-    # given the per-nonterminal, per-length sets computed so far, the current
-    # length's included (the looping bodies read it), and the `pack` of
-    # their encoding.  Walking back on lengths alone, each symbol gets its
-    # (length, words) factors and the totals `rest` that the symbols after
-    # it fill exactly; a partial then grows by a factor only if the rest can
-    # still make up `length`
+) -> Iterator[Iterable[bytes | str]]:
+    # the packed terminal words of exactly `length` derivable from the body,
+    # one iterable per split of `length` among its symbols, given the
+    # per-nonterminal, per-length rows computed so far, the current length's
+    # included (the looping bodies read it), and the `pack` of their
+    # encoding.  Walking back on lengths alone, each symbol gets its
+    # (length, row) factors and the totals `rest` that the symbols after it
+    # fill exactly; the splits are then listed forward, a symbol taking a
+    # factor only if the rest can still make up `length`, and each split's
+    # words are joined once each from the product of its rows, so that over
+    # sorted rows they come out sorted
     steps = []
     rest = {0}
     for sym in reversed(body):
         if isinstance(sym, int):
             factors = [(1, (pack((sym,)),))]
         else:
-            sets = table[sym]
-            factors = [(l, sets[l]) for l in range(length + 1) if sets[l]]
+            rows = table[sym]
+            factors = [(l, rows[l]) for l in range(length + 1) if rows[l]]
         steps.append((factors, rest))
         rest = {l + r for l, _ in factors for r in rest if l + r <= length}
     if length not in rest:
-        return set()
-    current: dict[int, set[bytes | str]] = {0: {pack(())}}
+        return
+    splits: list[tuple[int, tuple]] = [(0, ())]
     for factors, rest in reversed(steps):
-        nxt: dict[int, set[bytes | str]] = defaultdict(set)
-        for ln, ws in current.items():
-            for l, sub in factors:
-                if length - ln - l in rest:
-                    nxt[ln + l].update([t + s for t in ws for s in sub])
-        current = nxt
-    return current[length]
+        splits = [
+            (ln + l, picked + (row,))
+            for ln, picked in splits
+            for l, row in factors
+            if length - ln - l in rest
+        ]
+    join = pack(()).join
+    for _, picked in splits:
+        yield map(join, itertools.product(*picked))
 
 
 def _reads_own_length(body: Body, nullable: set[str]) -> bool:
@@ -650,47 +655,64 @@ def enumerate_language(g: Cfg, max_len: int, *, budget: int | None = None) -> tu
     until nothing changes.  The optional ``budget`` caps the number of
     stored factor words.
 
-    The closure stores factor words packed (see :func:`_packing`); only
-    the start symbol's become Words, one length at a time at the end.
+    The closure stores factor words packed (see :func:`_packing`), each
+    joined once from a whole split of its length among a body's symbols.
+    An open length's rows are dicts; when the length is closed each row is
+    sorted into a list, which is cheap, since over sorted shorter rows each
+    split's words come out sorted.  Only the start symbol's words become
+    Words, one length at a time at the end, already in order.
     """
     if max_len < 0:
         raise GrammarError("max_len must be >= 0")
     pack, unpack = _packing(g.terminals)
-    table: dict[str, list[set[bytes | str]]] = {
-        a: [set() for _ in range(max_len + 1)] for a in g.nonterminals
-    }
+    # each nonterminal's rows by length: the open length's row is a dict,
+    # its words in insertion order; a closed length's row is a sorted list
+    table: dict[str, list] = {a: [] for a in g.nonterminals}
     nullable = _nullable_set(g.productions)
     looping = tuple(p for p in g.productions if _reads_own_length(p[1], nullable))
+    chain = itertools.chain.from_iterable
     stored = 0
     for length in range(max_len + 1):
+        for rows in table.values():
+            rows.append({})
         # every body once, then only the looping ones, until nothing changes
         pending = g.productions
         changed = True
         while changed:
             changed = False
             for head, body in pending:
-                fresh = _body_words(body, length, table, pack) - table[head][length]
+                # a looping body reads the row it adds to, so all of its
+                # words are joined before the row takes them
+                rows = table[head]
+                before = len(rows[length])
+                rows[length].update(dict.fromkeys(chain(_body_words(body, length, table, pack))))
+                fresh = len(rows[length]) - before
                 if fresh:
-                    table[head][length] |= fresh
-                    stored += len(fresh)
+                    stored += fresh
                     changed = True
                     if budget is not None and stored > budget:
                         raise CostGuardError(
                             f"enumeration stored more than {budget} factor words"
                         )
             pending = looping
-    # each length sorted on its own, shortest first: the canonical order;
-    # the other rows go first, and each length's set before its words are
-    # built; the terminals were validated by Cfg, so the words are trusted
+        # over sorted shorter rows each split's words came out sorted, so a
+        # closing row is a few sorted runs for the sort to merge
+        for rows in table.values():
+            rows[length] = sorted(rows[length])
+    # each length's row is sorted, shortest first: the canonical order; the
+    # other rows go first; the terminals were validated by Cfg, so the words
+    # are trusted
     rows = table.pop(g.start)
     del table
     found: list[Word] = []
     for length in range(max_len + 1):
-        # popped from the end of a descending list above a None stop, each
+        # popped from the end of the reversed row above a None stop, each
         # packed word is freed as it is unpacked, so that its Word (of the
         # same allocator size class up to 15 letters) can take its place
-        packed = [None] + sorted(rows[length], reverse=True)
+        packed = rows[length]
         rows[length] = None
+        packed.append(None)
+        packed.reverse()
         found += map(Word._trusted, map(unpack, iter(packed.pop, None)))
     return tuple(found)
 

@@ -104,6 +104,17 @@ def test_enumerate_rejects_a_negative_length(capsys):
     assert code == 2 and doc["error"] == "UsageError: --length must be >= 0"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("enumerate", "--grammar", "no-such-file.cfg", "--max-len", "-1"), ("intersect-check", "--max-len", "-1")],
+    ids=["enumerate", "intersect-check"],
+)
+def test_a_negative_max_len_is_a_usage_error_before_any_file_is_read(capsys, argv):
+    # the grammar file does not exist: reading it would print FileNotFoundError
+    code, doc = run_json(capsys, *argv)
+    assert code == 2 and doc["error"] == "UsageError: --max-len must be >= 0"
+
+
 def test_enumerate_grammar_charges_the_stored_words(capsys, monkeypatch, tmp_path):
     # a^m b^m c^t (30 words up to 12): with the limit lowered, a listing
     # that outgrows it stops at the guard and prints one error document

@@ -547,38 +547,38 @@ def body_tables(draw):
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(body_tables())
 def test_body_walk_agrees_with_the_recursive_reference(case):
-    # the walk over packed tables, unpacked, against the tuple reference
+    # the walk over packed tables, its splits' words unpacked, against the
+    # tuple reference
     alphabet, body, length, table = case
     pack, unpack = grammars._packing(alphabet)
     packed = {a: [set(map(pack, ws)) for ws in rows] for a, rows in table.items()}
-    got = grammars._body_words(body, length, packed, pack)
+    got = list(itertools.chain.from_iterable(grammars._body_words(body, length, packed, pack)))
     assert {type(p) for p in got} <= {type(pack(()))}
     assert set(map(unpack, got)) == reference_body_words(body, length, table)
 
 
 def test_body_walk_builds_only_partials_that_reach_the_length():
-    # the packed factor words record the length of every partial joined to them
+    # every word is joined from a whole split's factors; the empty packed
+    # word records the length of each word it joins
     built = []
 
     class Factor(bytes):
-        def __add__(self, other):
-            built.append(len(self) + len(other))
-            return Factor(bytes(self) + bytes(other))
+        def join(self, parts):
+            built.append(sum(map(len, parts)))
+            return bytes(self).join(parts)
 
-        def __radd__(self, other):
-            built.append(len(other) + len(self))
-            return Factor(bytes(other) + bytes(self))
+    def pack(ws):
+        return Factor(bytes(ws))
 
-    table = {"A": [{Factor(b"\x01" * l)} if l in (1, 3) else set() for l in range(8)]}
-    # A '0' A fills 5 as 1 + 1 + 3 or 3 + 1 + 1; a walk that let the last
-    # A stop short would also build 2 + 1 = 3
-    got = grammars._body_words(("A", 0, "A"), 5, table, bytes)
-    assert got == {bytes((1, 0, 1, 1, 1)), bytes((1, 1, 1, 0, 1))}
-    assert sorted(built) == [1, 2, 3, 4, 5, 5]
+    table = {"A": [{bytes((1,) * l)} if l in (1, 3) else set() for l in range(8)]}
+    # A '0' A fills 5 as 1 + 1 + 3 or 3 + 1 + 1, one split and one word each
+    splits = [list(words) for words in grammars._body_words(("A", 0, "A"), 5, table, pack)]
+    assert sorted(splits) == [[bytes((1, 0, 1, 1, 1))], [bytes((1, 1, 1, 0, 1))]]
+    assert built == [5, 5]
     # no split fills 4 (or 6), so nothing at all is built
     built.clear()
-    assert grammars._body_words(("A", 0, "A"), 4, table, bytes) == set()
-    assert grammars._body_words(("A", 0, "A"), 6, table, bytes) == set()
+    assert list(grammars._body_words(("A", 0, "A"), 4, table, pack)) == []
+    assert list(grammars._body_words(("A", 0, "A"), 6, table, pack)) == []
     assert built == []
 
 
@@ -586,6 +586,24 @@ def test_enumeration_of_l2_2_reads_the_position_map_length_by_length():
     # the grammar's closure against the generator's position map, order included
     want = tuple(itertools.chain.from_iterable(l2_2_members(n) for n in range(15)))
     assert enumerate_language(grammar_l2_2(), 14) == want
+
+
+def test_scaled_letters_enumerate_as_ranks_in_the_same_order():
+    # every terminal times 1000 is past 255, so the closure packs ranks as
+    # str code points; scaling keeps the letter order, so the listing is
+    # the bytes-packed one scaled letter by letter, order included
+    g = grammar_l2_2()
+    scaled = Cfg.from_rules(
+        g.start,
+        {
+            head: [tuple(s * 1000 if isinstance(s, int) else s for s in body) for h, body in g.productions if h == head]
+            for head in g.nonterminals
+        },
+    )
+    assert min(scaled.terminals) >= 256
+    want = tuple(Word(a * 1000 for a in w.letters) for w in enumerate_language(g, 14))
+    assert len(want) == 21844
+    assert enumerate_language(scaled, 14) == want
 
 
 @st.composite
@@ -659,11 +677,13 @@ GRAMMAR_BATTERY = [
 
 @pytest.mark.parametrize("text", GRAMMAR_BATTERY)
 def test_enumeration_agrees_with_cyk_oracle(text):
+    # brute_words lists in canonical order, so the order is checked too:
+    # in S -> A B, the splits of a length list A's shortest factor first,
+    # and their words come out unsorted until the length is closed
     g = parse_grammar(text)
     cnf = to_cnf(g)
-    enumerated = set(enumerate_language(g, 8))
-    filtered = {w for w in brute_words(g.terminals, 8) if cyk_member(cnf, w)}
-    assert enumerated == filtered
+    filtered = tuple(w for w in brute_words(g.terminals, 8) if cyk_member(cnf, w))
+    assert enumerate_language(g, 8) == filtered
 
 
 # letters of 256 or more, and 300 terminals whose ranks pass 255, both packed
