@@ -593,12 +593,11 @@ def test_scaled_letters_enumerate_as_ranks_in_the_same_order():
     # str code points; scaling keeps the letter order, so the listing is
     # the bytes-packed one scaled letter by letter, order included
     g = grammar_l2_2()
-    scaled = Cfg.from_rules(
+    scaled = Cfg(
+        g.nonterminals,
+        frozenset(a * 1000 for a in g.terminals),
+        tuple((h, tuple(s * 1000 if isinstance(s, int) else s for s in body)) for h, body in g.productions),
         g.start,
-        {
-            head: [tuple(s * 1000 if isinstance(s, int) else s for s in body) for h, body in g.productions if h == head]
-            for head in g.nonterminals
-        },
     )
     assert min(scaled.terminals) >= 256
     want = tuple(Word(a * 1000 for a in w.letters) for w in enumerate_language(g, 14))
