@@ -15,19 +15,11 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 from . import corpus
-from .advice import (
-    AdvisedLanguage,
-    leq_parallel,
-    parallel_member,
-    prefix_pair_decode,
-    prefix_pair_encode,
-    serial_to_parallel_reg,
-    table_advice,
-)
-from .grammars import Dfa, cyk_member, dfa_accepts, parse_grammar, to_cnf
+from .advice import leq_parallel, prefix_pair_decode, prefix_pair_encode, serial_to_parallel_reg, table_advice
+from .grammars import Dfa, cyk_member, dfa_run, parse_grammar, to_cnf
 from .refuter import PumpWitness, refute_subset
 from .swaplab import Slice, SwapParams, bound_report, build_slice, slice_stats, swap_scan
-from .words import Word, scale
+from .words import Word, fuse_tracks, scale
 
 DEFAULT_SEED = 1729
 
@@ -199,18 +191,19 @@ def partition_identity(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     rng = random.Random(seed)
     failures = 0
     slices = 0
-    # the pool holds 37 (name, n) pairs: each slice is generated once per run
-    generated: dict[tuple[str, int], tuple] = {}
+    # the pool holds 37 (name, n) pairs: each slice is built once per run, and
+    # its packed members are sorted, so the drawn indices name canonical words
+    pools: dict[tuple[str, int], Slice] = {}
     while slices < 200:
         name = rng.choice(sorted(_PARTITION_POOL))
         n = rng.choice(_PARTITION_POOL[name])
-        members = generated.get((name, n))
-        if members is None:
-            members = generated[name, n] = corpus.LANGUAGES[name].generator(n)
-        if not members:
+        full = pools.get((name, n))
+        if full is None:
+            full = pools[name, n] = build_slice(corpus.LANGUAGES[name], n)
+        if not full:
             continue
-        take = rng.randint(1, min(len(members), 64))
-        sub = Slice(n, tuple(rng.sample(members, take)), f"{name}[n={n}] sample")
+        take = rng.randint(1, min(len(full), 64))
+        sub = Slice(n, tuple(map(full.word, rng.sample(full.packed, take))), f"{name}[n={n}] sample")
         slices += 1
         for j in range(1, n + 1):
             stats = slice_stats(sub, j)
@@ -228,19 +221,30 @@ def _random_dfa(rng: random.Random) -> Dfa:
     return Dfa(frozenset(states), frozenset(alphabet), transitions, "q0", accepting)
 
 
+def _leaves(transitions, state, under) -> list:
+    """The state reached from ``state`` on every binary input fused over
+    the advice letters ``under``, in ``itertools.product`` order; a fused
+    letter without a transition leads to None, which rejects."""
+    states = [state]
+    for b in under:
+        letters = fuse_tracks((0, 1), (b, b))
+        states = [transitions.get((q, a)) for q in states for a in letters]
+    return states
+
+
 @_criterion("advice equivalences", budget_s=60.0)
 def advice_equivalences(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """(a) the parallel equal-halves setup decides exactly 0^m 1^m on all
     binary words up to length 10; (b) the serial-to-parallel conversion
     preserves every decision on inputs of lengths 1..8 for 20 seeded
-    random automata and advice tables."""
+    random automata and advice tables.  Each length's inputs are decided
+    in one walk of their input tree."""
     mismatches_a = 0
     leq = leq_parallel()
     for n in range(0, 11):
-        for t in itertools.product((0, 1), repeat=n):
-            x = Word._trusted(t)
-            if parallel_member(leq, x) != corpus.is_leq(x):
-                mismatches_a += 1
+        leaves = _leaves(leq.inner.transitions, leq.inner.start, leq.advice(n).letters)
+        words = map(Word._trusted, itertools.product((0, 1), repeat=n))
+        mismatches_a += sum((q in leq.inner.accepting) != corpus.is_leq(x) for q, x in zip(leaves, words))
     rng = random.Random(seed)
     mismatches_b = 0
     for _ in range(20):
@@ -248,13 +252,11 @@ def advice_equivalences(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
         table = {n: [rng.choice((0, 1)) for _ in range(n)] for n in range(0, 9)}
         g = table_advice(table, "random-table")
         h, m2 = serial_to_parallel_reg(m, g)
-        converted = AdvisedLanguage("parallel", m2, h)
         for ln in range(1, 9):
-            for t in itertools.product((0, 1), repeat=ln):
-                x = Word._trusted(t)
-                serial = dfa_accepts(m, g(ln) + x)
-                if parallel_member(converted, x) != serial:
-                    mismatches_b += 1
+            # identity over (0, 1) fuses each input letter over advice letter 0
+            serial = _leaves(m.transitions, dfa_run(m, m.start, g(ln)), (0,) * ln)
+            parallel = _leaves(m2.transitions, m2.start, h(ln).letters)
+            mismatches_b += sum((p in m2.accepting) != (q in m.accepting) for p, q in zip(parallel, serial))
     ok = mismatches_a == 0 and mismatches_b == 0
     return ok, f"parallel mismatches: {mismatches_a}, conversion mismatches: {mismatches_b}"
 
@@ -272,12 +274,14 @@ def prefix_free_coding(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
             codes[code.letters] = (u, v)
             if prefix_pair_decode(code) != (u, v):
                 bad_roundtrip += 1
+    # a codeword's extensions follow it directly in sorted order
+    codeset = sorted(codes)
     prefix_hits = 0
-    codeset = set(codes)
-    for letters in codeset:
-        for cut in range(1, len(letters)):
-            if letters[:cut] in codeset:
-                prefix_hits += 1
+    for k, code in enumerate(codeset):
+        end = k + 1
+        while end < len(codeset) and codeset[end][: len(code)] == code:
+            end += 1
+        prefix_hits += end - k - 1
     ok = bad_roundtrip == 0 and prefix_hits == 0
     return ok, f"{len(codeset)} codewords, {prefix_hits} prefix collisions, {bad_roundtrip} bad roundtrips"
 

@@ -203,6 +203,8 @@ def cmd_advice_check(args) -> tuple[str, dict]:
 
 
 def cmd_pump_refute(args) -> tuple[str, dict]:
+    if args.max_len < 0:
+        raise UsageError("--max-len must be >= 0")
     symtab = _load_symtab(args.symtab)
     g = _load_grammar(args.grammar, symtab)
     lang = _language(args.predicate)

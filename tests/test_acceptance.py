@@ -5,15 +5,29 @@ run to the stated time budget where one is stated.
 """
 
 import dataclasses
+import itertools
+import random
 import typing
 from collections import Counter
 
 import pytest
 
 from langlab import acceptance, corpus
-from langlab.grammars import to_cnf
+from langlab.advice import (
+    AdviceFunction,
+    AdvisedLanguage,
+    leq_parallel,
+    parallel_member,
+    prefix_pair_decode,
+    prefix_pair_encode,
+    serial_to_parallel_reg,
+    table_advice,
+)
+from langlab.grammars import Dfa, dfa_accepts, to_cnf
 from langlab.swaplab import Slice, bound_report, build_slice
-from langlab.words import Word
+from langlab.words import Word, split_letter
+
+SEEDS = (1729, 1)
 
 
 @pytest.mark.parametrize(
@@ -59,20 +73,131 @@ def test_advice_equivalences_build_each_table_word_once(monkeypatch):
 
 
 def test_partition_identity_generates_each_slice_once(monkeypatch):
-    # 200 draws over 37 distinct (name, n): regenerating a slice per draw
-    # built L2_1's slice at n = 8, 9,344 words, every time it was drawn
+    # 200 draws over 37 distinct (name, n): each pool is built once, off its
+    # position maps, and no draw runs a generator (rebuilding a pool per
+    # draw built L2_1's slice at n = 8, 9,344 words, every time it was drawn)
     calls = Counter()
+
+    def counted(language, n):
+        calls[language.name, n] += 1
+        return build_slice(language, n)
+
+    def refuse(n):
+        raise AssertionError("the criterion ran a generator")
+
+    monkeypatch.setattr(acceptance, "build_slice", counted)
     for name, lang in list(corpus.LANGUAGES.items()):
-
-        def counted(n, name=name, generator=lang.generator):
-            calls[name, n] += 1
-            return generator(n)
-
-        monkeypatch.setitem(corpus.LANGUAGES, name, dataclasses.replace(lang, generator=counted))
+        monkeypatch.setitem(corpus.LANGUAGES, name, dataclasses.replace(lang, generator=refuse))
     result = acceptance.partition_identity(1729)
     assert result.passed
     assert result.details == "200 slices, all (i, j) checked, 0 failures"
     assert len(calls) == 37 and set(calls.values()) == {1}
+
+
+def generator_draws(seed):
+    """The sub-slices of the partition criterion drawn from the generators'
+    Word tuples: the per-word reference for its packed draws."""
+    rng = random.Random(seed)
+    generated, drawn = {}, []
+    while len(drawn) < 200:
+        name = rng.choice(sorted(acceptance._PARTITION_POOL))
+        n = rng.choice(acceptance._PARTITION_POOL[name])
+        if (name, n) not in generated:
+            generated[name, n] = corpus.LANGUAGES[name].generator(n)
+        members = generated[name, n]
+        if not members:
+            continue
+        take = rng.randint(1, min(len(members), 64))
+        drawn.append((f"{name}[n={n}] sample", tuple(rng.sample(members, take))))
+    return drawn
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_partition_identity_draws_the_generator_route_sub_slices(monkeypatch, seed):
+    drawn = []
+
+    def recorded(n, members, origin=""):
+        drawn.append((origin, members))
+        return Slice(n, members, origin)
+
+    monkeypatch.setattr(acceptance, "Slice", recorded)
+    assert acceptance.partition_identity(seed).passed
+    assert drawn == generator_draws(seed)
+
+
+def per_word_advice_mismatches(seed):
+    """Criterion 9 one decision at a time: ``parallel_member`` against
+    ``is_leq``, and against ``dfa_accepts(m, g(ln) + x)`` after the
+    conversion that ``acceptance.serial_to_parallel_reg`` names."""
+    mismatches_a = 0
+    leq = leq_parallel()
+    for n in range(0, 11):
+        for t in itertools.product((0, 1), repeat=n):
+            x = Word._trusted(t)
+            mismatches_a += parallel_member(leq, x) != corpus.is_leq(x)
+    rng = random.Random(seed)
+    mismatches_b = 0
+    for _ in range(20):
+        m = acceptance._random_dfa(rng)
+        table = {n: [rng.choice((0, 1)) for _ in range(n)] for n in range(0, 9)}
+        g = table_advice(table, "random-table")
+        h, m2 = acceptance.serial_to_parallel_reg(m, g)
+        converted = AdvisedLanguage("parallel", m2, h)
+        for ln in range(1, 9):
+            for t in itertools.product((0, 1), repeat=ln):
+                x = Word._trusted(t)
+                mismatches_b += parallel_member(converted, x) != dfa_accepts(m, g(ln) + x)
+    return f"parallel mismatches: {mismatches_a}, conversion mismatches: {mismatches_b}"
+
+
+def shifted_head(m, g):
+    # the first advice letter, which carries the state, is one too high
+    h, m2 = serial_to_parallel_reg(m, g)
+    shifted = AdviceFunction(lambda n: Word._trusted(tuple(a + (p == 0) for p, a in enumerate(h(n).letters))))
+    return shifted, m2
+
+
+def start_row_ignores_the_state(m, g):
+    # the new start state reads every first letter as if g had left m in m.start
+    h, m2 = serial_to_parallel_reg(m, g)
+    transitions = dict(m2.transitions)
+    for code in m2.alphabet:
+        transitions[m2.start, code] = m.transitions[m.start, split_letter(code)[0]]
+    return h, Dfa(m2.states, m2.alphabet, transitions, m2.start, m2.accepting)
+
+
+@pytest.mark.parametrize(
+    "convert,mismatches",
+    [
+        (serial_to_parallel_reg, {1729: 0, 1: 0}),
+        (shifted_head, {1729: 2896, 1: 2485}),
+        (start_row_ignores_the_state, {1729: 970, 1: 748}),
+    ],
+    ids=["conversion", "shifted-head", "start-row-ignores-the-state"],
+)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_advice_equivalences_walk_matches_the_per_word_route(monkeypatch, seed, convert, mismatches):
+    monkeypatch.setattr(acceptance, "serial_to_parallel_reg", convert)
+    result = acceptance.advice_equivalences(seed)
+    expected = f"parallel mismatches: 0, conversion mismatches: {mismatches[seed]}"
+    assert result.details == per_word_advice_mismatches(seed) == expected
+    assert result.passed == (mismatches[seed] == 0)
+
+
+def test_prefix_collisions_count_as_the_cut_slicing_does(monkeypatch):
+    # a planted encoder drops the second word's closing 0, 1, so a codeword
+    # is a prefix of every codeword of the same u and a longer v
+    def planted(u, v):
+        return Word._trusted(prefix_pair_encode(u, v).letters[:-2])
+
+    monkeypatch.setattr(acceptance, "prefix_pair_encode", planted)
+    monkeypatch.setattr(acceptance, "prefix_pair_decode", lambda w: prefix_pair_decode(w + Word.of(0, 1)))
+    words = [Word(t) for k in range(6) for t in itertools.product((0, 1), repeat=k)]
+    codeset = {planted(u, v).letters for u in words for v in words}
+    sliced = sum(code[:cut] in codeset for code in codeset for cut in range(1, len(code)))
+    result = acceptance.prefix_free_coding(1729)
+    assert sliced > 0 and not result.passed
+    assert result.details == f"{len(codeset)} codewords, {sliced} prefix collisions, 0 bad roundtrips"
 
 
 def test_intersection_identity_enumerates_once(monkeypatch):

@@ -106,8 +106,12 @@ def test_enumerate_rejects_a_negative_length(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [("enumerate", "--grammar", "no-such-file.cfg", "--max-len", "-1"), ("intersect-check", "--max-len", "-1")],
-    ids=["enumerate", "intersect-check"],
+    [
+        ("enumerate", "--grammar", "no-such-file.cfg", "--max-len", "-1"),
+        ("intersect-check", "--max-len", "-1"),
+        ("pump-refute", "--grammar", "no-such-file.cfg", "--predicate", "L2", "--max-len", "-1"),
+    ],
+    ids=["enumerate", "intersect-check", "pump-refute"],
 )
 def test_a_negative_max_len_is_a_usage_error_before_any_file_is_read(capsys, argv):
     # the grammar file does not exist: reading it would print FileNotFoundError
