@@ -46,7 +46,7 @@ from .swaplab import (
     swap_scan,
     witness_listing,
 )
-from .words import SYMBOL_TABLE, parse_word
+from .words import SYMBOL_TABLE, is_letter, parse_word
 
 
 class UsageError(ValueError):
@@ -58,10 +58,10 @@ def _load_symtab(path: Optional[str]) -> dict[str, int]:
         return dict(SYMBOL_TABLE)
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict) or not all(
-        isinstance(k, str) and isinstance(v, int) for k, v in doc.items()
-    ):
-        raise UsageError("a symbol table file must map names to integer letters")
+    # JSON object keys are strings; the values must be letters
+    bad = [doc] if not isinstance(doc, dict) else [item for item in doc.items() if not is_letter(item[1])]
+    if bad:
+        raise UsageError(f"a symbol table file must map names to integer letters, got {bad[0]!r}")
     return doc
 
 
@@ -98,8 +98,6 @@ def cmd_enumerate(args) -> tuple[str, dict]:
         lang = _language(args.lang)
         if args.length is None:
             raise UsageError("--lang enumeration needs --length (exact length)")
-        if args.length < 0:
-            raise UsageError("--length must be >= 0")
         check_budget(lang.size(args.length, SLICE_LIMIT), SLICE_LIMIT, "language enumeration")
         words = lang.generator(args.length)
         payload = {"lang": args.lang, "length": args.length}
@@ -110,8 +108,6 @@ def cmd_enumerate(args) -> tuple[str, dict]:
     else:
         if args.grammar is None or args.max_len is None:
             raise UsageError("grammar enumeration needs --grammar FILE and --max-len N")
-        if args.max_len < 0:
-            raise UsageError("--max-len must be >= 0")
         g = _load_grammar(args.grammar, _load_symtab(args.symtab))
         words = enumerate_language(g, args.max_len, budget=SLICE_LIMIT)
         payload = {"grammar": args.grammar, "max_len": args.max_len}
@@ -136,8 +132,6 @@ def cmd_member(args) -> tuple[str, dict]:
 
 
 def cmd_intersect_check(args) -> tuple[str, dict]:
-    if args.max_len < 0:
-        raise UsageError("--max-len must be >= 0")
     report = corpus.intersection_check(args.max_len, force=args.force)
     return ("pass" if report.ok else "fail"), report.to_json()
 
@@ -203,8 +197,6 @@ def cmd_advice_check(args) -> tuple[str, dict]:
 
 
 def cmd_pump_refute(args) -> tuple[str, dict]:
-    if args.max_len < 0:
-        raise UsageError("--max-len must be >= 0")
     symtab = _load_symtab(args.symtab)
     g = _load_grammar(args.grammar, symtab)
     lang = _language(args.predicate)
@@ -226,8 +218,9 @@ def cmd_suite(args) -> tuple[str, dict]:
 
 
 # One row per option: (flag, kind, required, default, help).  A kind is str,
-# int, bool (a flag that stores True), list (a repeatable str) or a tuple of
-# choices; a required option has no default.
+# int, _LENGTH (an int >= 0), bool (a flag that stores True), list (a
+# repeatable str) or a tuple of choices; a required option has no default.
+_LENGTH = "length"
 # only the commands that parse words or grammar text read a symbol table
 _SYMTAB = ("--symtab", str, False, None, "JSON file mapping letter names to integers")
 _ADVICE = ("--advice", str, False, None, "builtin advice name or JSON table file")
@@ -239,10 +232,10 @@ _M = ("--m", int, True, None, "the paper's constant m")
 COMMANDS = {
     "enumerate": (cmd_enumerate, "list members of a corpus language or grammar", (
         ("--lang", str, False, None, "corpus language name"),
-        ("--length", int, False, None, "exact length for --lang"),
+        ("--length", _LENGTH, False, None, "exact length for --lang"),
         ("--show-grammar", bool, False, False, "include the language's grammar text"),
         ("--grammar", str, False, None, "grammar file"),
-        ("--max-len", int, False, None, "length bound for --grammar"),
+        ("--max-len", _LENGTH, False, None, "length bound for --grammar"),
         _SYMTAB)),
     "member": (cmd_member, "decide membership of one word", (
         ("--lang", str, False, None, "corpus language name"),
@@ -250,7 +243,7 @@ COMMANDS = {
         ("--word", str, True, None, "comma-separated letters"),
         _SYMTAB)),
     "intersect-check": (cmd_intersect_check, "verify the two-grammar intersection identity", (
-        ("--max-len", int, True, None, "longest length checked"),
+        ("--max-len", _LENGTH, True, None, "longest length checked"),
         _FORCE)),
     "slice-stats": (cmd_slice_stats, "midsection occurrence table of a slice", (
         ("--lang", str, True, None, "corpus language name"),
@@ -280,7 +273,7 @@ COMMANDS = {
     "pump-refute": (cmd_pump_refute, "refute a grammar-inside-predicate claim by pumping", (
         ("--grammar", str, True, None, "grammar file"),
         ("--predicate", str, True, None, "corpus language name"),
-        ("--max-len", int, True, None, "longest candidate length"),
+        ("--max-len", _LENGTH, True, None, "longest candidate length"),
         _SYMTAB)),
     "suite": (cmd_suite, "run the whole acceptance battery", (
         ("--seed", int, False, acceptance.DEFAULT_SEED, "seed of the randomized criteria"),)),
@@ -296,7 +289,7 @@ def _help(name: Optional[str] = None) -> str:
     lines = [f"usage: langlab {name} [options]", text, ""]
     for flag, kind, required, default, about in options:
         value = f" {{{','.join(kind)}}}" if isinstance(kind, tuple) else " TEXT"
-        value = {int: " N", bool: ""}.get(kind, value)
+        value = {int: " N", _LENGTH: " N", bool: ""}.get(kind, value)
         note = " (required)" if required else "" if default in (None, False) else f" (default {default})"
         lines.append(f"  {flag + value:<22} {about}{note}")
     return "\n".join(lines)
@@ -335,11 +328,13 @@ def parse_args(argv: list[str]) -> Optional[SimpleNamespace]:
             # a negative number is a value; any other token led by a dash is an option
             if value is None or (value.startswith("-") and not value[1:].isdigit()):
                 raise UsageError(f"{flag} needs a value")
-        if kind is int:
+        if kind in (int, _LENGTH):
             try:
                 value = int(value)
             except ValueError:
                 raise UsageError(f"{flag} needs an integer, not {value!r}") from None
+            if kind is _LENGTH and value < 0:
+                raise UsageError(f"{flag} must be >= 0")
         elif isinstance(kind, tuple) and value not in kind:
             raise UsageError(f"{flag} must be one of {', '.join(kind)}, not {value!r}")
         if kind is list:
@@ -414,13 +409,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             return 0
         started = time.perf_counter()
         verdict, payload = args.fn(args)
-    except InvariantError as exc:
-        _emit({"command": command, "error": f"{type(exc).__name__}: {exc}"})
-        return 3
     # usage errors, the package's input errors and malformed JSON are ValueErrors
-    except (ValueError, CostGuardError, OSError) as exc:
+    except (ValueError, CostGuardError, OSError, InvariantError) as exc:
         _emit({"command": command, "error": f"{type(exc).__name__}: {exc}"})
-        return 2
+        return 3 if isinstance(exc, InvariantError) else 2
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     if args.command == "slice-stats" and args.format == "csv":
         _emit_csv(payload)

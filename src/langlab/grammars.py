@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence, Union
 
 from .guards import CostGuardError, InvariantError
-from .words import SYMBOL_TABLE, Word
+from .words import SYMBOL_TABLE, Word, is_letter
 
 Symbol = Union[str, int]  # str = nonterminal, int = terminal letter
 Body = tuple[Symbol, ...]
@@ -41,11 +41,6 @@ def _symbol_key(s: Symbol) -> tuple[int, object]:
 def _production_key(p: Production) -> tuple:
     head, body = p
     return (head, len(body), tuple(_symbol_key(s) for s in body))
-
-
-def _is_letter(t) -> bool:
-    # bool is an int subclass, and True == 1 would pass a set lookup
-    return isinstance(t, int) and not isinstance(t, bool) and t >= 0
 
 
 @dataclass(frozen=True)
@@ -70,7 +65,7 @@ class Cfg:
         if self.start not in self.nonterminals:
             raise GrammarError(f"start symbol {self.start!r} is not a nonterminal")
         for t in self.terminals:
-            if not _is_letter(t):
+            if not is_letter(t):
                 raise GrammarError(f"terminals must be ints >= 0, got {t!r}")
         for head, body in self.productions:
             if head not in self.nonterminals:
@@ -79,7 +74,7 @@ class Cfg:
                 if isinstance(s, str):
                     if s not in self.nonterminals:
                         raise GrammarError(f"undeclared nonterminal {s!r} in body of {head}")
-                elif not _is_letter(s) or s not in self.terminals:
+                elif not is_letter(s) or s not in self.terminals:
                     raise GrammarError(f"undeclared terminal {s!r} in body of {head}")
 
     @classmethod
@@ -139,7 +134,7 @@ def parse_grammar(text: str, symtab: Mapping[str, int] = SYMBOL_TABLE) -> Cfg:
                     raise GrammarError("'()' cannot be mixed with other symbols")
                 if tok.startswith("'") and tok.endswith("'") and len(tok) >= 3:
                     name = tok[1:-1]
-                    if name.isdigit():
+                    if name.isdecimal():
                         body.append(int(name))
                     elif name in symtab:
                         body.append(symtab[name])
@@ -251,6 +246,9 @@ class CnfGrammar:
         object.__setattr__(self, "terminals", frozenset(self.terminals))
         if self.start not in self.nonterminals:
             raise GrammarError(f"start symbol {self.start!r} is not a nonterminal")
+        for t in self.terminals:
+            if not is_letter(t):
+                raise GrammarError(f"terminals must be ints >= 0, got {t!r}")
         for a, b, c in self.binary:
             for s in (a, b, c):
                 if s not in self.nonterminals:
@@ -260,7 +258,7 @@ class CnfGrammar:
         for a, t in self.lexical:
             if a not in self.nonterminals:
                 raise GrammarError(f"undeclared nonterminal {a!r}")
-            if not isinstance(t, int) or t not in self.terminals:
+            if not is_letter(t) or t not in self.terminals:
                 raise GrammarError(f"undeclared terminal {t!r}")
         names = tuple(sorted(self.nonterminals))
         index = {a: k for k, a in enumerate(names)}
@@ -432,14 +430,18 @@ def cyk_chart(g: CnfGrammar, w: Word) -> list[list[int]]:
     return ends
 
 
+def _accepted_chart(g: CnfGrammar, w: Word) -> list[list[int]] | None:
+    # the chart of a nonempty word that g derives, else None; a word with a
+    # letter outside the terminal set is rejected without a chart
+    if not g.terminals.issuperset(w.letters):
+        return None
+    ends = cyk_chart(g, w)
+    return ends if ends[g._start][0] >> len(w) & 1 else None
+
+
 def cyk_member(g: CnfGrammar, w: Word) -> bool:
     """Decide membership; letters outside the terminal set simply fail."""
-    n = len(w)
-    if n == 0:
-        return g.empty
-    if any(a not in g.terminals for a in w.letters):
-        return False
-    return bool(cyk_chart(g, w)[g._start][0] >> n & 1)
+    return _accepted_chart(g, w) is not None if len(w) else g.empty
 
 
 def _packing(
@@ -561,10 +563,7 @@ def cyk_derivation(g: CnfGrammar, w: Word) -> list[tuple[str, int, int]] | None:
     n = len(w)
     if n == 0:
         return [(g.start, 0, 0)] if g.empty else None
-    if any(a not in g.terminals for a in w.letters):
-        return None
-    ends = cyk_chart(g, w)
-    if not ends[g._start][0] >> n & 1:
+    if (ends := _accepted_chart(g, w)) is None:
         return None
     names = g._names
     path = []
@@ -730,16 +729,21 @@ class Dfa:
     _rows: Mapping[str, Mapping[int, str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        letters = tuple(self.alphabet)
         object.__setattr__(self, "states", frozenset(self.states))
-        object.__setattr__(self, "alphabet", frozenset(self.alphabet))
+        object.__setattr__(self, "alphabet", frozenset(letters))
         object.__setattr__(self, "accepting", frozenset(self.accepting))
         object.__setattr__(self, "transitions", dict(self.transitions))
         if self.start not in self.states:
             raise AutomatonError(f"start state {self.start!r} is not a state")
         if not self.accepting <= self.states:
             raise AutomatonError("accepting states must be states")
+        # the letters as given: in the alphabet set, True would merge into 1
+        for a in letters:
+            if not is_letter(a):
+                raise AutomatonError(f"alphabet letters must be ints >= 0, got {a!r}")
         for (q, a), r in self.transitions.items():
-            if q not in self.states or r not in self.states or a not in self.alphabet:
+            if q not in self.states or r not in self.states or not is_letter(a) or a not in self.alphabet:
                 raise AutomatonError(f"bad transition ({q!r}, {a!r}) -> {r!r}")
         for q in self.states:
             for a in self.alphabet:
@@ -777,11 +781,10 @@ def dfa_from_json(doc: Mapping) -> Dfa:
     """Load a DFA from ``{states, alphabet, start, accepting, transitions}``
     where transitions is a list of ``[state, letter, state]`` triples."""
     try:
-        transitions = {(q, int(a)): r for q, a, r in doc["transitions"]}
         return Dfa(
             states=frozenset(doc["states"]),
-            alphabet=frozenset(int(a) for a in doc["alphabet"]),
-            transitions=transitions,
+            alphabet=doc["alphabet"],
+            transitions={(q, a): r for q, a, r in doc["transitions"]},
             start=doc["start"],
             accepting=frozenset(doc["accepting"]),
         )

@@ -12,9 +12,9 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, total_ordering
-from itertools import product
+from itertools import filterfalse, product
 from math import isqrt, prod
-from operator import itemgetter, mul
+from operator import ge, itemgetter, mul
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 
@@ -36,6 +36,13 @@ SYMBOL_TABLE: dict[str, int] = {
 }
 
 
+def is_letter(a) -> bool:
+    """The letter rule, stated once: an int >= 0 and not a bool (``True ==
+    1`` would pass a set lookup).  Every boundary that takes letters from
+    outside applies it."""
+    return isinstance(a, int) and not isinstance(a, bool) and a >= 0
+
+
 @total_ordering
 class Word:
     """An immutable finite sequence of natural-number letters.
@@ -50,9 +57,8 @@ class Word:
 
     def __init__(self, letters: Iterable[int] = ()) -> None:
         tup = tuple(letters)
-        for a in tup:
-            if not isinstance(a, int) or isinstance(a, bool) or a < 0:
-                raise WordError(f"letters must be ints >= 0, got {a!r}")
+        if not all(map(is_letter, tup)):
+            raise WordError(f"letters must be ints >= 0, got {next(filterfalse(is_letter, tup))!r}")
         self._letters = tup
 
     @classmethod
@@ -131,7 +137,7 @@ def parse_word(source: str, symtab: Mapping[str, int] = SYMBOL_TABLE) -> Word:
     tokens = [t for t in re.split(r"[,\s]+", source.strip()) if t]
     letters = []
     for tok in tokens:
-        if tok.isdigit():
+        if tok.isdecimal():
             letters.append(int(tok))
         elif tok in symtab:
             letters.append(symtab[tok])
@@ -193,10 +199,8 @@ class PositionMap(_MapFields):
         if not {type(v) for read in reads for v in read} <= {int} or min(s for _, s in reads) < 1:
             bad = next(r for r in reads if {type(r[0]), type(r[1])} != {int} or r[1] < 1)
             raise WordError(f"a read needs an int index and an int scale >= 1, got {bad!r}")
-        if not {type(a) for letters in alphabets for a in letters} <= {int}:
-            raise WordError(f"an alphabet needs letters that are ints >= 0, got {alphabets!r}")
-        for letters in set(alphabets):
-            if not letters or letters[0] < 0 or any(a >= b for a, b in zip(letters, letters[1:])):
+        for letters in alphabets:
+            if not letters or not all(map(is_letter, letters)) or any(map(ge, letters, letters[1:])):
                 raise WordError(f"an alphabet needs sorted, distinct letters >= 0, got {letters!r}")
         first = list(dict.fromkeys(x for x, _ in reads))
         if first != list(range(len(alphabets))):
@@ -353,15 +357,15 @@ def fuse_tracks(top: tuple[int, ...], bottom: tuple[int, ...]) -> tuple[int, ...
 
 def fuse_letter(top: int, bottom: int) -> int:
     """Encode a two-track letter pair as one letter (Cantor pairing)."""
-    if top < 0 or bottom < 0:
-        raise WordError("track letters must be >= 0")
+    if not (is_letter(top) and is_letter(bottom)):
+        raise WordError(f"track letters must be ints >= 0, got {top!r}, {bottom!r}")
     return fuse_tracks((top,), (bottom,))[0]
 
 
 def split_letter(code: int) -> tuple[int, int]:
     """Invert :func:`fuse_letter`."""
-    if code < 0:
-        raise WordError("fused letters are >= 0")
+    if not is_letter(code):
+        raise WordError(f"fused letters are ints >= 0, got {code!r}")
     s = (isqrt(8 * code + 1) - 1) // 2
     bottom = code - s * (s + 1) // 2
     return s - bottom, bottom

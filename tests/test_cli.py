@@ -104,6 +104,13 @@ def test_enumerate_rejects_a_negative_length(capsys):
     assert code == 2 and doc["error"] == "UsageError: --length must be >= 0"
 
 
+@pytest.mark.parametrize("argv", [("--lang", "NOPE", "--length", "-1"), ("--length", "-1")])
+def test_the_option_table_checks_a_length_before_the_command_runs(capsys, argv):
+    # no language is looked up, and no missing --lang or --grammar is named
+    code, doc = run_json(capsys, "enumerate", *argv)
+    assert code == 2 and doc["error"] == "UsageError: --length must be >= 0"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -521,11 +528,38 @@ EXIT_2_CASES = [
         '{"states": ["a"]}',
         ("advice-check", "--advice", "leq", "--parallel", "--inner", "F", "--word", "0,1"),
     ),
+    (
+        "AutomatonError-bool-letter",
+        "AutomatonError: alphabet letters must be ints >= 0, got True",
+        '{"states": ["a"], "alphabet": [0, true], "start": "a", "accepting": [], '
+        '"transitions": [["a", 0, "a"], ["a", true, "a"]]}',
+        ("advice-check", "--advice", "leq", "--parallel", "--inner", "F", "--word", "0,1"),
+    ),
+    (
+        "WordError-superscript",
+        "WordError: unknown letter token '²'",
+        None,
+        ("member", "--lang", "L2", "--word", "1,²"),
+    ),
+    (
+        "GrammarError-superscript",
+        "GrammarError: unknown terminal name '²'",
+        "S -> '²'\n",
+        ("member", "--grammar", "F", "--word", "1"),
+    ),
     ("WordError", "WordError: ", None, ("member", "--lang", "L2", "--word", "zz")),
     ("JSONDecodeError", "JSONDecodeError: ", "not json", (*SCAN_WITH_ADVICE, "F")),
     ("FileNotFoundError", "FileNotFoundError: ", None, (*SCAN_WITH_ADVICE, "F")),
     ("symtab-string-letter", SYMTAB_ERROR, '{"p": "1"}', MEMBER_WITH_SYMTAB),
     ("symtab-list", SYMTAB_ERROR, "[1]", MEMBER_WITH_SYMTAB),
+    ("symtab-negative-letter", f"{SYMTAB_ERROR}, got ('y', -3)", '{"y": -3}', MEMBER_WITH_SYMTAB),
+    # refused at load, so a word that reads no table entry fails too
+    (
+        "symtab-bool-letter",
+        f"{SYMTAB_ERROR}, got ('x', True)",
+        '{"x": true, "y": -3}',
+        ("member", "--lang", "L2", "--word", "1", "--symtab", "F"),
+    ),
 ]
 
 

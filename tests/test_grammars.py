@@ -87,6 +87,9 @@ def test_parse_errors():
         parse_grammar("")
     with pytest.raises(GrammarError):
         parse_grammar("S -> 'a | 'b'")
+    # a superscript digit passes str.isdigit but is no letter int() reads
+    with pytest.raises(GrammarError, match="unknown terminal name '²'"):
+        parse_grammar("S -> '²'")
 
 
 def test_grammar_text_roundtrip():
@@ -185,8 +188,13 @@ def test_cyk_palindrome_examples():
     assert not cyk_member(cnf, EMPTY_WORD)
 
 
-def test_cyk_foreign_letters_are_false_not_errors():
+def refuse_chart(g, w):
+    raise AssertionError(f"a chart was built for {w}")
+
+
+def test_cyk_foreign_letters_are_false_not_errors(monkeypatch):
     cnf = to_cnf(parse_grammar(PALINDROME_TEXT))
+    monkeypatch.setattr(grammars, "cyk_chart", refuse_chart)
     assert not cyk_member(cnf, Word.of(0, 7, 7, 0))
 
 
@@ -443,8 +451,9 @@ def test_blocks_derivations_match_the_reference_walk(w):
     assert (path is not None) == in_blocks(w)
 
 
-def test_foreign_letters_have_no_derivation():
+def test_foreign_letters_have_no_derivation(monkeypatch):
     cnf = to_cnf(parse_grammar(PALINDROME_TEXT))
+    monkeypatch.setattr(grammars, "cyk_chart", refuse_chart)
     assert cyk_derivation(cnf, Word.of(0, 7, 7, 0)) is None
     assert cyk_derivation(cnf, EMPTY_WORD) is None
 
@@ -775,6 +784,18 @@ def test_dfa_foreign_letter_is_an_error():
         dfa_accepts(parity_dfa(), Word.of(0, 5))
 
 
+@pytest.mark.parametrize("bad", [True, -1])
+def test_dfa_and_cnf_constructors_reject_a_letter_that_is_a_bool_or_negative(bad):
+    with pytest.raises(AutomatonError, match=f"got {bad!r}"):
+        Dfa(frozenset({"a"}), frozenset({bad}), {("a", bad): "a"}, "a", frozenset())
+    with pytest.raises(AutomatonError, match=f"\\('a', {bad!r}\\)"):
+        Dfa(frozenset({"a"}), frozenset({0}), {("a", 0): "a", ("a", bad): "a"}, "a", frozenset())
+    with pytest.raises(GrammarError, match=f"got {bad!r}"):
+        CnfGrammar(frozenset({"S"}), frozenset({bad}), (), (("S", bad),), "S")
+    with pytest.raises(GrammarError, match=f"terminal {bad!r}"):
+        CnfGrammar(frozenset({"S"}), frozenset({0}), (), (("S", 0), ("S", bad)), "S")
+
+
 def test_dfa_totality_is_validated():
     with pytest.raises(AutomatonError):
         Dfa(
@@ -798,6 +819,13 @@ def test_dfa_json_roundtrip():
     assert dfa_accepts(dfa_from_json(doc), Word.of(1, 1, 1))
     with pytest.raises(AutomatonError):
         dfa_from_json({"states": ["a"], "alphabet": [0]})
+    # a letter is an int >= 0 and not a bool, in the alphabet and in the
+    # transitions alike: none is coerced
+    for bad in (1.9, True, "2", -1):
+        with pytest.raises(AutomatonError, match=f"got {bad!r}"):
+            dfa_from_json({**doc, "alphabet": [0, 1, bad]})
+        with pytest.raises(AutomatonError, match=f"\\('odd', {bad!r}\\)"):
+            dfa_from_json({**doc, "transitions": doc["transitions"][:3] + [["odd", bad, "even"]]})
 
 
 def random_dfa(rng, alphabet=(0, 1)):

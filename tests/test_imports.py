@@ -78,6 +78,43 @@ def test_the_private_name_check_sees_both_spellings(tmp_path):
     assert private_names(probe) == {"_entry_json", "corpus._constant"}
 
 
+def bool_checks(path):
+    """The functions, as ``module.qualname``, whose source calls
+    ``isinstance(…, bool)``, a bool in a tuple of types included."""
+    out = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "isinstance":
+                types = child.args[1:]
+                types = types[0].elts if types and isinstance(types[0], ast.Tuple) else types
+                if any(getattr(t, "id", None) == "bool" for t in types):
+                    out.add(".".join([path.stem] + scope))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), [])
+    return out
+
+
+def test_only_the_letter_rule_tells_a_bool_from_an_int():
+    # a letter is an int >= 0 and not a bool; words.is_letter states that once
+    found = set().union(*(bool_checks(path) for path in PACKAGE.glob("*.py")))
+    assert found == {"words.is_letter"}
+
+
+def test_the_bool_check_scan_names_the_enclosing_function(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def f(a):\n    return isinstance(a, bool)\n"
+        "class C:\n    def g(self, a):\n        return [isinstance(a, (int, bool))]\n"
+        "isinstance(1, int)\n"
+    )
+    assert bool_checks(probe) == {"probe.f", "probe.C.g"}
+
+
 def test_no_core_module_imports_upward():
     assert "swaplab" not in GRAPH["corpus"]
     assert "corpus" not in GRAPH["refuter"]

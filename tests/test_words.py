@@ -159,8 +159,18 @@ def test_word_rejects_bad_letters():
 def test_word_rejects_bool_letters():
     with pytest.raises(WordError):
         Word.of(True)
-    with pytest.raises(WordError):
+    with pytest.raises(WordError, match="got False"):
         Word((1, False))
+
+
+@pytest.mark.parametrize("bad", [True, -1, 1.0, "2"])
+def test_track_letters_follow_the_letter_rule(bad):
+    with pytest.raises(WordError, match=f"got .*{bad!r}"):
+        fuse_letter(bad, 1)
+    with pytest.raises(WordError, match=f"got .*{bad!r}"):
+        fuse_letter(1, bad)
+    with pytest.raises(WordError, match=f"got {bad!r}"):
+        split_letter(bad)
 
 
 def is_valid(w):
@@ -206,6 +216,9 @@ def test_parse_word_accepts_decimals_and_names():
     assert parse_word("") == EMPTY_WORD
     with pytest.raises(WordError):
         parse_word("1,q")
+    # a superscript digit passes str.isdigit but is no letter int() reads
+    with pytest.raises(WordError, match="unknown letter token '²'"):
+        parse_word("1,²")
 
 
 def test_symbol_table_published_values():
@@ -291,6 +304,8 @@ def test_a_one_position_map_gives_its_one_letter_words():
         ((), ((1, 2), (1, 2))),
         (((0, 0), (1, 0)), ((1, 2), (1, 2))),
         (((0, -3), (1, -3)), ((1, 2), (1, 2))),
+        # a bool is no letter, though True == 1
+        (((0, 1),), ((True, 2),)),
     ],
 )
 def test_a_malformed_map_is_a_word_error(reads, alphabets):
